@@ -69,7 +69,12 @@ def _env(name: str, fallback):
     raw = os.environ.get(f"EXKH_{name}")
     if raw is None:
         return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    try:
+        return type(fallback)(raw)
+    except ValueError:
+        raise ExkhError(
+            f"EXKH_{name}={raw!r} is not a valid {type(fallback).__name__}"
+        ) from None
 
 
 def _common(sub: argparse.ArgumentParser, diagram_input: bool = True) -> None:
@@ -145,14 +150,10 @@ def _emit(payload: dict, args, text_lines) -> None:
             print(line)
 
 
-def _groups_json(groups) -> dict:
-    return {str(i): str(g) for i, g in sorted(groups.items())}
-
-
-def _row_payload(row) -> dict:
+def _row_payload(row, ring: str) -> dict:
     return {
         "j": row.j,
-        "groups": _groups_json(row.groups),
+        "groups": {str(i): g.to_text(ring) for i, g in sorted(row.groups.items())},
         "provenance": row.provenance,
         "n": row.n,
         "shift": row.shift,
@@ -265,25 +266,26 @@ def _cmd_complex(args) -> int:
 
 def _cmd_extreme(args) -> int:
     d = _load_diagram(args.input, args.orient)
-    if args.side == "max":
-        row = extreme_jmax(d, args.ring, args.max_faces)
-        _emit(_row_payload(row), args, [row.summary()])
-        return 0
-    if args.method != "both":
-        row = extreme_row(d, args.ring, args.method, args.max_faces)
-        _emit(_row_payload(row), args, [row.summary()])
+    if args.side == "max" or args.method != "both":
+        if args.side == "max":
+            row = extreme_jmax(d, args.ring, args.max_faces, args.max_crossings)
+        else:
+            row = extreme_row(
+                d, args.ring, args.method, args.max_faces, args.max_crossings
+            )
+        _emit(_row_payload(row, args.ring), args, [row.summary(args.ring)])
         return 0
     lando = extreme_via_lando(d, args.ring, args.max_faces)
     brute = extreme_via_brute(d, args.ring, args.max_crossings)
     agree = lando.groups == brute.groups and lando.j == brute.j
     payload = {
-        "lando": _row_payload(lando),
-        "brute": _row_payload(brute),
+        "lando": _row_payload(lando, args.ring),
+        "brute": _row_payload(brute, args.ring),
         "agreement": agree,
     }
     lines = [
-        f"lando: {lando.summary()}",
-        f"brute: {brute.summary()}",
+        f"lando: {lando.summary(args.ring)}",
+        f"brute: {brute.summary(args.ring)}",
         f"agreement: {'OK' if agree else 'MISMATCH'}",
     ]
     _emit(payload, args, lines)
@@ -409,8 +411,9 @@ def _verify_one(d: Diagram, label: str, args) -> int:
     dual = extreme_row(d, args.ring, "dual", args.max_faces)
     if not (lando.groups == brute.groups == dual.groups):
         print(f"{label}: extreme rows disagree "
-              f"(lando {lando.summary()} / brute {brute.summary()} / "
-              f"dual {dual.summary()})", file=sys.stderr)
+              f"(lando {lando.summary(args.ring)} / "
+              f"brute {brute.summary(args.ring)} / "
+              f"dual {dual.summary(args.ring)})", file=sys.stderr)
         return AGREEMENT_EXIT
     checks.append("extreme-routes")
 
@@ -526,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         parse_ring(args.ring)
         if args.max_crossings <= 0 or args.max_faces <= 0:
             print("caps must be positive", file=sys.stderr)

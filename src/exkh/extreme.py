@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .diagram import A, B, Diagram, State
 from .errors import EmptyPartW
-from .khovanov import EnhancedState, j_bounds, khovanov_complex
+from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, j_bounds, khovanov_complex
 from .lando import Graph, build_lando, is_complete_bipartite
 from .simplicial import (
     DEFAULT_FACE_CAP,
@@ -42,6 +42,7 @@ from .simplicial import (
     join_homology,
     jonsson_complex,
     parse_ring,
+    shift_torsion,
 )
 
 
@@ -59,11 +60,11 @@ class ExtremeRow:
     n: int
     shift: int
 
-    def summary(self) -> str:
+    def summary(self, ring: str = "Z") -> str:
         if not self.groups:
             return f"j={self.j}: (row is zero)"
         cells = ", ".join(
-            f"i={i}: {g}" for i, g in sorted(self.groups.items())
+            f"i={i}: {g.to_text(ring)}" for i, g in sorted(self.groups.items())
         )
         return f"j={self.j}: {cells}"
 
@@ -102,18 +103,6 @@ def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:
     return out
 
 
-def _flip_to_cohomology(h_groups: dict[int, AbelianGroup]) -> dict[int, AbelianGroup]:
-    """Homology to cohomology over Z: torsion climbs one degree."""
-    degrees = set(h_groups)
-    degrees.update(k + 1 for k in h_groups)
-    out: dict[int, AbelianGroup] = {}
-    for k in degrees:
-        rank = h_groups.get(k, AbelianGroup(0)).rank
-        torsion = h_groups.get(k - 1, AbelianGroup(0)).torsion
-        out[k] = AbelianGroup(rank, torsion)
-    return out
-
-
 def lando_cohomology(
     g: Graph, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
 ) -> dict[int, AbelianGroup]:
@@ -127,16 +116,12 @@ def lando_cohomology(
     comps = g.connected_components()
     if len(comps) <= 1:
         return cohomology_of(independence_complex(g, cap), ring, cap)
-    kind, _ = parse_ring(ring)
     folded: dict[int, AbelianGroup] | None = None
     for comp in comps:
         hk = homology(independence_complex(g.subgraph(comp), cap), ring, cap)
         hk = {k: grp for k, grp in hk.items() if not grp.is_trivial}
         folded = hk if folded is None else join_homology(folded, hk)
-    folded = folded or {}
-    if kind == "Z":
-        return _flip_to_cohomology(folded)
-    return folded
+    return shift_torsion(folded, 1)
 
 
 def extreme_via_lando(
@@ -155,19 +140,24 @@ def extreme_via_lando(
     )
 
 
-def extreme_via_brute(
-    d: Diagram, ring: str = "Z", max_crossings: int = 16
+def _brute_row(
+    d: Diagram, j: int, ring: str, max_crossings: int
 ) -> ExtremeRow:
-    """The j_min row from the enhanced-state complex, no geometry involved."""
+    """One row of the enhanced-state complex, no geometry involved."""
     n = d.negative_count
-    j_min, _ = j_bounds(d)
-    cc = khovanov_complex(d, j_min, max_crossings)
     groups = {
-        i: grp for i, grp in cohomology(cc, ring).items() if not grp.is_trivial
+        i: grp
+        for i, grp in cohomology(khovanov_complex(d, j, max_crossings), ring).items()
+        if not grp.is_trivial
     }
-    return ExtremeRow(
-        j=j_min, groups=groups, provenance="brute", n=n, shift=n - 1
-    )
+    return ExtremeRow(j=j, groups=groups, provenance="brute", n=n, shift=n - 1)
+
+
+def extreme_via_brute(
+    d: Diagram, ring: str = "Z", max_crossings: int = DEFAULT_CROSSING_CAP
+) -> ExtremeRow:
+    """The j_min row from the enhanced-state complex."""
+    return _brute_row(d, j_bounds(d)[0], ring, max_crossings)
 
 
 def y_complex(d: Diagram) -> SimplicialComplex:
@@ -215,7 +205,10 @@ def extreme_via_dual(
 
 
 def extreme_jmax(
-    d: Diagram, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
+    d: Diagram,
+    ring: str = "Z",
+    cap: int = DEFAULT_FACE_CAP,
+    max_crossings: int = DEFAULT_CROSSING_CAP,
 ) -> ExtremeRow:
     """The j_max row of a diagram.
 
@@ -226,16 +219,7 @@ def extreme_jmax(
     _, j_max = j_bounds(d)
     kind, _ = parse_ring(ring)
     if kind == "Z":
-        n = d.negative_count
-        cc = khovanov_complex(d, j_max)
-        groups = {
-            i: grp
-            for i, grp in cohomology(cc, ring).items()
-            if not grp.is_trivial
-        }
-        return ExtremeRow(
-            j=j_max, groups=groups, provenance="brute", n=n, shift=n - 1
-        )
+        return _brute_row(d, j_max, ring, max_crossings)
     row = extreme_via_lando(d.mirror(), ring, cap)
     return ExtremeRow(
         j=j_max,
@@ -251,12 +235,13 @@ def extreme_row(
     ring: str = "Z",
     method: str = "lando",
     cap: int = DEFAULT_FACE_CAP,
+    max_crossings: int = DEFAULT_CROSSING_CAP,
 ) -> ExtremeRow:
     """Dispatch on the computation route; 'dual' falls back for tiny graphs."""
     if method == "lando":
         return extreme_via_lando(d, ring, cap)
     if method == "brute":
-        return extreme_via_brute(d, ring)
+        return extreme_via_brute(d, ring, max_crossings)
     if method == "dual":
         try:
             return extreme_via_dual(d, ring, cap)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .diagram import A, B, Diagram, State, pd_hash
 from .errors import CapExceeded, DifferentDiagram, NotAComplex
-from .simplicial import AbelianGroup, ChainComplex, cohomology
+from .simplicial import AbelianGroup, ChainComplex, check_square_zero, cohomology
 
 DEFAULT_CROSSING_CAP = 16
 
@@ -376,9 +376,7 @@ def khovanov_complex(
     bases = _row_bases(d, j)
     matrices = {}
     columns: dict[int, list[list[tuple[int, int]]]] = {}
-    degrees = sorted(bases)
-    for i in degrees:
-        source = bases[i]
+    for i, source in bases.items():
         target = bases.get(i + 1, ())
         target_index = {es: r for r, es in enumerate(target)}
         cols = _row_columns(d, source, target_index)
@@ -388,17 +386,7 @@ def khovanov_complex(
             for row, val in entries:
                 rows[row][col] = val
         matrices[i] = tuple(tuple(r) for r in rows)
-    for i in degrees:
-        nxt = columns.get(i + 1)
-        if nxt is None:
-            continue
-        for entries in columns[i]:
-            acc: dict[int, int] = {}
-            for row, val in entries:
-                for row2, val2 in nxt[row]:
-                    acc[row2] = acc.get(row2, 0) + val * val2
-            if any(acc.values()):
-                raise NotAComplex(f"d∘d != 0 in row j={j} at degree {i}")
+    check_square_zero(columns, f" in row j={j}")
     return ChainComplex(bases=bases, matrices=matrices)
 
 
@@ -441,7 +429,7 @@ class CohomologyTable:
                         "j": j,
                         "rank": g.rank,
                         "torsion": list(g.torsion),
-                        "group": str(g),
+                        "group": g.to_text(self.ring),
                     }
                     for (i, j), g in sorted(self.entries.items())
                 ],
@@ -454,7 +442,7 @@ class CohomologyTable:
         i_values = sorted({i for i, _ in self.entries})
         j_values = sorted({j for _, j in self.entries}, reverse=True)
         cells = {
-            (i, j): str(g) for (i, j), g in self.entries.items()
+            (i, j): g.to_text(self.ring) for (i, j), g in self.entries.items()
         }
         header = ["j\\i"] + [str(i) for i in i_values]
         rows = [header]

@@ -22,13 +22,18 @@ Matrices are written target-by-source, so delta_i has one row per
 (i+1)-face.  Boundaries are the transposes, whence homology and cohomology
 share free ranks while torsion shifts one degree, as usual.
 
-Integer linear algebra is exact: Smith normal form over arbitrary-precision
-ints, eliminating with unit pivots while any exist and falling back to gcd
-pivoting on the small residual core.
+Integer linear algebra is exact and goes through one sparse elimination
+kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
+a unit in the shortest row that still holds one, taken from a heap keyed by
+row length, at the unit whose column is sparsest.  Over F_p every nonzero
+entry is a unit, so the kernel alone gives the rank.  Over Z the few rows
+left without a unit form a small dense core, which gcd pivoting takes to
+Smith normal form.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
@@ -109,14 +114,18 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def __str__(self) -> str:
+    def to_text(self, ring: str = "Z") -> str:
+        """The group as a sum of copies of the ring it is over."""
         parts = []
         if self.rank == 1:
-            parts.append("Z")
+            parts.append(ring)
         elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
+            parts.append(f"{ring}^{self.rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " ⊕ ".join(parts) if parts else "0"
+
+    def __str__(self) -> str:
+        return self.to_text()
 
 
 def tensor_group(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
@@ -140,7 +149,11 @@ def tor_group(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
 
 
 def _snf_dense(m: list[list[int]]) -> list[int]:
-    """Diagonal entries (not yet divisibility-sorted) of an integer SNF."""
+    """Diagonal entries of an integer SNF, an ascending divisibility chain.
+
+    Each pivot is made to divide the whole remaining submatrix before the
+    next one is taken, so no factoring or pairwise repair is needed after.
+    """
     if not m or not m[0]:
         return []
     rows, cols = len(m), len(m[0])
@@ -223,68 +236,63 @@ def _snf_dense(m: list[list[int]]) -> list[int]:
     return out
 
 
-def _sparse_unit_eliminate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """Strip unit pivots from a matrix.
+def _eliminate(
+    rows: list[dict[int, int]], p: int | None = None
+) -> tuple[int, list[list[int]]]:
+    """Pivot on units of a sparse matrix until none is left.
 
-    Returns (number of unit pivots, dense residual matrix without unit
-    entries).  This is where almost all the work happens for the +-1
-    incidence matrices of chain complexes.
+    ``rows`` holds the nonzero entries of each row as ``{col: value}``,
+    reduced mod ``p`` when a prime is given; they are consumed.  The pivot
+    is always taken in the shortest live row that holds a unit, at the unit
+    whose column has the fewest entries.  Rows wait in a heap keyed by
+    length and go back in only when a pivot modifies them.  Returns the
+    number of pivots and the dense residual with no unit entry left; over
+    F_p every nonzero residue is a unit, so that residual is empty.
     """
-    rows: dict[int, dict[int, int]] = {}
+    live = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(matrix):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
-                cols.setdefault(j, set()).add(i)
+    for i, r in live.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
     units = 0
-    while True:
-        pick = None
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                if v in (1, -1):
-                    score = (len(r) - 1) * (len(cols[j]) - 1)
-                    if best is None or score < best:
-                        best = score
-                        pick = (i, j, v)
-                        if score == 0:
-                            break
-            if best == 0:
-                break
-        if pick is None:
-            break
-        i, j, v = pick
-        piv_row = rows.pop(i)
+    while heap:
+        length, i = heapq.heappop(heap)
+        piv_row = live.get(i)
+        if piv_row is None or len(piv_row) != length:
+            continue
+        unit_cols = [jj for jj, vv in piv_row.items() if p is not None or vv in (1, -1)]
+        if not unit_cols:
+            continue  # no unit yet; it comes back if a pivot changes it
+        j = min(unit_cols, key=lambda jj: len(cols[jj]))
+        v = piv_row[j]
+        inv = v if p is None else pow(v, -1, p)
+        del live[i]
         for jj in piv_row:
             cols[jj].discard(i)
-            if not cols[jj]:
-                del cols[jj]
-        for ii in list(cols.get(j, ())):
-            row = rows[ii]
-            q = row[j] * v  # v in {1,-1} so this is row[j]/v
+        for ii in cols.pop(j):
+            row = live[ii]
+            q = row[j] * inv
             for jj, pv in piv_row.items():
                 new = row.get(jj, 0) - q * pv
+                if p is not None:
+                    new %= p
                 if new:
                     if jj not in row:
-                        cols.setdefault(jj, set()).add(ii)
+                        cols[jj].add(ii)
                     row[jj] = new
-                elif jj in row:
+                else:
                     del row[jj]
-                    cols[jj].discard(ii)
-                    if not cols[jj]:
-                        del cols[jj]
-            if not row:
-                del rows[ii]
+                    if jj != j:
+                        cols[jj].discard(ii)
+            if row:
+                heapq.heappush(heap, (len(row), ii))
+            else:
+                del live[ii]
         units += 1
-    live_rows = sorted(rows)
-    live_cols = sorted({j for r in rows.values() for j in r})
-    col_index = {j: k for k, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for k, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            dense[k][col_index[j]] = v
+    live_cols = sorted({j for r in live.values() for j in r})
+    dense = [[r.get(j, 0) for j in live_cols] for _, r in sorted(live.items())]
     return units, dense
 
 
@@ -294,51 +302,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     The factors come back as the full ascending divisibility chain, ones
     included, so ``len(factors) == rank``.
     """
-    units, residual = _sparse_unit_eliminate(matrix)
-    diagonal = [1] * units + _snf_dense(residual)
-    # Repair divisibility pairwise: diag(a, b) ~ diag(gcd, lcm).
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diagonal)):
-            for j in range(i + 1, len(diagonal)):
-                a, b = diagonal[i], diagonal[j]
-                if b % a:
-                    g = gcd(a, b)
-                    diagonal[i], diagonal[j] = g, a * b // g
-                    changed = True
-    diagonal.sort()
-    return tuple(diagonal), len(diagonal)
+    units, residual = _eliminate(
+        [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    )
+    factors = (1,) * units + tuple(_snf_dense(residual))
+    return factors, len(factors)
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    units, residual = _sparse_unit_eliminate(matrix)
-    return units + len(_snf_dense(residual))
+    return smith_normal_form(matrix)[1]
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
-    rows = []
-    for row in matrix:
-        r = {j: v % p for j, v in enumerate(row) if v % p}
-        if r:
-            rows.append(r)
-    rank = 0
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for r in rows:
-        for j, piv_row in pivots:
-            if j in r:
-                factor = r[j] * pow(piv_row[j], p - 2, p) % p
-                for jj, v in piv_row.items():
-                    new = (r.get(jj, 0) - factor * v) % p
-                    if new:
-                        r[jj] = new
-                    elif jj in r:
-                        del r[jj]
-        if r:
-            j = min(r)
-            pivots.append((j, r))
-            rank += 1
-    return rank
+    rows = [{j: v % p for j, v in enumerate(row) if v % p} for row in matrix]
+    return _eliminate(rows, p)[0]
 
 
 # --------------------------------------------------------------------------
@@ -390,42 +367,76 @@ class ChainComplex:
                 raise NotAComplex(f"row count at degree {d}")
             if any(len(r) != self.dim(d) for r in m):
                 raise NotAComplex(f"column count at degree {d}")
-        for d in self.matrices:
-            m2 = self.matrices.get(d + 1)
-            if m2 is None or not self.matrices[d] or not m2:
-                continue
-            m1 = self.matrices[d]
-            for i in range(len(m2)):
-                for k in range(len(m1[0]) if m1 else 0):
-                    s = sum(m2[i][j] * m1[j][k] for j in range(len(m1)))
-                    if s != 0:
-                        raise NotAComplex(f"maps do not square to zero at degree {d}")
+        columns = {}
+        for d, m in self.matrices.items():
+            columns[d] = [[] for _ in range(self.dim(d))]
+            for r, row in enumerate(m):
+                for k, v in enumerate(row):
+                    if v:
+                        columns[d][k].append((r, v))
+        check_square_zero(columns)
+
+
+def check_square_zero(
+    columns: dict[int, list[list[tuple[int, int]]]], where: str = ""
+) -> None:
+    """Raise NotAComplex unless consecutive maps compose to zero.
+
+    ``columns[d][k]`` lists the (row, value) entries of column k of the map
+    leaving degree d; ``where`` is added to the error message.
+    """
+    for d, cols in columns.items():
+        nxt = columns.get(d + 1)
+        if nxt is None:
+            continue
+        for entries in cols:
+            acc: dict[int, int] = {}
+            for row, val in entries:
+                for row2, val2 in nxt[row]:
+                    acc[row2] = acc.get(row2, 0) + val * val2
+            if any(acc.values()):
+                raise NotAComplex(f"maps do not square to zero{where} at degree {d}")
 
 
 def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Cohomology groups of a cochain complex, degree by degree."""
+    """Cohomology groups of a cochain complex, degree by degree.
+
+    Over Q and F_p every group is a vector space; integral torsion shows up
+    there as lost rank, which the ranks already carry.
+    """
     kind, p = parse_ring(ring)
     ranks: dict[int, int] = {}
-    factors: dict[int, tuple[int, ...]] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
     for d, m in cc.matrices.items():
-        if kind == "Z":
-            f, r = smith_normal_form(m)
-            factors[d] = f
-            ranks[d] = r
-        elif kind == "Q":
-            ranks[d] = integer_rank(m)
-        else:
+        if kind == "F":
             ranks[d] = rank_mod_p(m, p)
-    out: dict[int, AbelianGroup] = {}
-    for d in cc.degrees:
-        free = cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-        torsion = ()
+            continue
+        factors, ranks[d] = smith_normal_form(m)
         if kind == "Z":
-            torsion = tuple(t for t in factors.get(d - 1, ()) if t > 1)
-        # Over Q and F_p every group is a vector space; integral torsion
-        # shows up as extra mod-p rank, which the ranks above already carry.
-        out[d] = AbelianGroup(free, torsion)
-    return out
+            torsion[d] = tuple(t for t in factors if t > 1)
+    return {
+        d: AbelianGroup(
+            cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0),
+            torsion.get(d - 1, ()),
+        )
+        for d in cc.degrees
+    }
+
+
+def shift_torsion(
+    groups: dict[int, AbelianGroup], step: int
+) -> dict[int, AbelianGroup]:
+    """Move every torsion summand ``step`` degrees, free ranks staying put.
+
+    Cohomology and homology of one complex differ exactly so: step -1 turns
+    cohomology into homology, step +1 turns it back.
+    """
+    degrees = set(groups) | {d + step for d, g in groups.items() if g.torsion}
+    zero = AbelianGroup(0)
+    return {
+        d: AbelianGroup(groups.get(d, zero).rank, groups.get(d - step, zero).torsion)
+        for d in degrees
+    }
 
 
 # --------------------------------------------------------------------------
@@ -624,30 +635,9 @@ def homology(
     """Reduced simplicial homology of a complex.
 
     Boundary matrices are the transposes of the coboundaries, so free ranks
-    match the cohomology of the same degree and torsion comes from the
-    outgoing coboundary instead of the incoming one.
+    match the cohomology of the same degree and torsion sits one lower.
     """
-    kind, p = parse_ring(ring)
-    cc = coboundary_complex(x, cap)
-    ranks: dict[int, int] = {}
-    factors: dict[int, tuple[int, ...]] = {}
-    for d, m in cc.matrices.items():
-        if kind == "Z":
-            f, r = smith_normal_form(m)
-            factors[d] = f
-            ranks[d] = r
-        elif kind == "Q":
-            ranks[d] = integer_rank(m)
-        else:
-            ranks[d] = rank_mod_p(m, p)
-    out: dict[int, AbelianGroup] = {}
-    for d in cc.degrees:
-        free = cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-        torsion = ()
-        if kind == "Z":
-            torsion = tuple(t for t in factors.get(d, ()) if t > 1)
-        out[d] = AbelianGroup(free, torsion)
-    return out
+    return shift_torsion(cohomology_of(x, ring, cap), -1)
 
 
 def cohomology_of(

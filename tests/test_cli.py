@@ -102,6 +102,35 @@ def test_extreme_json(capsys):
     assert payload["brute"]["provenance"] == "brute"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "brute"], ["--side", "max"]],
+    ids=["brute", "side-max"],
+)
+def test_extreme_brute_paths_keep_crossing_cap(capsys, flags):
+    argv = ["extreme", *flags, "--max-crossings", "3", "hexagon_link"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "crossing count" in err
+
+
+def test_extreme_prints_groups_over_q(capsys):
+    argv = ["extreme", "--method", "lando", "--ring", "Q", "hexagon_link"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.strip() == "j=-13: i=-4: Q^2"
+
+
+def test_khovanov_prints_groups_over_f2(capsys):
+    code, out, _ = run(["khovanov", "--ring", "F2", TREFOIL], capsys)
+    assert code == 0
+    assert " -9  F2   ·   ·" in out
+    assert "Z" not in out
+    argv = ["khovanov", "--ring", "F2", "--format", "json", TREFOIL]
+    code, out, _ = run(argv, capsys)
+    assert {e["group"] for e in json.loads(out)["entries"]} == {"F2"}
+
+
 def test_extreme_dual_method(capsys):
     code, out, _ = run(["extreme", "hexagon_link", "--method", "dual"], capsys)
     assert code == 0
@@ -296,3 +325,10 @@ def test_env_overrides_ring(capsys, monkeypatch):
     code, out, _ = run(["khovanov", TREFOIL], capsys)
     assert code == 0
     assert "coefficients: F3" in out
+
+
+def test_bad_env_value_is_exit_one(capsys, monkeypatch):
+    monkeypatch.setenv("EXKH_MAX_CROSSINGS", "abc")
+    code, _, err = run(["parse", "hexagon_link"], capsys)
+    assert code == 1
+    assert "EXKH_MAX_CROSSINGS" in err

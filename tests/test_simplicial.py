@@ -13,6 +13,7 @@ from exkh.simplicial import (
     AbelianGroup,
     ChainComplex,
     SimplicialComplex,
+    _snf_dense,
     alexander_dual,
     bipartite_from_complex,
     coboundary_complex,
@@ -85,6 +86,12 @@ def test_smith_normal_form_frozen_cases():
     assert smith_normal_form([]) == ((), 0)
 
 
+def test_smith_normal_form_never_factors():
+    big = 1000000007 * 998244353  # trial division would take ~10^9 steps
+    assert smith_normal_form([[big, 0], [0, 1]]) == ((1, big), 2)
+    assert smith_normal_form([[2 * big, 0], [0, 2]]) == ((2, 2 * big), 2)
+
+
 def test_smith_normal_form_against_minor_gcds():
     rng = random.Random(41)
     for _ in range(60):
@@ -98,6 +105,29 @@ def test_smith_normal_form_against_minor_gcds():
         assert rank == len(factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+        for p in (2, 3, 5):
+            assert rank_mod_p(m, p) == sum(f % p != 0 for f in factors)
+
+
+def test_sparse_elimination_matches_dense_smith_form():
+    # Sparse entries in -2..2 leave rows without a unit and create fill-in,
+    # so the heap's pivot order and the residual core both get exercised.
+    rng = random.Random(7)
+    for _ in range(40):
+        rows = rng.randrange(1, 31)
+        cols = rng.randrange(1, 31)
+        density = rng.choice((0.08, 0.15, 0.3))
+        m = [
+            [
+                rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        core = _snf_dense([list(r) for r in m])
+        torsion = AbelianGroup.from_orders(0, core).torsion
+        want = (1,) * (len(core) - len(torsion)) + torsion
+        assert smith_normal_form(m) == (want, len(core))
 
 
 def test_integer_rank_and_mod_p():

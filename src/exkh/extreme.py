@@ -160,7 +160,7 @@ def extreme_via_brute(
     return _brute_row(d, j_bounds(d)[0], ring, max_crossings)
 
 
-def y_complex(d: Diagram) -> SimplicialComplex:
+def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """The Alexander dual Y_D of a Jonsson complex of the Lando graph.
 
     The Lando graph of a planar diagram is bipartite (chords drawn inside
@@ -183,7 +183,7 @@ def y_complex(d: Diagram) -> SimplicialComplex:
         side1 = [v for v in comp if coloring[v] == 1]
         part_v.extend(side0 if len(side0) <= len(side1) else side1)
     ordered = [v for v in g.vertices if v in set(part_v)]
-    return alexander_dual(jonsson_complex(g, ordered))
+    return alexander_dual(jonsson_complex(g, ordered, cap), cap)
 
 
 def extreme_via_dual(
@@ -192,7 +192,7 @@ def extreme_via_dual(
     """The j_min row through Y_D:  H^{i,j_min} ~= H~_{|V|-i-1-n}(Y_D)."""
     n = d.negative_count
     j_min, _ = j_bounds(d)
-    y = y_complex(d)
+    y = y_complex(d, cap)
     size_v = len(y.ground)
     groups = {
         size_v - 1 - n - deg: grp

@@ -12,6 +12,14 @@ combinatorial Alexander duality
 
 holds on the nose in every degree, void and empty cases included.
 
+How complexes are built.  Independence complexes, Jonsson complexes and
+Alexander duals are families closed under subsets, and one enumerator
+builds them all: it grows each face by later vertices of the ground order
+while a per-construction test admits them, and past the face cap it raises
+CapExceeded naming its stage.  In such a family a face is maximal exactly
+when no one-vertex extension of it is a face, so no pairwise comparison of
+faces is needed.
+
 Cochain conventions.  Faces of each degree are ordered lexicographically by
 ground position.  The coboundary of a face s is
 
@@ -19,8 +27,9 @@ ground position.  The coboundary of a face s is
 
 k being the number of vertices of s that come after v in the ground order.
 Matrices are written target-by-source, so delta_i has one row per
-(i+1)-face.  Boundaries are the transposes, whence homology and cohomology
-share free ranks while torsion shifts one degree, as usual.
+(i+1)-face g, read off the boundary of g: dropping its k-th vertex gives
+the entry (-1)^(|g|-1-k).  Boundaries are the transposes, whence homology
+and cohomology share free ranks while torsion shifts one degree, as usual.
 
 Integer linear algebra is exact and goes through one sparse elimination
 kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
@@ -38,7 +47,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
 from .lando import Graph
@@ -52,19 +61,6 @@ Matrix = tuple  # tuple of row tuples, ints
 # --------------------------------------------------------------------------
 # finitely generated abelian groups
 # --------------------------------------------------------------------------
-
-
-def _prime_powers(n: int) -> dict[int, int]:
-    powers: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            powers[d] = powers.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        powers[n] = powers.get(n, 0) + 1
-    return powers
 
 
 @dataclass(frozen=True)
@@ -83,27 +79,19 @@ class AbelianGroup:
 
     @staticmethod
     def from_orders(rank: int, orders: Iterable[int]) -> "AbelianGroup":
-        """Normalise a direct sum of cyclic groups of the given orders."""
-        by_prime: dict[int, list[int]] = {}
-        for n in orders:
-            if n in (0, 1):
-                rank += 1 if n == 0 else 0
-                continue
-            for p, e in _prime_powers(n).items():
-                by_prime.setdefault(p, []).append(e)
-        if not by_prime:
-            return AbelianGroup(rank)
-        width = max(len(es) for es in by_prime.values())
-        factors = []
-        for k in range(width):
-            f = 1
-            for p, es in by_prime.items():
-                es_sorted = sorted(es)
-                idx = k - (width - len(es_sorted))
-                if idx >= 0:
-                    f *= p ** es_sorted[idx]
-            factors.append(f)
-        return AbelianGroup(rank, tuple(f for f in factors if f > 1))
+        """Normalise a direct sum of cyclic groups of the given orders.
+
+        The Smith normal form of the diagonal matrix of orders is the
+        divisibility chain; order 0 is a free summand, order 1 is nothing.
+        """
+        orders = list(orders)
+        diagonal = [[0] * len(orders) for _ in orders]
+        for i, n in enumerate(orders):
+            diagonal[i][i] = n
+        chain = _snf_dense(diagonal)
+        return AbelianGroup(
+            rank + len(orders) - len(chain), tuple(t for t in chain if t > 1)
+        )
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup.from_orders(
@@ -475,20 +463,25 @@ class SimplicialComplex:
         return SimplicialComplex(tuple(ground), frozenset(maximal))
 
     @staticmethod
-    def from_faces(
-        ground: Iterable, faces: Iterable[Iterable], check: bool = True
-    ) -> "SimplicialComplex":
-        """Build from an explicit full face list, verifying closure."""
+    def from_faces(ground: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
+        """Build from an explicit full face list, verifying closure.
+
+        In a family closed under subsets a face is maximal exactly when no
+        one-vertex extension of it is a face, an O(faces * ground) test.
+        """
+        ground = tuple(ground)
         fs = {frozenset(f) for f in faces}
-        if check:
-            for f in fs:
-                for v in f:
-                    if f - {v} not in fs:
-                        raise NotAComplex(
-                            f"face {sorted(f, key=repr)} present but "
-                            f"{sorted(f - {v}, key=repr)} missing"
-                        )
-        return SimplicialComplex.from_maximal(ground, fs)
+        for f in fs:
+            for v in f:
+                if f - {v} not in fs:
+                    raise NotAComplex(
+                        f"face {sorted(f, key=repr)} present but "
+                        f"{sorted(f - {v}, key=repr)} missing"
+                    )
+        maximal = frozenset(
+            f for f in fs if not any(v not in f and f | {v} in fs for v in ground)
+        )
+        return SimplicialComplex(ground, maximal)
 
     @staticmethod
     def void(ground: Iterable = ()) -> "SimplicialComplex":
@@ -598,34 +591,21 @@ def coboundary_complex(
     """The reduced simplicial cochain complex of x with lex-ordered bases."""
     if x.is_void:
         return ChainComplex(bases={}, matrices={})
-    pos = {v: i for i, v in enumerate(x.ground)}
     by_dim: dict[int, list[tuple]] = {}
     for f in x.faces(cap):
         by_dim.setdefault(len(f) - 1, []).append(f)
     bases = {d: tuple(fs) for d, fs in by_dim.items()}
-    index = {
-        d: {f: i for i, f in enumerate(fs)} for d, fs in bases.items()
-    }
-    face_set = {frozenset(f) for f in x.faces(cap)}
     matrices: dict[int, Matrix] = {}
-    top = max(bases)
-    for d in range(-1, top):
-        source = bases.get(d, ())
-        target = bases.get(d + 1, ())
-        rows = [[0] * len(source) for _ in target]
-        for j, f in enumerate(source):
-            fset = frozenset(f)
-            members = set(f)
-            for v in x.ground:
-                if v in members:
-                    continue
-                g = fset | {v}
-                if g not in face_set:
-                    continue
-                k = sum(1 for u in f if pos[u] > pos[v])
-                g_sorted = tuple(sorted(g, key=pos.__getitem__))
-                rows[index[d + 1][g_sorted]][j] = -1 if k % 2 else 1
-        matrices[d] = tuple(tuple(r) for r in rows)
+    for d in range(-1, max(bases)):
+        index = {f: i for i, f in enumerate(bases[d])}
+        rows = []
+        for g in bases[d + 1]:
+            # g minus its k-th vertex, which has len(g) - 1 - k vertices after it
+            row = [0] * len(index)
+            for k in range(len(g)):
+                row[index[g[:k] + g[k + 1:]]] = -1 if (len(g) - 1 - k) % 2 else 1
+            rows.append(tuple(row))
+        matrices[d] = tuple(rows)
     return ChainComplex(bases=bases, matrices=matrices)
 
 
@@ -652,52 +632,55 @@ def cohomology_of(
 # --------------------------------------------------------------------------
 
 
+def _closed_family(
+    ground: Sequence,
+    admits: Callable[[frozenset, Hashable], bool],
+    cap: int,
+    stage: str,
+) -> SimplicialComplex:
+    """The complex of faces reached from {} by admitted one-vertex steps.
+
+    A face f grows by a later vertex v of ``ground`` while ``admits(f, v)``
+    holds, so each face is reached once, along its vertices in ground
+    order.  ``admits`` must describe a family closed under subsets; more
+    than ``cap`` faces raise CapExceeded naming ``stage``.
+    """
+    faces = [frozenset()]
+    stack = [(faces[0], 0)]
+    while stack:
+        f, start = stack.pop()
+        for k in range(start, len(ground)):
+            v = ground[k]
+            if admits(f, v):
+                g = f | {v}
+                faces.append(g)
+                if len(faces) > cap:
+                    raise CapExceeded(stage, cap)
+                stack.append((g, k + 1))
+    return SimplicialComplex.from_faces(ground, faces)
+
+
 def independence_complex(g: Graph, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """The complex of independent vertex sets of a graph."""
     adj = g.adjacency
-    order = list(g.vertices)
-    faces: list[frozenset] = []
-    count = [0]
-
-    def grow(base: frozenset, start: int) -> None:
-        count[0] += 1
-        if count[0] > cap:
-            raise CapExceeded("independent set enumeration", cap)
-        faces.append(base)
-        for k in range(start, len(order)):
-            v = order[k]
-            if not (adj[v] & base):
-                grow(base | {v}, k + 1)
-
-    grow(frozenset(), 0)
-    return SimplicialComplex.from_maximal(g.vertices, faces)
+    return _closed_family(
+        g.vertices, lambda f, v: not adj[v] & f, cap, "independent set enumeration"
+    )
 
 
 def alexander_dual(
     x: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
 ) -> SimplicialComplex:
     """Faces of the dual are complements of non-faces of x, same ground."""
-    ground = list(x.ground)
-    n = len(ground)
-    full = frozenset(ground)
-    faces: list[frozenset] = []
-    count = [0]
-
-    def grow(base: frozenset, start: int) -> None:
-        count[0] += 1
-        if count[0] > cap:
-            raise CapExceeded("dual face enumeration", cap)
-        faces.append(base)
-        for k in range(start, n):
-            v = ground[k]
-            cand = base | {v}
-            if not x.has_face(full - cand):
-                grow(cand, k + 1)
-
-    if not x.has_face(full):
-        grow(frozenset(), 0)
-        return SimplicialComplex.from_maximal(x.ground, faces)
-    return SimplicialComplex.void(x.ground)
+    full = frozenset(x.ground)
+    if x.has_face(full):
+        return SimplicialComplex.void(x.ground)
+    return _closed_family(
+        x.ground,
+        lambda f, v: not x.has_face(full - f - {v}),
+        cap,
+        "dual face enumeration",
+    )
 
 
 def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
@@ -740,7 +723,9 @@ def join_homology(
     return out
 
 
-def jonsson_complex(g: Graph, part_v: Iterable) -> SimplicialComplex:
+def jonsson_complex(
+    g: Graph, part_v: Iterable, cap: int = DEFAULT_FACE_CAP
+) -> SimplicialComplex:
     """Jonsson's complex of a bipartite graph with a chosen side.
 
     Faces are the subsets of the chosen side all of whose vertices avoid the
@@ -761,23 +746,13 @@ def jonsson_complex(g: Graph, part_v: Iterable) -> SimplicialComplex:
     if not w_side:
         raise EmptyPartW("the complementary part of the bipartition is empty")
     adj = g.adjacency
-    ordered_v = [v for v in g.vertices if v in v_set]
-    faces: list[frozenset] = []
-
-    def witness(face: frozenset) -> bool:
-        return any(not (adj[w] & face) for w in w_side)
-
-    def grow(base: frozenset, start: int) -> None:
-        faces.append(base)
-        for k in range(start, len(ordered_v)):
-            cand = base | {ordered_v[k]}
-            if witness(cand):
-                grow(cand, k + 1)
-
-    if witness(frozenset()):
-        grow(frozenset(), 0)
-        return SimplicialComplex.from_maximal(tuple(ordered_v), faces)
-    return SimplicialComplex.void(tuple(ordered_v))
+    # f + {v} is a face when some w of the other side misses both
+    return _closed_family(
+        tuple(v for v in g.vertices if v in v_set),
+        lambda f, v: any(v not in adj[w] and not adj[w] & f for w in w_side),
+        cap,
+        "Jonsson face enumeration",
+    )
 
 
 def bipartite_from_complex(x: SimplicialComplex) -> Graph:

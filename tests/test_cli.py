@@ -3,6 +3,7 @@ import json
 import pytest
 
 from exkh.cli import main
+from exkh.families import thick_family
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
@@ -294,6 +295,15 @@ def test_face_cap_exit_code(capsys):
     )
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_face_cap_holds_on_the_dual_route(capsys):
+    pd = thick_family(3).to_pd()  # its Jonsson complex has 31,768 faces
+    code, _, err = run(
+        ["extreme", pd, "--method", "dual", "--max-faces", "2000"], capsys
+    )
+    assert code == 2
+    assert "Jonsson" in err
 
 
 def test_bad_ring_exit_code(capsys):

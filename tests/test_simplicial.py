@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (
     faces_by_product,
+    independent_sets_by_enumeration,
     invariant_factors_by_minors,
     random_complex,
+    random_graph,
 )
 from exkh.errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
 from exkh.lando import Graph, cycle_graph, isomorphic, two_hexagons_shared_vertex
@@ -63,6 +65,11 @@ def test_group_torsion_chain_validated():
 def test_direct_sum():
     assert Z(1, (2,)).direct_sum(Z(0, (4,))) == Z(1, (2, 4))
     assert Z(0, (2,)).direct_sum(Z(0, (3,))) == Z(0, (6,))
+
+
+def test_direct_sum_never_factors():
+    p, q = 1000000007, 998244353  # trial division would take ~10^9 steps
+    assert Z(0, (p * q,)).direct_sum(Z(0, (2,))) == Z(0, (2 * p * q,))
 
 
 def test_tensor_and_tor():
@@ -157,6 +164,20 @@ def test_parse_ring():
 def test_from_faces_rejects_non_complex():
     with pytest.raises(NotAComplex):
         SimplicialComplex.from_faces((1, 2), [(1, 2)])  # missing subsets
+
+
+def test_from_faces_rebuilds_every_corpus_complex(complex_corpus):
+    for x in complex_corpus:
+        assert SimplicialComplex.from_faces(x.ground, x.faces()) == x
+
+
+def test_independence_complex_matches_subset_enumeration():
+    rng = random.Random(9)
+    for _ in range(40):
+        g = random_graph(rng)
+        assert independence_complex(g) == SimplicialComplex.from_maximal(
+            g.vertices, independent_sets_by_enumeration(g)
+        )
 
 
 def test_void_vs_empty():
@@ -456,6 +477,13 @@ def test_independence_complex_respects_cap():
     g = Graph.build(range(20), [])
     with pytest.raises(CapExceeded):
         independence_complex(g, cap=100)
+
+
+def test_jonsson_complex_respects_cap():
+    g = Graph.build(range(20), [])  # V = 0..9 with W = 10..19: the full simplex
+    assert len(jonsson_complex(g, range(10), cap=1024).faces()) == 1024
+    with pytest.raises(CapExceeded, match="Jonsson"):
+        jonsson_complex(g, range(10), cap=1023)
 
 
 def test_json_round_trip():

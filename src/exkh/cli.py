@@ -388,7 +388,7 @@ def _verify_one(d: Diagram, label: str, args) -> int:
     checks = []
 
     if c <= 12:
-        scan = scanned_j_range(d)
+        scan = scanned_j_range(d, args.max_crossings)
         if scan != j_bounds(d):
             print(f"{label}: j-bound formulas disagree with the state scan",
                   file=sys.stderr)
@@ -396,7 +396,7 @@ def _verify_one(d: Diagram, label: str, args) -> int:
         checks.append("j-bounds")
 
     g = build_lando(d)
-    bracket = kauffman_bracket(d, max(c, 1))
+    bracket = kauffman_bracket(d, args.max_crossings)
     top = c + 2 * len(d._resolve_bits(0)) - 2
     coeff = bracket.coefficient(top)
     want = (-1) ** (len(d._resolve_bits(0)) - 1) * independence_number(g)
@@ -419,7 +419,7 @@ def _verify_one(d: Diagram, label: str, args) -> int:
 
     if c <= 10:
         table = khovanov_cohomology(d, "Z", args.max_crossings)
-        if table.graded_euler_characteristic() != graded_jones(d):
+        if table.graded_euler_characteristic() != graded_jones(d, args.max_crossings):
             print(f"{label}: table euler characteristic != jones",
                   file=sys.stderr)
             return 1

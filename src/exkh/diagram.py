@@ -73,6 +73,11 @@ class State:
         """Number of A labels minus number of B labels."""
         return self.a_count - self.b_count
 
+    @property
+    def bits(self) -> int:
+        """The B-labelled crossings as the set bits of an integer."""
+        return sum(1 << k for k, lab in enumerate(self.labels) if lab == B)
+
     def flip(self, crossing: int) -> "State":
         labels = list(self.labels)
         labels[crossing] = B if labels[crossing] == A else A
@@ -280,28 +285,42 @@ class Diagram:
         """
         if len(state.labels) != self.crossing_count:
             raise ValueError("state length does not match crossing count")
-        bits = 0
-        for k, lab in enumerate(state.labels):
-            if lab == B:
-                bits |= 1 << k
-        circles = self._resolve_bits(bits)
+        circles = self._resolve_bits(state.bits)
         chords = tuple(
             Chord(ci, state.labels[ci], ((ci, 0), (ci, 1)))
             for ci in range(self.crossing_count)
         )
         return ResolvedState(state=state, circles=circles, chords=chords)
 
+    @cached_property
+    def _endpoints(self) -> tuple[Endpoint, ...]:
+        """The 2c chord endpoints, ``(ci, half)`` at index 2*ci + half.
+
+        Every resolution reuses these tuples, so the resolution cache holds
+        one endpoint object per chord end however many states it keeps.
+        """
+        return tuple(
+            (ci, half) for ci in range(len(self.crossings)) for half in (0, 1)
+        )
+
     def _resolve_bits(self, bits: int) -> tuple[tuple[Endpoint, ...], ...]:
-        """Circles of the state whose B-labelled crossings are the set bits."""
+        """Circles of the state whose B-labelled crossings are the set bits.
+
+        This is the package's one circle tracer: every state loop counts or
+        compares circles through it.
+        """
         cache = self.__dict__.setdefault("_resolution_cache", {})
         hit = cache.get(bits)
         if hit is not None:
             return hit
         arc_partner = self._arc_partner
+        endpoints = self._endpoints
         n_ports = 4 * len(self.crossings)
         # Smoothing: in the A-smoothing ports pair as slot^1 (joins 01 and
         # 23), in the B-smoothing as slot^3 (joins 03 and 12).  The join
-        # through slot a is half 0 of the crossing's chord.
+        # through slot a is half 0 of the crossing's chord, so an A-join
+        # through port p is endpoint p >> 1 and a B-join adds the parity
+        # of the slot's two bits to 2*ci.
         seen = [False] * n_ports
         circles = []
         for start in range(n_ports):
@@ -311,15 +330,12 @@ class Diagram:
             p = start
             while True:
                 seen[p] = True
-                ci, slot = p >> 2, p & 3
-                mask = 3 if (bits >> ci) & 1 else 1
-                q = (p & ~3) | (slot ^ mask)
-                half = (
-                    ((slot ^ (slot >> 1)) & 1)
-                    if (bits >> ci) & 1
-                    else (slot >> 1)
-                )
-                joins.append((ci, half))
+                if (bits >> (p >> 2)) & 1:
+                    q = p ^ 3
+                    joins.append(endpoints[((p >> 1) & ~1) | ((p ^ (p >> 1)) & 1)])
+                else:
+                    q = p ^ 1
+                    joins.append(endpoints[p >> 1])
                 seen[q] = True
                 p = arc_partner[q]
                 if p == start:

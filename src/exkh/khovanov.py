@@ -21,11 +21,13 @@ counts the B-labelled crossings of s strictly after the changed one in
 crossing order.  Cohomology of the resulting complex, row by row in j, is
 the Khovanov cohomology of the diagram.
 
-The Kauffman bracket and Jones polynomial live here too, computed by an
-independent state sum that never builds enhanced states; agreement of the
-graded Euler characteristic of the cohomology table with the bracket is a
-strong end-to-end check and the two routes are kept strictly separate for
-that reason.
+The Kauffman bracket and Jones polynomial live here too, computed by a
+state sum that never builds enhanced states; agreement of the graded Euler
+characteristic of the cohomology table with the bracket is a strong
+end-to-end check.  The bracket, the j-range scan and the complex all count
+and compare circles through the one tracer, ``Diagram._resolve_bits``; the
+independent check on that tracer is the union-find circle count among the
+test suite's oracles (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -223,8 +225,8 @@ def _transition_sign(
     d: Diagram, s: EnhancedState, t: EnhancedState, x: int
 ) -> int:
     """Incidence of s -> t when t flips crossing x from A to B, else 0."""
-    sc = d._resolve_bits(_bits_of(s.state))
-    tc = d._resolve_bits(_bits_of(t.state))
+    sc = d._resolve_bits(s.state.bits)
+    tc = d._resolve_bits(t.state.bits)
     s_sign = dict(zip(sc, s.signs))
     t_sign = dict(zip(tc, t.signs))
     s_only = []
@@ -253,20 +255,12 @@ def _transition_sign(
     return -1 if k % 2 else 1
 
 
-def _bits_of(state: State) -> int:
-    bits = 0
-    for k, lab in enumerate(state.labels):
-        if lab == B:
-            bits |= 1 << k
-    return bits
-
-
 def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
     """Matrix entry of the differential between two enhanced states."""
     for es in (s, t):
         if len(es.state.labels) != d.crossing_count:
             raise DifferentDiagram("state length does not match the diagram")
-        if len(es.signs) != len(d._resolve_bits(_bits_of(es.state))):
+        if len(es.signs) != len(d._resolve_bits(es.state.bits)):
             raise DifferentDiagram("sign count does not match the resolution")
     if state_j(d, s) != state_j(d, t):
         return 0
@@ -287,80 +281,39 @@ def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
 # --------------------------------------------------------------------------
 
 
-def _row_bases(
-    d: Diagram, j: int
-) -> dict[int, tuple[EnhancedState, ...]]:
-    """Enhanced states of a fixed j, keyed by i, in a deterministic order."""
-    c = d.crossing_count
-    w = d.writhe
-    n = d.negative_count
-    bases: dict[int, list[EnhancedState]] = {}
-    for bits in range(1 << c):
-        circles = d._resolve_bits(bits)
-        m = len(circles)
-        i = bin(bits).count("1") - n
-        tau = j - w - i
-        if abs(tau) > m or (m - tau) % 2:
-            continue
-        neg = (m - tau) // 2
-        state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-        for neg_set in itertools.combinations(range(m), neg):
-            signs = tuple(-1 if k in neg_set else 1 for k in range(m))
-            bases.setdefault(i, []).append(EnhancedState(state, signs))
-    return {i: tuple(v) for i, v in sorted(bases.items())}
+def _move(d: Diagram, bits: int, x: int) -> tuple:
+    """How relabelling A-crossing x of smoothing ``bits`` to B moves circles.
 
-
-def _row_columns(
-    d: Diagram,
-    source: tuple[EnhancedState, ...],
-    target_index: dict[EnhancedState, int],
-) -> list[list[tuple[int, int]]]:
-    """Sparse differential columns: for each source state, (row, value)."""
-    c = d.crossing_count
-    cols: list[list[tuple[int, int]]] = []
-    for s in source:
-        bits = _bits_of(s.state)
-        circles = d._resolve_bits(bits)
-        sign_of = dict(zip(circles, s.signs))
-        entries: list[tuple[int, int]] = []
-        k_after = sum(1 for lab in s.state.labels if lab == B)
-        for x in range(c):
-            if s.state.labels[x] == B:
-                k_after -= 1
-                continue
-            t_state = s.state.flip(x)
-            t_circles = d._resolve_bits(bits | (1 << x))
-            incidence = -1 if k_after % 2 else 1
-            gone = [circ for circ in circles if circ not in set(t_circles)]
-            new = [circ for circ in t_circles if circ not in sign_of]
-            keep = {circ: sign_of[circ] for circ in t_circles if circ in sign_of}
-
-            def push(assign: dict) -> None:
-                t_signs = tuple(
-                    keep[circ] if circ in keep else assign[circ]
-                    for circ in t_circles
-                )
-                row = target_index.get(EnhancedState(t_state, t_signs))
-                if row is not None:
-                    entries.append((row, incidence))
-
-            if len(gone) == 2 and len(new) == 1:
-                e1, e2 = sign_of[gone[0]], sign_of[gone[1]]
-                if not (e1 == e2 == -1):
-                    push({new[0]: e1 * e2})
-            elif len(gone) == 1 and len(new) == 2:
-                if sign_of[gone[0]] == -1:
-                    push({new[0]: -1, new[1]: -1})
-                else:
-                    push({new[0]: 1, new[1]: -1})
-                    push({new[0]: -1, new[1]: 1})
-            else:
-                raise NotAComplex(
-                    f"relabelling crossing {x} changed {len(gone)} circles "
-                    f"into {len(new)}"
-                )
-        cols.append(entries)
-    return cols
+    Returns (g0, g1, triples, outs).  g0 and g1 are the positions of the
+    circles that leave the resolution (equal for a split).  Each
+    (select, up, down) triple carries the signs of the kept circles that
+    move by one distance: ``((mask & select) << up) >> down``.  ``outs[g]``
+    lists the minus bits of the entering circles, g holding the leaving
+    circles' minus bits (g0 as bit 0, g1 as bit 1), by the local rules of
+    the module docstring.  Raises NotAComplex unless two circles merge or
+    one splits.
+    """
+    target = {circ: k for k, circ in enumerate(d._resolve_bits(bits | 1 << x))}
+    gone = []
+    shifts: dict[int, int] = {}
+    for k, circ in enumerate(d._resolve_bits(bits)):
+        kt = target.pop(circ, None)
+        if kt is None:
+            gone.append(k)
+        else:
+            shifts[kt - k] = shifts.get(kt - k, 0) | 1 << k
+    new = [1 << k for k in sorted(target.values())]
+    if len(gone) == 2 and len(new) == 1:
+        outs = ((0,), (new[0],), (new[0],), ())
+    elif len(gone) == 1 and len(new) == 2:
+        outs = ((new[1], new[0]), (), (), (new[0] | new[1],))
+    else:
+        raise NotAComplex(
+            f"relabelling crossing {x} changed {len(gone)} circles "
+            f"into {len(new)}"
+        )
+    triples = [(sel, max(dk, 0), max(-dk, 0)) for dk, sel in shifts.items()]
+    return gone[0], gone[-1], triples, outs
 
 
 def khovanov_complex(
@@ -370,22 +323,67 @@ def khovanov_complex(
 
     Degrees run over i; matrices follow the row-per-target convention of
     ChainComplex.  The composite of consecutive differentials is verified to
-    vanish before returning.
+    vanish before returning.  Bases run over the smoothings in bit order,
+    and within one smoothing over its minus-signed circle sets in
+    lexicographic order.
+
+    Inside, an enhanced state is the integer pair (B-bits, mask of its
+    minus-signed circles).  Each (smoothing, A-crossing) pair is traced
+    once, and the differential maps source masks to target masks by bit
+    operations.
     """
     _check_crossing_cap(d, max_crossings)
-    bases = _row_bases(d, j)
+    c = d.crossing_count
+    w = d.writhe
+    n = d.negative_count
+    states: dict[int, list[EnhancedState]] = {}
+    row_of: dict[int, dict[int, dict[int, int]]] = {}  # i -> bits -> mask -> row
+    for bits in range(1 << c):
+        m = len(d._resolve_bits(bits))
+        i = bits.bit_count() - n
+        tau = j - w - i
+        if abs(tau) > m or (m - tau) % 2:
+            continue
+        state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
+        basis = states.setdefault(i, [])
+        rows = row_of.setdefault(i, {})[bits] = {}
+        for neg in itertools.combinations(range(m), (m - tau) // 2):
+            rows[sum(1 << k for k in neg)] = len(basis)
+            signs = tuple(-1 if k in neg else 1 for k in range(m))
+            basis.append(EnhancedState(state, signs))
+    bases = {i: tuple(states[i]) for i in sorted(states)}
+
     matrices = {}
     columns: dict[int, list[list[tuple[int, int]]]] = {}
-    for i, source in bases.items():
-        target = bases.get(i + 1, ())
-        target_index = {es: r for r, es in enumerate(target)}
-        cols = _row_columns(d, source, target_index)
+    for i in bases:
+        target = row_of.get(i + 1, {})
+        cols: list[list[tuple[int, int]]] = []
+        for bits, masks in row_of[i].items():
+            moves = []
+            after = bits.bit_count()  # B-crossings after x, once x is an A
+            for x in range(c):
+                if (bits >> x) & 1:
+                    after -= 1
+                    continue
+                move = _move(d, bits, x)
+                to_row = target.get(bits | 1 << x)
+                if to_row is not None:
+                    moves.append((-1 if after % 2 else 1, to_row) + move)
+            for mask in masks:
+                entries: list[tuple[int, int]] = []
+                for incidence, to_row, g0, g1, triples, outs in moves:
+                    kept = 0
+                    for sel, up, down in triples:
+                        kept |= ((mask & sel) << up) >> down
+                    for extra in outs[((mask >> g0) & 1) | ((mask >> g1) & 1) << 1]:
+                        entries.append((to_row[kept | extra], incidence))
+                cols.append(entries)
         columns[i] = cols
-        rows = [[0] * len(source) for _ in target]
+        dense = [[0] * len(cols) for _ in bases.get(i + 1, ())]
         for col, entries in enumerate(cols):
             for row, val in entries:
-                rows[row][col] = val
-        matrices[i] = tuple(tuple(r) for r in rows)
+                dense[row][col] = val
+        matrices[i] = tuple(tuple(r) for r in dense)
     check_square_zero(columns, f" in row j={j}")
     return ChainComplex(bases=bases, matrices=matrices)
 
@@ -479,50 +477,23 @@ def scanned_j_range(
     """min/max of j over all enhanced states, found state by state.
 
     Per state the extremes of j are w + i -+ (circle count), so the scan
-    touches every smoothing but no sign vectors; it is an independent check
-    on the closed formulas of j_bounds.
+    touches every smoothing but no sign vectors; it checks the closed
+    formulas of j_bounds.  Circles are counted by the one tracer,
+    ``Diagram._resolve_bits``, which the test suite checks against an
+    independent union-find count.
     """
     _check_crossing_cap(d, max_crossings)
-    c = d.crossing_count
     w = d.writhe
     n = d.negative_count
     lo = None
     hi = None
-    for bits in range(1 << c):
-        m = _circle_count(d, bits)
-        i = bin(bits).count("1") - n
+    for bits in range(1 << d.crossing_count):
+        m = len(d._resolve_bits(bits))
+        i = bits.bit_count() - n
         a, b = w + i - m, w + i + m
         lo = a if lo is None or a < lo else lo
         hi = b if hi is None or b > hi else hi
     return lo, hi
-
-
-def _circle_count(d: Diagram, bits: int) -> int:
-    """Circles of one smoothing by union-find, no circle structure built."""
-    c = d.crossing_count
-    if not c:
-        return d.free_loops
-    parent = list(range(4 * c))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    arc_partner = d._arc_partner
-    for p in range(4 * c):
-        union(p, arc_partner[p])
-        slot = p & 3
-        mask = 3 if (bits >> (p >> 2)) & 1 else 1
-        union(p, (p & ~3) | (slot ^ mask))
-    roots = {find(p) for p in range(4 * c)}
-    return len(roots) + d.free_loops
 
 
 def khovanov_cohomology(
@@ -545,7 +516,7 @@ def khovanov_cohomology(
 
 
 # --------------------------------------------------------------------------
-# Kauffman bracket / Jones polynomial (independent of everything above)
+# Kauffman bracket / Jones polynomial (no enhanced states)
 # --------------------------------------------------------------------------
 
 
@@ -555,19 +526,24 @@ def kauffman_bracket(
     """The bracket state sum in the variable A.
 
     Each smoothing contributes A^sigma (-A^2 - A^-2)^(circles - 1); the
-    empty diagram brackets to 1.
+    empty diagram brackets to 1.  The smoothings are counted per
+    (sigma, circles - 1) pair, with circles from the one tracer
+    ``Diagram._resolve_bits``, and each pair costs one Laurent power.  The
+    test suite checks the sum against a per-state one over an independent
+    union-find circle count.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
     if c == 0 and d.free_loops == 0:
         return LaurentPoly.one()
+    counts: dict[tuple[int, int], int] = {}
+    for bits in range(1 << c):
+        key = (c - 2 * bits.bit_count(), len(d._resolve_bits(bits)) - 1)
+        counts[key] = counts.get(key, 0) + 1
     delta = LaurentPoly({2: -1, -2: -1})
     total = LaurentPoly()
-    for bits in range(1 << c):
-        b = bin(bits).count("1")
-        sigma = c - 2 * b
-        term = (delta ** (_circle_count(d, bits) - 1)).shift(sigma)
-        total = total + term
+    for (sigma, k), count in counts.items():
+        total = total + (delta**k).shift(sigma).scale(count)
     return total
 
 

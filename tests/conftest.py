@@ -3,14 +3,15 @@
 The corpora are deterministic (fixed seeds) so failures replay exactly.
 Oracles here recompute package outputs by the most naive route available:
 independent sets by subset enumeration, Smith invariant factors by
-gcd-of-minors, joins by direct face products.  They are deliberately slow
-and deliberately share no code with the package.
+gcd-of-minors, joins by direct face products, circle counts by union-find
+over the PD tuples.  They are deliberately slow and deliberately share no
+code with the package.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -152,3 +153,52 @@ def faces_by_product(x: SimplicialComplex, y: SimplicialComplex) -> set:
         for a in fx
         for b in fy
     }
+
+
+def circle_count_by_union_find(d, bits: int) -> int:
+    """Circles of the smoothing whose B-labelled crossings are the set bits.
+
+    Ports 4*crossing + slot are joined along every arc (the two ports that
+    carry one label) and across every crossing by its smoothing: A joins
+    slots 0-1 and 2-3, B joins 0-3 and 1-2.  Reads only the PD tuples, so
+    it checks the package's circle tracer from outside.
+    """
+    parent = list(range(4 * d.crossing_count))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    ports_of_arc: dict[int, list[int]] = {}
+    for ci, tup in enumerate(d.crossings):
+        for slot, arc in enumerate(tup):
+            ports_of_arc.setdefault(arc, []).append(4 * ci + slot)
+    joins = [tuple(ports) for ports in ports_of_arc.values()]
+    for ci in range(d.crossing_count):
+        p = 4 * ci
+        if (bits >> ci) & 1:
+            joins += [(p, p + 3), (p + 1, p + 2)]
+        else:
+            joins += [(p, p + 1), (p + 2, p + 3)]
+    for a, b in joins:
+        parent[find(a)] = find(b)
+    return len({find(p) for p in range(4 * d.crossing_count)}) + d.free_loops
+
+
+def bracket_by_state_sum(d) -> dict[int, int]:
+    """Kauffman bracket coefficients, one smoothing at a time.
+
+    Smoothing s adds A^sigma(s) (-A^2 - A^-2)^(m - 1), m its union-find
+    circle count, expanded by the binomial theorem.
+    """
+    c = d.crossing_count
+    out: dict[int, int] = {}
+    for bits in range(1 << c):
+        sigma = c - 2 * bin(bits).count("1")
+        k = circle_count_by_union_find(d, bits) - 1
+        for r in range(k + 1):
+            e = sigma + 4 * r - 2 * k
+            out[e] = out.get(e, 0) + (-1) ** k * comb(k, r)
+    return {e: v for e, v in out.items() if v}

@@ -254,6 +254,31 @@ def test_verify_cap_applies_to_catalog_entries(capsys):
     assert "cap exceeded" in err
 
 
+def test_verify_passes_the_crossing_cap_to_every_state_loop(capsys, monkeypatch):
+    import exkh.cli as cli
+    from exkh.khovanov import DEFAULT_CROSSING_CAP
+
+    caps = []
+    for name in ("scanned_j_range", "kauffman_bracket", "graded_jones"):
+        real = getattr(cli, name)
+
+        def spy(d, max_crossings=DEFAULT_CROSSING_CAP, _real=real, _name=name):
+            caps.append((_name, max_crossings))
+            return _real(d, max_crossings)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, _, err = run(["verify", "--max-crossings", "5", "hexagon_link"], capsys)
+    assert code == 2
+    assert "cap exceeded" in err
+    assert caps and all(cap <= 5 for _, cap in caps)
+    caps.clear()
+    code, _, _ = run(["verify", "--max-crossings", "6", "hexagon_link"], capsys)
+    assert code == 0
+    assert sorted(caps) == [
+        ("graded_jones", 6), ("kauffman_bracket", 6), ("scanned_j_range", 6)
+    ]
+
+
 # --------------------------------------------------------------------------
 # inputs and exit codes
 # --------------------------------------------------------------------------

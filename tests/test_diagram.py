@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import circle_count_by_union_find
 
 from exkh.diagram import A, B, Diagram, State, parse_pd, pd_hash
 from exkh.errors import (
@@ -9,6 +10,7 @@ from exkh.errors import (
     InconsistentOrientation,
     MalformedTuple,
 )
+from exkh.families import load_catalog
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -191,3 +193,13 @@ def test_resolution_cache_reuses_tuples(corpus12):
     d = corpus12[0]
     first = d._resolve_bits(0)
     assert d._resolve_bits(0) is first
+
+
+def test_tracer_counts_circles_like_union_find(corpus12):
+    diagrams = [e.diagram() for e in load_catalog().values()]
+    diagrams += [d for d in corpus12 if d.crossing_count <= 10]
+    for d in diagrams:
+        for bits in range(1 << d.crossing_count):
+            assert len(d._resolve_bits(bits)) == circle_count_by_union_find(
+                d, bits
+            ), (d.to_pd(), bits)

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from conftest import bracket_by_state_sum
 
 from exkh.diagram import A, B, Diagram, State, parse_pd
 from exkh.errors import CapExceeded, DifferentDiagram, NotAComplex
@@ -177,6 +178,21 @@ def test_incidence_signs_square_to_zero_on_corpus(corpus12):
         cc.check()
 
 
+def test_complex_entries_equal_the_reference_differential(corpus12):
+    diagrams = [parse_pd(TREFOIL), parse_pd(HOPF)]
+    diagrams += [d for d in corpus12 if d.crossing_count <= 5]
+    for d in diagrams:
+        j_min, j_max = j_bounds(d)
+        for j in range(j_min, j_max + 1, 2):
+            cc = khovanov_complex(d, j)
+            for i, m in cc.matrices.items():
+                target = cc.bases.get(i + 1, ())
+                assert len(m) == len(target)
+                for row, t in zip(m, target):
+                    assert len(row) == len(cc.bases[i])
+                    assert list(row) == [adjacent(d, s, t) for s in cc.bases[i]]
+
+
 # --------------------------------------------------------------------------
 # cohomology tables
 # --------------------------------------------------------------------------
@@ -296,6 +312,14 @@ def test_bracket_frozen_values():
         {-5: -1, 3: -1, 7: 1}
     )
     assert kauffman_bracket(parse_pd("X(1,2,2,1)")) == LaurentPoly({-3: -1})
+
+
+def test_bracket_equals_the_union_find_state_sum(corpus12):
+    diagrams = [parse_pd(TREFOIL), parse_pd(FIG8), parse_pd(HOPF)]
+    diagrams += [Diagram.unknot(2), parse_pd("X(1,2,2,1) U")]
+    diagrams += [d for d in corpus12 if 6 <= d.crossing_count <= 9][:6]
+    for d in diagrams:
+        assert kauffman_bracket(d).coeffs == bracket_by_state_sum(d)
 
 
 def test_jones_frozen_values():

@@ -212,7 +212,7 @@ def _cmd_lando(args) -> int:
     if args.fmt == "dot":
         print(g.to_dot("lando"))
         return 0
-    ig = independence_number(g, args.max_faces)
+    ig = independence_number(g)
     kb = is_complete_bipartite(g)
     payload = {
         "vertices": [str(v) for v in g.vertices],

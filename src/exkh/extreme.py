@@ -9,17 +9,22 @@ independence complex X_D of the Lando graph, shifted by n - 1:
     H^{i, j_min}(D)  ~=  H~^{i-1+n}(X_D),       n = negative crossings.
 
 Three routes to the same row live here.  'lando' computes the right-hand
-side directly (splitting X_D over the connected components of the graph,
-since independence complexes of disjoint unions are joins).  'brute'
-restricts the enhanced-state complex to j = j_min and reduces it, sharing
-no code with the geometric route; agreement of the two is the strongest
-self-test in the package.  'dual' goes through the Alexander dual Y_D of a
-Jonsson complex of the bipartite Lando graph,
+side directly.  It first reduces the graph: a vertex v is deleted while
+some u != v has N(u) inside N(v) (Engstrom's fold lemma keeps X_D up to
+homotopy), and the row is zero as soon as a vertex is isolated (X_D is then
+a cone).  What is left is split over its connected components, since
+independence complexes of disjoint unions are joins, and only those
+components' complexes are built.  'brute' restricts the enhanced-state
+complex to j = j_min and reduces it, sharing no code with the geometric
+route; agreement of the two is the strongest self-test in the package.
+'dual' goes through the Alexander dual Y_D of a Jonsson complex of the
+bipartite Lando graph,
 
     H^{i, j_min}(D)  ~=  H~_{|V|-i-1-n}(Y_D),
 
 which is the route that stays small when X_D has millions of faces but the
-chosen side V of the bipartition is thin.
+chosen side V of the bipartition is thin.  Neither 'brute' nor 'dual'
+reduces the graph, so both stay independent checks of the reductions.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from .diagram import A, B, Diagram, State
 from .errors import EmptyPartW
 from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, j_bounds, khovanov_complex
-from .lando import Graph, build_lando, is_complete_bipartite
+from .lando import Graph, build_lando, fold_graph, is_complete_bipartite
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -108,17 +113,25 @@ def lando_cohomology(
 ) -> dict[int, AbelianGroup]:
     """Reduced cohomology of the independence complex of a graph.
 
-    Disconnected graphs are handled component by component: X of a disjoint
-    union is the join of the X's, so the homologies convolve; that keeps a
-    graph with thirty vertices in three components tractable even though
-    its independence complex would have millions of faces.
+    The graph is reduced first (``fold_graph``): dominated vertices are
+    deleted, and a graph with an isolated vertex gives the zero row without
+    building anything.  The reduced graph is handled component by
+    component: X of a disjoint union is the join of the X's, so the
+    homologies convolve; that keeps a graph with thirty vertices in three
+    components tractable even though its independence complex would have
+    millions of faces.  ``cap`` bounds each component's complex.  The dual
+    and brute routes do no such reduction.
     """
-    comps = g.connected_components()
+    parse_ring(ring)
+    core = fold_graph(g)
+    if core is None:
+        return {}
+    comps = core.connected_components()
     if len(comps) <= 1:
-        return cohomology_of(independence_complex(g, cap), ring, cap)
+        return cohomology_of(independence_complex(core, cap), ring, cap)
     folded: dict[int, AbelianGroup] | None = None
     for comp in comps:
-        hk = homology(independence_complex(g.subgraph(comp), cap), ring, cap)
+        hk = homology(independence_complex(core.subgraph(comp), cap), ring, cap)
         hk = {k: grp for k, grp in hk.items() if not grp.is_trivial}
         folded = hk if folded is None else join_homology(folded, hk)
     return shift_torsion(folded, 1)

@@ -227,6 +227,34 @@ def independence_number(g: Graph, cap: int = 1 << 22) -> int:
     return count(frozenset(g.vertices))
 
 
+def fold_graph(g: Graph) -> Graph | None:
+    """g with dominated vertices deleted, or None when X(g) is a cone.
+
+    Engstrom's fold lemma: when N(u) is a subset of N(v) for some u != v,
+    the independence complexes of g and g - v are homotopy equivalent.  An
+    isolated vertex is the apex of a cone, so X(g) is then acyclic and None
+    is returned.  Deletions repeat, in vertex order, until no vertex is
+    dominated; I(g) is unchanged, and 0 when None is returned.  Deletions
+    can disconnect the graph, so callers split the result again.
+    """
+    nbrs = {v: set(ns) for v, ns in g.adjacency.items()}
+    alive = list(g.vertices)
+    if any(not nbrs[v] for v in alive):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            if any(u != v and nbrs[u] <= nbrs[v] for u in alive):
+                alive.remove(v)
+                for w in nbrs.pop(v):
+                    nbrs[w].discard(v)
+                    if not nbrs[w]:
+                        return None
+                changed = True
+    return g.subgraph(alive)
+
+
 def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
     """Return (r, s) when g is a complete bipartite graph K_{r,s}, r,s >= 1.
 

@@ -55,6 +55,17 @@ def test_lando_text(capsys):
     assert "11 vertices, 12 edges, I(G)=0" in out
 
 
+def test_lando_ignores_the_face_cap(capsys):
+    # the subcommand builds no complex, so --max-faces must not bound I(G)
+    code, plain, _ = run(["lando", "eleven_crossing"], capsys)
+    capped_code, capped, _ = run(
+        ["lando", "eleven_crossing", "--max-faces", "2"], capsys
+    )
+    assert code == capped_code == 0
+    assert "I(G)=0" in capped
+    assert capped == plain
+
+
 def test_lando_dot(capsys):
     code, out, _ = run(["lando", "eleven_crossing", "--format", "dot"], capsys)
     assert code == 0

@@ -9,7 +9,9 @@ corpus.
 
 Exit codes: 0 success, 2 a cap was exceeded, 3 the two extreme-row routes
 disagree (which a proven theorem forbids, so it means a bug), 1 anything
-else.  Diagram inputs may be inline PD text like ``X(1,4,2,5) ...``, a file
+else.  ``verify`` runs every check on every diagram before it exits with
+the gravest of 3 and 1; a cap overrun or bad input still stops it at once.
+Diagram inputs may be inline PD text like ``X(1,4,2,5) ...``, a file
 containing such text, ``-`` for stdin, or a catalog name.
 """
 
@@ -383,54 +385,56 @@ def _cmd_families(args) -> int:
 
 
 def _verify_one(d: Diagram, label: str, args) -> int:
-    """All cross-checks on one diagram; 0 ok, 3 on route disagreement."""
+    """Every cross-check on one diagram, each failure printed as it shows.
+
+    Returns 3 if the extreme-row routes disagree, else 1 if any other check
+    failed, else 0.  A cap overrun is not a failed check: it propagates.
+    """
     c = d.crossing_count
     checks = []
+    status = 0
+
+    def check(ok: bool, name: str, failure: str, code: int = 1) -> None:
+        nonlocal status
+        if ok:
+            checks.append(name)
+        else:
+            print(f"{label}: {failure}", file=sys.stderr)
+            status = max(status, code)
 
     if c <= 12:
         scan = scanned_j_range(d, args.max_crossings)
-        if scan != j_bounds(d):
-            print(f"{label}: j-bound formulas disagree with the state scan",
-                  file=sys.stderr)
-            return 1
-        checks.append("j-bounds")
+        check(scan == j_bounds(d), "j-bounds",
+              "j-bound formulas disagree with the state scan")
 
     g = build_lando(d)
     bracket = kauffman_bracket(d, args.max_crossings)
     top = c + 2 * len(d._resolve_bits(0)) - 2
     coeff = bracket.coefficient(top)
     want = (-1) ** (len(d._resolve_bits(0)) - 1) * independence_number(g)
-    if coeff != want:
-        print(f"{label}: extreme bracket coefficient != signed I(G)",
-              file=sys.stderr)
-        return 1
-    checks.append("bracket-vs-I(G)")
+    check(coeff == want, "bracket-vs-I(G)",
+          "extreme bracket coefficient != signed I(G)")
 
     lando = extreme_via_lando(d, args.ring, args.max_faces)
     brute = extreme_via_brute(d, args.ring, args.max_crossings)
     dual = extreme_row(d, args.ring, "dual", args.max_faces)
-    if not (lando.groups == brute.groups == dual.groups):
-        print(f"{label}: extreme rows disagree "
-              f"(lando {lando.summary(args.ring)} / "
-              f"brute {brute.summary(args.ring)} / "
-              f"dual {dual.summary(args.ring)})", file=sys.stderr)
-        return AGREEMENT_EXIT
-    checks.append("extreme-routes")
+    check(lando.groups == brute.groups == dual.groups, "extreme-routes",
+          f"extreme rows disagree (lando {lando.summary(args.ring)} / "
+          f"brute {brute.summary(args.ring)} / "
+          f"dual {dual.summary(args.ring)})", AGREEMENT_EXIT)
 
     if c <= 10:
         table = khovanov_cohomology(d, "Z", args.max_crossings)
-        if table.graded_euler_characteristic() != graded_jones(d, args.max_crossings):
-            print(f"{label}: table euler characteristic != jones",
-                  file=sys.stderr)
-            return 1
+        euler = table.graded_euler_characteristic()
+        check(euler == graded_jones(d, args.max_crossings), "euler-vs-jones",
+              "table euler characteristic != jones")
         js = {j for _, j in table.entries}
-        if len({j % 2 for j in js}) > 1:
-            print(f"{label}: mixed j parities in the table", file=sys.stderr)
-            return 1
-        checks.append("euler-vs-jones")
+        check(len({j % 2 for j in js}) <= 1, "j-parity",
+              "mixed j parities in the table")
 
-    print(f"{label}: ok ({', '.join(checks)})")
-    return 0
+    if not status:
+        print(f"{label}: ok ({', '.join(checks)})")
+    return status
 
 
 def _cmd_verify(args) -> int:
@@ -448,12 +452,10 @@ def _cmd_verify(args) -> int:
         diagrams += [
             (f"random-{k}", d) for k, d in enumerate(corpus)
         ]
-    for label, d in diagrams:
-        status = _verify_one(d, label, args)
-        if status:
-            return status
-    print(f"verified {len(diagrams)} diagrams")
-    return 0
+    statuses = [_verify_one(d, label, args) for label, d in diagrams]
+    failed = sum(1 for s in statuses if s)
+    print(f"verified {len(diagrams)} diagrams, {failed} failed")
+    return max(statuses, default=0)
 
 
 # --------------------------------------------------------------------------

@@ -23,13 +23,21 @@ bipartite Lando graph,
     H^{i, j_min}(D)  ~=  H~_{|V|-i-1-n}(Y_D),
 
 which is the route that stays small when X_D has millions of faces but the
-chosen side V of the bipartition is thin.  Neither 'brute' nor 'dual'
-reduces the graph, so both stay independent checks of the reductions.
+chosen side V of the bipartition is thin.  Y_D is read straight off the
+graph: its faces are the subsets of V containing no neighbourhood N(w) of
+a vertex w on the other side, so no Jonsson face is ever listed.  It too is
+split by connected component, each with its own thinner colour class as
+V_k: Y of a disjoint union is the join of the Y_k, and |V| is the sum of
+the |V_k|.  Both geometric routes fold their components' homologies in one
+helper and so differ only in the complex they build.  Neither 'brute' nor
+'dual' deletes dominated vertices, so both stay independent checks of the
+reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .diagram import A, B, Diagram, State
 from .errors import EmptyPartW
@@ -39,13 +47,12 @@ from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
     SimplicialComplex,
-    alexander_dual,
     cohomology,
     cohomology_of,
     homology,
     independence_complex,
     join_homology,
-    jonsson_complex,
+    jonsson_dual,
     parse_ring,
     shift_torsion,
 )
@@ -108,6 +115,24 @@ def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:
     return out
 
 
+def _joined_homology(
+    complexes: Iterable[SimplicialComplex], ring: str, cap: int
+) -> dict[int, AbelianGroup]:
+    """Reduced homology of the join of the complexes, built one at a time.
+
+    The homologies convolve (``join_homology``), starting from the empty
+    complex, the unit of the join.  Once the running join is acyclic every
+    later join is too, so the complexes not built yet are left unbuilt.
+    """
+    folded = {-1: AbelianGroup(1)}
+    for x in complexes:
+        hk = homology(x, ring, cap)
+        folded = join_homology(folded, {k: g for k, g in hk.items() if not g.is_trivial})
+        if not folded:
+            break
+    return folded
+
+
 def lando_cohomology(
     g: Graph, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
 ) -> dict[int, AbelianGroup]:
@@ -116,25 +141,23 @@ def lando_cohomology(
     The graph is reduced first (``fold_graph``): dominated vertices are
     deleted, and a graph with an isolated vertex gives the zero row without
     building anything.  The reduced graph is handled component by
-    component: X of a disjoint union is the join of the X's, so the
-    homologies convolve; that keeps a graph with thirty vertices in three
-    components tractable even though its independence complex would have
-    millions of faces.  ``cap`` bounds each component's complex.  The dual
-    and brute routes do no such reduction.
+    component, smallest first: X of a disjoint union is the join of the
+    X's, so the homologies convolve; that keeps a graph with thirty
+    vertices in three components tractable even though its independence
+    complex would have millions of faces.  ``cap`` bounds each component's
+    complex.  The dual and brute routes delete no vertices.
     """
     parse_ring(ring)
     core = fold_graph(g)
     if core is None:
         return {}
-    comps = core.connected_components()
+    comps = sorted(core.connected_components(), key=len)
     if len(comps) <= 1:
         return cohomology_of(independence_complex(core, cap), ring, cap)
-    folded: dict[int, AbelianGroup] | None = None
-    for comp in comps:
-        hk = homology(independence_complex(core.subgraph(comp), cap), ring, cap)
-        hk = {k: grp for k, grp in hk.items() if not grp.is_trivial}
-        folded = hk if folded is None else join_homology(folded, hk)
-    return shift_torsion(folded, 1)
+    h = _joined_homology(
+        (independence_complex(core.subgraph(c), cap) for c in comps), ring, cap
+    )
+    return shift_torsion(h, 1)
 
 
 def extreme_via_lando(
@@ -173,45 +196,62 @@ def extreme_via_brute(
     return _brute_row(d, j_bounds(d)[0], ring, max_crossings)
 
 
-def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
-    """The Alexander dual Y_D of a Jonsson complex of the Lando graph.
+def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
+    """Each connected component of the Lando graph with its side V_k.
 
-    The Lando graph of a planar diagram is bipartite (chords drawn inside
-    the circles never interleave each other, nor do the outside ones).  V
-    is chosen per connected component as the smaller colour class, which
-    sends isolated vertices to W and keeps the ground set of Y_D thin.
-
-    Raises EmptyPartW when the graph has no vertices at all; callers fall
-    back to the plain Lando route, whose complex is then a single point.
+    V_k is the component's smaller colour class, which sends isolated
+    vertices to W and keeps the ground set of Y_k thin.  The Lando graph of
+    a planar diagram is bipartite (chords drawn inside the circles never
+    interleave each other, nor do the outside ones).  Components come
+    smallest first, so an isolated vertex, whose Y_k is void, ends the dual
+    route before anything is enumerated.  Raises EmptyPartW when the graph
+    has no vertices at all.
     """
-    g = build_lando(d)
     if not g.vertices:
         raise EmptyPartW("the Lando graph has no admissible chords")
     coloring = g.two_coloring()
     if coloring is None:
         raise EmptyPartW("the Lando graph is not bipartite")
-    part_v: list = []
+    parts = []
     for comp in g.connected_components():
         side0 = [v for v in comp if coloring[v] == 0]
         side1 = [v for v in comp if coloring[v] == 1]
-        part_v.extend(side0 if len(side0) <= len(side1) else side1)
-    ordered = [v for v in g.vertices if v in set(part_v)]
-    return alexander_dual(jonsson_complex(g, ordered, cap), cap)
+        parts.append((g.subgraph(comp), side0 if len(side0) <= len(side1) else side1))
+    return sorted(parts, key=lambda part: len(part[0].vertices))
+
+
+def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
+    """The Alexander dual Y_D of a Jonsson complex of the Lando graph, whole.
+
+    Built straight from the neighbourhoods (``jonsson_dual``): the faces are
+    the subsets of V, the union of the components' sides V_k, that contain
+    no N(w) for w in W.  The dual route itself never builds this whole
+    complex, only its components' Y_k.
+
+    Raises EmptyPartW when the graph has no vertices at all; callers fall
+    back to the plain Lando route, whose complex is then a single point.
+    """
+    g = build_lando(d)
+    return jonsson_dual(g, [v for _, side in _dual_parts(g) for v in side], cap)
 
 
 def extreme_via_dual(
     d: Diagram, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
 ) -> ExtremeRow:
-    """The j_min row through Y_D:  H^{i,j_min} ~= H~_{|V|-i-1-n}(Y_D)."""
+    """The j_min row through Y_D:  H^{i,j_min} ~= H~_{|V|-i-1-n}(Y_D).
+
+    Y_D is the join of the components' Y_k, each built from the
+    neighbourhoods under its own ``cap``; |V| is the sum of the |V_k|.
+    """
+    parse_ring(ring)
     n = d.negative_count
     j_min, _ = j_bounds(d)
-    y = y_complex(d, cap)
-    size_v = len(y.ground)
-    groups = {
-        size_v - 1 - n - deg: grp
-        for deg, grp in homology(y, ring, cap).items()
-        if not grp.is_trivial
-    }
+    parts = _dual_parts(build_lando(d))
+    size_v = sum(len(side) for _, side in parts)
+    h = _joined_homology(
+        (jonsson_dual(comp, side, cap) for comp, side in parts), ring, cap
+    )
+    groups = {size_v - 1 - n - deg: grp for deg, grp in h.items()}
     return ExtremeRow(
         j=j_min, groups=groups, provenance="dual", n=n, shift=n - 1
     )

@@ -12,7 +12,8 @@ combinatorial Alexander duality
 
 holds on the nose in every degree, void and empty cases included.
 
-How complexes are built.  Independence complexes, Jonsson complexes and
+How complexes are built.  Independence complexes, Jonsson complexes, the
+duals of Jonsson complexes (read straight off the neighbourhoods) and
 Alexander duals are families closed under subsets, and one enumerator
 builds them all: it grows each face by later vertices of the ground order
 while a per-construction test admits them, and past the face cap it raises
@@ -723,6 +724,27 @@ def join_homology(
     return out
 
 
+def _bipartition(g: Graph, part_v: Iterable) -> tuple[tuple, tuple]:
+    """The chosen side V and the other side W, each in graph order.
+
+    Raises NotBipartition unless every edge crosses between V and W, and
+    EmptyPartW when W is empty.
+    """
+    v_set = set(part_v)
+    if not v_set <= set(g.vertices):
+        raise NotBipartition("chosen part contains unknown vertices")
+    for e in g.edges:
+        a, b = tuple(e)
+        if (a in v_set) == (b in v_set):
+            raise NotBipartition(
+                f"edge {sorted(e, key=repr)} does not cross the partition"
+            )
+    w_side = tuple(w for w in g.vertices if w not in v_set)
+    if not w_side:
+        raise EmptyPartW("the complementary part of the bipartition is empty")
+    return tuple(v for v in g.vertices if v in v_set), w_side
+
+
 def jonsson_complex(
     g: Graph, part_v: Iterable, cap: int = DEFAULT_FACE_CAP
 ) -> SimplicialComplex:
@@ -732,26 +754,38 @@ def jonsson_complex(
     neighbourhood of at least one vertex of the other side.  Its suspension
     is homotopy equivalent to the independence complex of the graph.
     """
-    v_side = list(dict.fromkeys(part_v))
-    v_set = set(v_side)
-    if not v_set <= set(g.vertices):
-        raise NotBipartition("chosen part contains unknown vertices")
-    w_side = [w for w in g.vertices if w not in v_set]
-    for e in g.edges:
-        a, b = tuple(e)
-        if (a in v_set) == (b in v_set):
-            raise NotBipartition(
-                f"edge {sorted(e, key=repr)} does not cross the partition"
-            )
-    if not w_side:
-        raise EmptyPartW("the complementary part of the bipartition is empty")
+    v_side, w_side = _bipartition(g, part_v)
     adj = g.adjacency
     # f + {v} is a face when some w of the other side misses both
     return _closed_family(
-        tuple(v for v in g.vertices if v in v_set),
+        v_side,
         lambda f, v: any(v not in adj[w] and not adj[w] & f for w in w_side),
         cap,
         "Jonsson face enumeration",
+    )
+
+
+def jonsson_dual(
+    g: Graph, part_v: Iterable, cap: int = DEFAULT_FACE_CAP
+) -> SimplicialComplex:
+    """The Alexander dual of ``jonsson_complex(g, part_v)``, built directly.
+
+    The Jonsson complex has maximal faces V - N(w), so a subset of V is a
+    face of its dual exactly when it contains no neighbourhood N(w), w in
+    W.  This is Y_D for a Lando graph.  It is void when some N(w) is empty,
+    and otherwise grows without ever listing a Jonsson face.
+    """
+    v_side, w_side = _bipartition(g, part_v)
+    adj = g.adjacency
+    if any(not adj[w] for w in w_side):
+        return SimplicialComplex.void(v_side)
+    # f + {v} is a face unless it swallows N(w) for some w next to v
+    rest = {v: [adj[w] - {v} for w in adj[v]] for v in v_side}
+    return _closed_family(
+        v_side,
+        lambda f, v: not any(r <= f for r in rest[v]),
+        cap,
+        "Y_D face enumeration",
     )
 
 

@@ -290,6 +290,36 @@ def test_verify_passes_the_crossing_cap_to_every_state_loop(capsys, monkeypatch)
     ]
 
 
+def test_verify_reports_every_failure(capsys, monkeypatch):
+    import dataclasses
+
+    import exkh.cli as cli
+    from exkh.simplicial import AbelianGroup
+
+    honest = cli.extreme_via_brute
+
+    def disagreeing(d, *args):
+        row = honest(d, *args)
+        return dataclasses.replace(row, groups={**row.groups, 99: AbelianGroup(1)})
+
+    monkeypatch.setattr(cli, "extreme_via_brute", disagreeing)
+    code, out, err = run(["verify", TREFOIL, "hexagon_link"], capsys)
+    assert code == 3
+    assert f"{TREFOIL}: extreme rows disagree" in err
+    assert "hexagon_link: extreme rows disagree" in err
+    assert "verified 2 diagrams, 2 failed" in out
+
+
+def test_verify_other_failures_exit_one(capsys, monkeypatch):
+    import exkh.cli as cli
+
+    monkeypatch.setattr(cli, "independence_number", lambda g: 7)
+    code, out, err = run(["verify", TREFOIL, "hexagon_link"], capsys)
+    assert code == 1
+    assert err.count("extreme bracket coefficient != signed I(G)") == 2
+    assert "verified 2 diagrams, 2 failed" in out
+
+
 # --------------------------------------------------------------------------
 # inputs and exit codes
 # --------------------------------------------------------------------------
@@ -334,12 +364,18 @@ def test_face_cap_exit_code(capsys):
 
 
 def test_face_cap_holds_on_the_dual_route(capsys):
-    pd = thick_family(3).to_pd()  # its Jonsson complex has 31,768 faces
+    # the dual route builds one Y_k per Lando component, 10 faces each here
+    pd = thick_family(3).to_pd()
     code, _, err = run(
-        ["extreme", pd, "--method", "dual", "--max-faces", "2000"], capsys
+        ["extreme", pd, "--method", "dual", "--max-faces", "9"], capsys
     )
     assert code == 2
-    assert "Jonsson" in err
+    assert "Y_D face enumeration" in err
+    code, out, _ = run(
+        ["extreme", pd, "--method", "dual", "--max-faces", "10"], capsys
+    )
+    assert code == 0
+    assert "i=0: Z, i=1: Z^3, i=2: Z^3, i=3: Z" in out
 
 
 def test_bad_ring_exit_code(capsys):

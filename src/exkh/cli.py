@@ -243,11 +243,12 @@ def _cmd_complex(args) -> int:
     d = _load_diagram(args.input, args.orient)
     x = independence_complex(build_lando(d), args.max_faces)
     cc = coboundary_complex(x)
+    matrices = cc.matrices
     payload = json.loads(x.to_json())
     fv = x.f_vector(args.max_faces)
     payload["f_vector"] = list(fv)
     payload["coboundaries"] = {
-        str(deg): [list(r) for r in cc.matrices[deg]] for deg in cc.degrees[:-1]
+        str(deg): [list(r) for r in matrices[deg]] for deg in cc.degrees[:-1]
     }
     lines = [
         f"faces: {sum(fv)}, f-vector {fv}",
@@ -260,7 +261,7 @@ def _cmd_complex(args) -> int:
         lines.append(f"degree {deg}: {faces}")
     for deg in cc.degrees[:-1]:
         lines.append(f"coboundary {deg} -> {deg + 1}:")
-        for r in cc.matrices[deg]:
+        for r in matrices[deg]:
             lines.append("  [" + " ".join(f"{v:3d}" for v in r) + "]")
     _emit(payload, args, lines)
     return 0

@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .diagram import A, B, Diagram, State
 from .errors import EmptyPartW
-from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, j_bounds, khovanov_complex
+from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, _j_rows, j_bounds
 from .lando import Graph, build_lando, fold_graph, is_complete_bipartite
 from .simplicial import (
     DEFAULT_FACE_CAP,
@@ -179,11 +179,15 @@ def extreme_via_lando(
 def _brute_row(
     d: Diagram, j: int, ring: str, max_crossings: int
 ) -> ExtremeRow:
-    """One row of the enhanced-state complex, no geometry involved."""
+    """One row of the enhanced-state complex, no geometry involved.
+
+    The row's integer-keyed complex is reduced as built; no EnhancedState
+    is made.
+    """
     n = d.negative_count
     groups = {
         i: grp
-        for i, grp in cohomology(khovanov_complex(d, j, max_crossings), ring).items()
+        for i, grp in cohomology(_j_rows(d, j, max_crossings)[j], ring).items()
         if not grp.is_trivial
     }
     return ExtremeRow(j=j, groups=groups, provenance="brute", n=n, shift=n - 1)

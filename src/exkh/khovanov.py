@@ -21,6 +21,13 @@ counts the B-labelled crossings of s strictly after the changed one in
 crossing order.  Cohomology of the resulting complex, row by row in j, is
 the Khovanov cohomology of the diagram.
 
+One pass over the 2^c smoothings builds every j-row at once: enhanced
+states are numbered as (B-bits, minus mask) integer pairs, each
+(smoothing, A-crossing) pair is traced once for all rows, and the maps are
+emitted as the sparse rows the reduction kernel takes, never as dense
+matrices.  EnhancedState objects are made only where a caller asks for a
+basis (``khovanov_complex``).
+
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
@@ -38,7 +45,13 @@ from dataclasses import dataclass, field
 
 from .diagram import A, B, Diagram, State, pd_hash
 from .errors import CapExceeded, DifferentDiagram, NotAComplex
-from .simplicial import AbelianGroup, ChainComplex, check_square_zero, cohomology
+from .simplicial import (
+    AbelianGroup,
+    ChainComplex,
+    check_square_zero,
+    cohomology,
+    parse_ring,
+)
 
 DEFAULT_CROSSING_CAP = 16
 
@@ -316,76 +329,100 @@ def _move(d: Diagram, bits: int, x: int) -> tuple:
     return gone[0], gone[-1], triples, outs
 
 
-def khovanov_complex(
-    d: Diagram, j: int, max_crossings: int = DEFAULT_CROSSING_CAP
-) -> ChainComplex:
-    """The fixed-j cochain complex of enhanced states.
+def _j_rows(
+    d: Diagram, only_j: int | None = None, max_crossings: int = DEFAULT_CROSSING_CAP
+) -> dict[int, ChainComplex]:
+    """Every j-row of the enhanced-state complex, built in one pass.
 
-    Degrees run over i; matrices follow the row-per-target convention of
-    ChainComplex.  The composite of consecutive differentials is verified to
-    vanish before returning.  Bases run over the smoothings in bit order,
-    and within one smoothing over its minus-signed circle sets in
-    lexicographic order.
+    Returns j -> fixed-j cochain complex: every row that holds a state, or
+    just row ``only_j``, empty if it holds none.  Basis elements are the integer
+    pairs (B-bits, mask of minus-signed circles), ordered by smoothing in
+    bit order, then by minus set in lexicographic order.  Rows are sparse,
+    as ChainComplex holds them, and each row is checked to square to zero.
 
-    Inside, an enhanced state is the integer pair (B-bits, mask of its
-    minus-signed circles).  Each (smoothing, A-crossing) pair is traced
-    once, and the differential maps source masks to target masks by bit
-    operations.
+    The smoothings are visited in bit order.  Each one numbers its states
+    into their (j, i) bases, then pulls its incoming differential from the
+    smoothings one B-crossing lower, which are numbered already: every
+    (smoothing, A-crossing) pair is traced by ``_move`` once, for all
+    rows at once, and maps source masks to target masks by bit operations.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
     w = d.writhe
     n = d.negative_count
-    states: dict[int, list[EnhancedState]] = {}
-    row_of: dict[int, dict[int, dict[int, int]]] = {}  # i -> bits -> mask -> row
+    bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
+    into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
+    numbered: list[dict[int, tuple[int, dict]]] = []  # bits -> mask -> (col, row)
     for bits in range(1 << c):
         m = len(d._resolve_bits(bits))
         i = bits.bit_count() - n
-        tau = j - w - i
-        if abs(tau) > m or (m - tau) % 2:
+        if only_j is None:
+            minus_counts = range(m + 1)
+        else:
+            k, odd = divmod(w + i + m - only_j, 2)
+            minus_counts = () if odd or not 0 <= k <= m else (k,)
+        here: dict[int, tuple[int, dict]] = {}
+        for k in minus_counts:
+            j = w + i + m - 2 * k
+            basis = bases.setdefault(j, {}).setdefault(i, [])
+            rows = into.setdefault(j, {}).setdefault(i, [])
+            for neg in itertools.combinations(range(m), k):
+                mask = sum(1 << b for b in neg)
+                row: dict[int, int] = {}
+                here[mask] = (len(basis), row)
+                basis.append((bits, mask))
+                rows.append(row)
+        numbered.append(here)
+        if not here:
             continue
-        state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-        basis = states.setdefault(i, [])
-        rows = row_of.setdefault(i, {})[bits] = {}
-        for neg in itertools.combinations(range(m), (m - tau) // 2):
-            rows[sum(1 << k for k in neg)] = len(basis)
-            signs = tuple(-1 if k in neg else 1 for k in range(m))
-            basis.append(EnhancedState(state, signs))
-    bases = {i: tuple(states[i]) for i in sorted(states)}
-
-    matrices = {}
-    columns: dict[int, list[list[tuple[int, int]]]] = {}
-    for i in bases:
-        target = row_of.get(i + 1, {})
-        cols: list[list[tuple[int, int]]] = []
-        for bits, masks in row_of[i].items():
-            moves = []
-            after = bits.bit_count()  # B-crossings after x, once x is an A
-            for x in range(c):
-                if (bits >> x) & 1:
-                    after -= 1
-                    continue
-                move = _move(d, bits, x)
-                to_row = target.get(bits | 1 << x)
-                if to_row is not None:
-                    moves.append((-1 if after % 2 else 1, to_row) + move)
-            for mask in masks:
-                entries: list[tuple[int, int]] = []
-                for incidence, to_row, g0, g1, triples, outs in moves:
+        after = 0  # B-crossings of bits after x
+        for x in range(c - 1, -1, -1):
+            if not (bits >> x) & 1:
+                continue
+            source = bits ^ 1 << x
+            if numbered[source]:
+                incidence = -1 if after % 2 else 1
+                g0, g1, triples, outs = _move(d, source, x)
+                for mask, (col, _) in numbered[source].items():
                     kept = 0
                     for sel, up, down in triples:
                         kept |= ((mask & sel) << up) >> down
                     for extra in outs[((mask >> g0) & 1) | ((mask >> g1) & 1) << 1]:
-                        entries.append((to_row[kept | extra], incidence))
-                cols.append(entries)
-        columns[i] = cols
-        dense = [[0] * len(cols) for _ in bases.get(i + 1, ())]
-        for col, entries in enumerate(cols):
-            for row, val in entries:
-                dense[row][col] = val
-        matrices[i] = tuple(tuple(r) for r in dense)
-    check_square_zero(columns, f" in row j={j}")
-    return ChainComplex(bases=bases, matrices=matrices)
+                        here[kept | extra][1][col] = incidence
+            after += 1
+    out = {}
+    for j in sorted(bases) if only_j is None else (only_j,):
+        row_bases = {i: tuple(b) for i, b in sorted(bases.get(j, {}).items())}
+        rows = {i: tuple(into[j].get(i + 1, ())) for i in row_bases}
+        check_square_zero(rows, f" in row j={j}")
+        out[j] = ChainComplex(bases=row_bases, rows=rows)
+    return out
+
+
+def khovanov_complex(
+    d: Diagram, j: int, max_crossings: int = DEFAULT_CROSSING_CAP
+) -> ChainComplex:
+    """The fixed-j cochain complex of enhanced states.
+
+    Degrees run over i; the maps are sparse rows in the row-per-target
+    convention of ChainComplex, verified to compose to zero.  Bases run
+    over the smoothings in bit order, and within one smoothing over its
+    minus-signed circle sets in lexicographic order.  The rows come from
+    the one-pass builder ``_j_rows`` restricted to j; only the bases are
+    turned into EnhancedState objects here.
+    """
+    cc = _j_rows(d, j, max_crossings)[j]
+    c = d.crossing_count
+    bases = {}
+    for i, states in cc.bases.items():
+        enhanced = []
+        for bits, mask in states:
+            state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
+            m = len(d._resolve_bits(bits))
+            signs = tuple(-1 if (mask >> k) & 1 else 1 for k in range(m))
+            enhanced.append(EnhancedState(state, signs))
+        bases[i] = tuple(enhanced)
+    return ChainComplex(bases=bases, rows=cc.rows)
 
 
 # --------------------------------------------------------------------------
@@ -501,12 +538,16 @@ def khovanov_cohomology(
     ring: str = "Z",
     max_crossings: int = DEFAULT_CROSSING_CAP,
 ) -> CohomologyTable:
-    """The full cohomology table, computed j-row by j-row."""
+    """The full cohomology table.
+
+    One pass (``_j_rows``) builds every j-row's sparse complex, and each
+    row is then reduced on its own.
+    """
     _check_crossing_cap(d, max_crossings)
+    parse_ring(ring)
     j_min, j_max = j_bounds(d)
     entries: dict[tuple[int, int], AbelianGroup] = {}
-    for j in range(j_min, j_max + 1, 2):
-        cc = khovanov_complex(d, j, max_crossings)
+    for j, cc in _j_rows(d, None, max_crossings).items():
         for i, g in cohomology(cc, ring).items():
             if not g.is_trivial:
                 entries[(i, j)] = g

@@ -27,10 +27,12 @@ ground position.  The coboundary of a face s is
     delta(s) = sum over v with s+{v} a face of (-1)^k (s+{v}),
 
 k being the number of vertices of s that come after v in the ground order.
-Matrices are written target-by-source, so delta_i has one row per
-(i+1)-face g, read off the boundary of g: dropping its k-th vertex gives
-the entry (-1)^(|g|-1-k).  Boundaries are the transposes, whence homology
-and cohomology share free ranks while torsion shifts one degree, as usual.
+A map is held as sparse rows, target by source: delta_i has one
+{column: value} dict per (i+1)-face g, read off the boundary of g, where
+dropping its k-th vertex gives the entry (-1)^(|g|-1-k).  No zero is ever
+stored; a dense matrix exists only as a view for printing and for tests.
+Boundaries are the transposes, whence homology and cohomology share free
+ranks while torsion shifts one degree, as usual.
 
 Integer linear algebra is exact and goes through one sparse elimination
 kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
@@ -38,7 +40,12 @@ a unit in the shortest row that still holds one, taken from a heap keyed by
 row length, at the unit whose column is sparsest.  Over F_p every nonzero
 entry is a unit, so the kernel alone gives the rank.  Over Z the few rows
 left without a unit form a small dense core, which gcd pivoting takes to
-Smith normal form.
+Smith normal form.  A complex is reduced degree by degree, lowest first,
+and each unit pivot of d_{i-1} cancels its row's basis element from the
+source of d_i as well: by Gaussian elimination on the complex (Bar-Natan,
+"Fast Khovanov homology computations", Lemma 4.2) the rest of d_i is
+unchanged, so those columns are dropped before d_i is reduced.  Only unit
+pivots are cancelled, so this is exact over Z.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .lando import Graph
 DEFAULT_FACE_CAP = 1 << 22
 
 Face = frozenset
-Matrix = tuple  # tuple of row tuples, ints
+Row = dict  # {column: nonzero int}
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +234,7 @@ def _snf_dense(m: list[list[int]]) -> list[int]:
 
 def _eliminate(
     rows: list[dict[int, int]], p: int | None = None
-) -> tuple[int, list[list[int]]]:
+) -> tuple[list[int], list[list[int]]]:
     """Pivot on units of a sparse matrix until none is left.
 
     ``rows`` holds the nonzero entries of each row as ``{col: value}``,
@@ -235,8 +242,9 @@ def _eliminate(
     is always taken in the shortest live row that holds a unit, at the unit
     whose column has the fewest entries.  Rows wait in a heap keyed by
     length and go back in only when a pivot modifies them.  Returns the
-    number of pivots and the dense residual with no unit entry left; over
-    F_p every nonzero residue is a unit, so that residual is empty.
+    indices of the pivot rows, one per unit pivot, and the dense residual
+    with no unit entry left; over F_p every nonzero residue is a unit, so
+    that residual is empty.
     """
     live = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
@@ -245,7 +253,7 @@ def _eliminate(
             cols.setdefault(j, set()).add(i)
     heap = [(len(r), i) for i, r in live.items()]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         length, i = heapq.heappop(heap)
         piv_row = live.get(i)
@@ -279,22 +287,22 @@ def _eliminate(
                 heapq.heappush(heap, (len(row), ii))
             else:
                 del live[ii]
-        units += 1
+        pivots.append(i)
     live_cols = sorted({j for r in live.values() for j in r})
     dense = [[r.get(j, 0) for j in live_cols] for _, r in sorted(live.items())]
-    return units, dense
+    return pivots, dense
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors and rank of an integer matrix.
+    """Invariant factors and rank of a dense integer matrix.
 
     The factors come back as the full ascending divisibility chain, ones
     included, so ``len(factors) == rank``.
     """
-    units, residual = _eliminate(
+    pivots, residual = _eliminate(
         [{j: v for j, v in enumerate(row) if v} for row in matrix]
     )
-    factors = (1,) * units + tuple(_snf_dense(residual))
+    factors = (1,) * len(pivots) + tuple(_snf_dense(residual))
     return factors, len(factors)
 
 
@@ -304,7 +312,7 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     rows = [{j: v % p for j, v in enumerate(row) if v % p} for row in matrix]
-    return _eliminate(rows, p)[0]
+    return len(_eliminate(rows, p)[0])
 
 
 # --------------------------------------------------------------------------
@@ -335,12 +343,13 @@ def parse_ring(ring: str) -> tuple[str, int | None]:
 class ChainComplex:
     """A finite cochain complex of free modules with chosen bases.
 
-    ``matrices[d]`` is the matrix of the degree-raising map from degree d to
-    d+1, with one row per degree-(d+1) basis element.
+    ``rows[d]`` is the map from degree d to d+1 as sparse rows, one
+    ``{col: value}`` dict per degree-(d+1) basis element, with columns
+    indexing the degree-d basis and no zero values.
     """
 
     bases: dict[int, tuple]
-    matrices: dict[int, Matrix]
+    rows: dict[int, tuple[Row, ...]]
 
     def dim(self, degree: int) -> int:
         return len(self.bases.get(degree, ()))
@@ -349,40 +358,46 @@ class ChainComplex:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.bases))
 
+    @property
+    def matrices(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Dense row-tuple view of every map, built afresh on each read."""
+        out = {}
+        for d, rows in self.rows.items():
+            dense = []
+            for r in rows:
+                row = [0] * self.dim(d)
+                for k, v in r.items():
+                    row[k] = v
+                dense.append(tuple(row))
+            out[d] = tuple(dense)
+        return out
+
     def check(self) -> None:
         """Verify shapes and that consecutive maps compose to zero."""
-        for d, m in self.matrices.items():
-            if len(m) != self.dim(d + 1):
+        for d, rows in self.rows.items():
+            if len(rows) != self.dim(d + 1):
                 raise NotAComplex(f"row count at degree {d}")
-            if any(len(r) != self.dim(d) for r in m):
-                raise NotAComplex(f"column count at degree {d}")
-        columns = {}
-        for d, m in self.matrices.items():
-            columns[d] = [[] for _ in range(self.dim(d))]
-            for r, row in enumerate(m):
-                for k, v in enumerate(row):
-                    if v:
-                        columns[d][k].append((r, v))
-        check_square_zero(columns)
+            width = self.dim(d)
+            if any(not 0 <= k < width for r in rows for k in r):
+                raise NotAComplex(f"column outside the basis at degree {d}")
+        check_square_zero(self.rows)
 
 
-def check_square_zero(
-    columns: dict[int, list[list[tuple[int, int]]]], where: str = ""
-) -> None:
+def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
     """Raise NotAComplex unless consecutive maps compose to zero.
 
-    ``columns[d][k]`` lists the (row, value) entries of column k of the map
-    leaving degree d; ``where`` is added to the error message.
+    ``rows[d]`` holds the sparse rows of the map leaving degree d, as in
+    ChainComplex; ``where`` is added to the error message.
     """
-    for d, cols in columns.items():
-        nxt = columns.get(d + 1)
-        if nxt is None:
+    for d, inner in rows.items():
+        outer = rows.get(d + 1)
+        if outer is None:
             continue
-        for entries in cols:
+        for row in outer:
             acc: dict[int, int] = {}
-            for row, val in entries:
-                for row2, val2 in nxt[row]:
-                    acc[row2] = acc.get(row2, 0) + val * val2
+            for mid, val in row.items():
+                for col, val2 in inner[mid].items():
+                    acc[col] = acc.get(col, 0) + val * val2
             if any(acc.values()):
                 raise NotAComplex(f"maps do not square to zero{where} at degree {d}")
 
@@ -390,17 +405,30 @@ def check_square_zero(
 def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     """Cohomology groups of a cochain complex, degree by degree.
 
-    Over Q and F_p every group is a vector space; integral torsion shows up
+    The maps are reduced in ascending degree by the sparse kernel.  A
+    degree-i basis element whose row held a unit pivot of d_{i-1} is
+    cancelled, so its column is dropped from d_i before d_i is reduced;
+    that leaves the rank and the invariant factors of d_i unchanged.  Over
+    Q and F_p every group is a vector space; integral torsion shows up
     there as lost rank, which the ranks already carry.
     """
     kind, p = parse_ring(ring)
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for d, m in cc.matrices.items():
-        if kind == "F":
-            ranks[d] = rank_mod_p(m, p)
-            continue
-        factors, ranks[d] = smith_normal_form(m)
+    cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
+    for d in sorted(cc.rows):
+        drop = cancelled.pop(d, ())
+        if p is None:
+            rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
+        else:
+            rows = [
+                {k: v % p for k, v in r.items() if v % p and k not in drop}
+                for r in cc.rows[d]
+            ]
+        pivots, residual = _eliminate(rows, p)
+        cancelled[d + 1] = set(pivots)
+        factors = _snf_dense(residual)
+        ranks[d] = len(pivots) + len(factors)
         if kind == "Z":
             torsion[d] = tuple(t for t in factors if t > 1)
     return {
@@ -591,23 +619,23 @@ def coboundary_complex(
 ) -> ChainComplex:
     """The reduced simplicial cochain complex of x with lex-ordered bases."""
     if x.is_void:
-        return ChainComplex(bases={}, matrices={})
+        return ChainComplex(bases={}, rows={})
     by_dim: dict[int, list[tuple]] = {}
     for f in x.faces(cap):
         by_dim.setdefault(len(f) - 1, []).append(f)
     bases = {d: tuple(fs) for d, fs in by_dim.items()}
-    matrices: dict[int, Matrix] = {}
+    rows: dict[int, tuple[Row, ...]] = {}
     for d in range(-1, max(bases)):
         index = {f: i for i, f in enumerate(bases[d])}
-        rows = []
-        for g in bases[d + 1]:
-            # g minus its k-th vertex, which has len(g) - 1 - k vertices after it
-            row = [0] * len(index)
-            for k in range(len(g)):
-                row[index[g[:k] + g[k + 1:]]] = -1 if (len(g) - 1 - k) % 2 else 1
-            rows.append(tuple(row))
-        matrices[d] = tuple(rows)
-    return ChainComplex(bases=bases, matrices=matrices)
+        # g minus its k-th vertex, which has len(g) - 1 - k vertices after it
+        rows[d] = tuple(
+            {
+                index[g[:k] + g[k + 1:]]: -1 if (len(g) - 1 - k) % 2 else 1
+                for k in range(len(g))
+            }
+            for g in bases[d + 1]
+        )
+    return ChainComplex(bases=bases, rows=rows)
 
 
 def homology(

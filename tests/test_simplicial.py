@@ -267,10 +267,16 @@ def test_homology_of_spheres():
 
 
 def test_chain_complex_check_catches_bad_square():
-    cc = ChainComplex(
-        bases={0: ((1,), (2,)), 1: ((1, 2),), 2: ((1, 2, 3),)},
-        matrices={0: ((1, 1),), 1: ((1,),)},
-    )
+    bases = {0: ((1,), (2,)), 1: ((1, 2),), 2: ((1, 2, 3),)}
+    cc = ChainComplex(bases=bases, rows={0: ({0: 1, 1: 1},), 1: ({0: 1},)})
+    with pytest.raises(NotAComplex):
+        cc.check()
+    # one row too many for the degree-1 basis
+    cc = ChainComplex(bases=bases, rows={0: ({0: 1}, {1: 1}), 1: ({},)})
+    with pytest.raises(NotAComplex):
+        cc.check()
+    # column 2 lies outside the two-element degree-0 basis
+    cc = ChainComplex(bases=bases, rows={0: ({0: 1, 2: -1},), 1: ({},)})
     with pytest.raises(NotAComplex):
         cc.check()
 

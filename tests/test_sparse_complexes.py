@@ -1,0 +1,271 @@
+"""Sparse rows end to end, one pass per diagram, and cancellation across degrees.
+
+``cohomology`` reduces a complex lowest degree first and drops from d_i the
+columns that were unit pivot rows of d_{i-1}.  These tests hold it to the
+per-map formula computed independently from the dense view, hold the
+one-pass Khovanov builder to the reference differential ``adjacent``, count
+its circle traces, and run the cycle C_24, whose dense coboundaries did not
+fit in memory, in a child process under a peak-RSS bound.
+"""
+
+import os
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from conftest import random_graph
+from exkh import khovanov
+from exkh.diagram import A, B, Diagram, State
+from exkh.extreme import extreme_jmax, extreme_via_brute
+from exkh.families import load_catalog
+from exkh.khovanov import (
+    EnhancedState,
+    _j_rows,
+    adjacent,
+    enumerate_enhanced,
+    khovanov_cohomology,
+    khovanov_complex,
+    state_j,
+)
+from exkh.lando import two_hexagons_shared_vertex
+from exkh.simplicial import (
+    AbelianGroup,
+    ChainComplex,
+    SimplicialComplex,
+    coboundary_complex,
+    cohomology,
+    independence_complex,
+    parse_ring,
+    rank_mod_p,
+    smith_normal_form,
+)
+
+RINGS = ("Z", "Q", "F2", "F3")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def per_map_cohomology(cc: ChainComplex) -> dict[str, dict[int, AbelianGroup]]:
+    """Groups over each ring from the dense view, each map reduced on its
+    own and nothing cancelled across degrees."""
+    ranks: dict[str, dict[int, int]] = {ring: {} for ring in RINGS}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for d, m in cc.matrices.items():
+        factors, ranks["Z"][d] = smith_normal_form(m)
+        ranks["Q"][d] = ranks["Z"][d]
+        torsion[d] = tuple(t for t in factors if t > 1)
+        for ring in ("F2", "F3"):
+            ranks[ring][d] = rank_mod_p(m, parse_ring(ring)[1])
+    return {
+        ring: {
+            d: AbelianGroup(
+                cc.dim(d) - r.get(d, 0) - r.get(d - 1, 0),
+                torsion.get(d - 1, ()) if ring == "Z" else (),
+            )
+            for d in cc.degrees
+        }
+        for ring, r in ranks.items()
+    }
+
+
+def catalog_diagrams() -> list[Diagram]:
+    return [entry.diagram() for _, entry in sorted(load_catalog().items())]
+
+
+def assert_matches_per_map(cc: ChainComplex, label) -> dict[int, AbelianGroup]:
+    """Check every ring; return the integral groups."""
+    cc.check()
+    want = per_map_cohomology(cc)
+    for ring in RINGS:
+        assert cohomology(cc, ring) == want[ring], (label, ring)
+    return want["Z"]
+
+
+# --------------------------------------------------------------------------
+# cancellation across degrees against the per-map formula
+# --------------------------------------------------------------------------
+
+
+def test_khovanov_rows_match_the_per_map_formula(corpus12):
+    diagrams = catalog_diagrams() + list(corpus12)
+    torsion_rows = 0
+    for k, d in enumerate(dd for dd in diagrams if dd.crossing_count <= 7):
+        for j, cc in _j_rows(d).items():
+            groups = assert_matches_per_map(cc, (k, j))
+            torsion_rows += any(g.torsion for g in groups.values())
+    assert torsion_rows  # Z/2 torsion is among the cases
+
+
+def test_rp2_and_two_hexagons_match_the_per_map_formula():
+    rp2 = SimplicialComplex.from_maximal(
+        range(1, 7),
+        [
+            (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+            (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+        ],
+    )
+    assert cohomology(coboundary_complex(rp2), "Z")[2] == AbelianGroup(0, (2,))
+    assert_matches_per_map(coboundary_complex(rp2), "RP2")
+    hexagons = independence_complex(two_hexagons_shared_vertex())
+    assert_matches_per_map(coboundary_complex(hexagons), "two hexagons")
+
+
+def test_random_independence_complexes_match_the_per_map_formula():
+    rng = random.Random(17)
+    for k in range(120):
+        g = random_graph(rng)
+        assert_matches_per_map(coboundary_complex(independence_complex(g)), k)
+
+
+def test_non_unit_pivot_rows_are_not_cancelled():
+    # Z --2--> Z --0--> Z: the pivot 2 is not a unit, so nothing is cancelled
+    cc = ChainComplex(
+        bases={0: ("a",), 1: ("b",), 2: ("c",)},
+        rows={0: ({0: 2},), 1: ({},), 2: ()},
+    )
+    assert_matches_per_map(cc, "Z -2-> Z -> Z")
+    assert cohomology(cc, "Z") == {
+        0: AbelianGroup(0), 1: AbelianGroup(0, (2,)), 2: AbelianGroup(1)
+    }
+    # Z --(2,4)--> Z^2 --(2,-1)--> Z: dropping either column of d_1 would
+    # turn the zero H^2 into Z/2 or Z/4
+    cc = ChainComplex(
+        bases={0: ("a",), 1: ("b", "c"), 2: ("e",)},
+        rows={0: ({0: 2}, {0: 4}), 1: ({0: 2, 1: -1},), 2: ()},
+    )
+    assert_matches_per_map(cc, "Z -> Z^2 -> Z")
+    assert cohomology(cc, "Z") == {
+        0: AbelianGroup(0), 1: AbelianGroup(0, (2,)), 2: AbelianGroup(0)
+    }
+
+
+def test_cancellation_does_not_cross_a_gap_in_degrees():
+    # the pivot row of d_0 indexes degree 1, not the source of d_3
+    cc = ChainComplex(
+        bases={0: ("a",), 1: ("b",), 3: ("c",), 4: ("e",)},
+        rows={0: ({0: 1},), 3: ({0: 1},)},
+    )
+    assert_matches_per_map(cc, "gap")
+    assert all(g.is_trivial for g in cohomology(cc, "Z").values())
+
+
+def test_unit_pivots_cancel_the_next_maps_columns():
+    # Z --(1,2)--> Z^2 --(-2,1)--> Z is exact
+    cc = ChainComplex(
+        bases={0: ("a",), 1: ("b", "c"), 2: ("e",)},
+        rows={0: ({0: 1}, {0: 2}), 1: ({0: -2, 1: 1},), 2: ()},
+    )
+    assert_matches_per_map(cc, "exact")
+    assert all(g.is_trivial for g in cohomology(cc, "Z").values())
+
+
+# --------------------------------------------------------------------------
+# the one-pass Khovanov builder
+# --------------------------------------------------------------------------
+
+
+def enhanced(d: Diagram, bits: int, mask: int) -> EnhancedState:
+    state = State(tuple(B if (bits >> k) & 1 else A for k in range(d.crossing_count)))
+    m = d.resolve(state).circle_count
+    return EnhancedState(state, tuple(-1 if (mask >> k) & 1 else 1 for k in range(m)))
+
+
+def test_single_pass_rows_equal_the_reference_differential(corpus12, monkeypatch):
+    built = []
+
+    def recording(cc, ring="Z"):
+        built.append(cc)
+        return cohomology(cc, ring)
+
+    monkeypatch.setattr(khovanov, "cohomology", recording)
+    diagrams = catalog_diagrams() + list(corpus12)
+    for d in (dd for dd in diagrams if dd.crossing_count <= 5):
+        built.clear()
+        khovanov_cohomology(d, "Z")
+        by_degree = enumerate_enhanced(d)
+        assert sum(cc.dim(i) for cc in built for i in cc.bases) == sum(
+            len(v) for v in by_degree.values()
+        )
+        for cc in built:
+            cc.check()
+            states = {i: [enhanced(d, *s) for s in b] for i, b in cc.bases.items()}
+            j = state_j(d, next(iter(states.values()))[0])
+            for i, basis in cc.bases.items():
+                # smoothings in bit order, minus sets in lexicographic order
+                keys = [
+                    (bits, [k for k in range(mask.bit_length()) if mask >> k & 1])
+                    for bits, mask in basis
+                ]
+                assert keys == sorted(keys)
+                assert set(states[i]) == set(by_degree[(i, j)])
+            for i, rows in cc.rows.items():
+                target = states.get(i + 1, [])
+                assert len(rows) == len(target)
+                for row, t in zip(rows, target):
+                    column = [adjacent(d, s, t) for s in states[i]]
+                    assert row == {c: v for c, v in enumerate(column) if v}
+
+
+def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):
+    calls = []
+    real = khovanov._move
+
+    def recording(d, bits, x):
+        calls.append((bits, x))
+        return real(d, bits, x)
+
+    monkeypatch.setattr(khovanov, "_move", recording)
+    for d in (dd for dd in corpus12 if 1 <= dd.crossing_count <= 7):
+        calls.clear()
+        khovanov_cohomology(d, "F2")
+        c = d.crossing_count
+        assert len(calls) == c * 2 ** (c - 1)
+        assert len(set(calls)) == len(calls)
+
+
+def test_brute_rows_build_no_enhanced_states(corpus12, monkeypatch):
+    made = []
+    real = EnhancedState.__post_init__
+
+    def recording(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(EnhancedState, "__post_init__", recording)
+    for d in [dd for dd in corpus12 if dd.crossing_count <= 7][:20]:
+        extreme_via_brute(d, "Z")
+        extreme_jmax(d, "Z")
+    assert not made
+    khovanov_complex(corpus12[0], khovanov.j_bounds(corpus12[0])[0])
+    assert made  # the stand-in does see states that are built
+
+
+# --------------------------------------------------------------------------
+# the memory wall on connected Lando graphs
+# --------------------------------------------------------------------------
+
+
+def test_c24_cohomology_fits_in_300_mb():
+    # Ind(C_24) has 103,682 faces, and its dense coboundaries did not fit in
+    # 8 GB.  Kozlov: C_{3k} has two spheres S^{k-1}, so Z^2 in degree 7.
+    code = (
+        "from exkh.extreme import lando_cohomology\n"
+        "from exkh.lando import cycle_graph\n"
+        "h = lando_cohomology(cycle_graph(24), 'Z')\n"
+        "print(sorted((k, g.rank, g.torsion) for k, g in h.items() if not g.is_trivial))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[(7, 2, ())]"
+    # the largest child so far, C_24 included; Linux reports KiB
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(f"lando_cohomology(C_24): {elapsed:.1f} s, child peak RSS {peak_mb:.0f} MB")
+    assert peak_mb < 300

@@ -7,7 +7,7 @@ and ``jones`` print full invariants, ``families`` emits the shipped and
 generated example diagrams, and ``verify`` replays the cross-checks on a
 corpus.
 
-Exit codes: 0 success, 2 a cap was exceeded, 3 the two extreme-row routes
+Exit codes: 0 success, 2 a cap was exceeded, 3 two routes to an extreme row
 disagree (which a proven theorem forbids, so it means a bug), 1 anything
 else.  ``verify`` runs every check on every diagram before it exits with
 the gravest of 3 and 1; a cap overrun or bad input still stops it at once.
@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .diagram import Diagram, State, parse_pd, pd_hash
 from .errors import CapExceeded, ExkhError
@@ -29,7 +30,6 @@ from .extreme import (
     extreme_row,
     extreme_via_brute,
     extreme_via_lando,
-    krs_criterion,
 )
 from .families import (
     binomial_row,
@@ -45,7 +45,6 @@ from .khovanov import (
     jones,
     kauffman_bracket,
     khovanov_cohomology,
-    khovanov_complex,
     scanned_j_range,
 )
 from .lando import build_lando, independence_number, is_complete_bipartite
@@ -271,7 +270,7 @@ def _cmd_extreme(args) -> int:
     d = _load_diagram(args.input, args.orient)
     if args.side == "max" or args.method != "both":
         if args.side == "max":
-            row = extreme_jmax(d, args.ring, args.max_faces, args.max_crossings)
+            row = extreme_jmax(d, args.ring, args.max_faces)
         else:
             row = extreme_row(
                 d, args.ring, args.method, args.max_faces, args.max_crossings
@@ -388,8 +387,9 @@ def _cmd_families(args) -> int:
 def _verify_one(d: Diagram, label: str, args) -> int:
     """Every cross-check on one diagram, each failure printed as it shows.
 
-    Returns 3 if the extreme-row routes disagree, else 1 if any other check
-    failed, else 0.  A cap overrun is not a failed check: it propagates.
+    Returns 3 if the extreme-row routes disagree, or the j_max row through
+    the mirror disagrees with the table, else 1 if any other check failed,
+    else 0.  A cap overrun is not a failed check: it propagates.
     """
     c = d.crossing_count
     checks = []
@@ -432,6 +432,11 @@ def _verify_one(d: Diagram, label: str, args) -> int:
         js = {j for _, j in table.entries}
         check(len({j % 2 for j in js}) <= 1, "j-parity",
               "mixed j parities in the table")
+        top = extreme_jmax(d, "Z", args.max_faces)
+        want_top = table.row(top.j)
+        check(top.groups == want_top, "jmax-vs-table",
+              f"j_max rows disagree (mirror {top.summary()} / "
+              f"table {replace(top, groups=want_top).summary()})", AGREEMENT_EXIT)
 
     if not status:
         print(f"{label}: ok ({', '.join(checks)})")

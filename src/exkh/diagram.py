@@ -31,7 +31,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import (
     ArcLabelNotPairedTwice,
@@ -272,9 +271,6 @@ class Diagram:
 
     def all_a_state(self) -> State:
         return State((A,) * self.crossing_count)
-
-    def all_b_state(self) -> State:
-        return State((B,) * self.crossing_count)
 
     def resolve(self, state: State) -> ResolvedState:
         """Smooth every crossing according to ``state``.

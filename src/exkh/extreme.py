@@ -29,9 +29,16 @@ a vertex w on the other side, so no Jonsson face is ever listed.  It too is
 split by connected component, each with its own thinner colour class as
 V_k: Y of a disjoint union is the join of the Y_k, and |V| is the sum of
 the |V_k|.  Both geometric routes fold their components' homologies in one
-helper and so differ only in the complex they build.  Neither 'brute' nor
-'dual' deletes dominated vertices, so both stay independent checks of the
-reductions.
+helper and so differ only in the complex they build; a chordless diagram
+has no components, and both answer it with the empty join.  Neither
+'brute' nor 'dual' deletes dominated vertices, so both stay independent
+checks of the reductions.
+
+The j_max row comes through the mirror D' of the diagram.  By Khovanov's
+duality Kh^{i,j}(D) has the free rank of Kh^{-i,-j}(D') and the torsion of
+Kh^{1-i,-j}(D'), and j_max(D) = -j_min(D').  So the top row is the lando
+row of D' with its degrees negated and its torsion moved up one degree,
+over every ring and without enumerating a state.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ from .simplicial import (
     AbelianGroup,
     SimplicialComplex,
     cohomology,
-    cohomology_of,
     homology,
     independence_complex,
     join_homology,
@@ -144,16 +150,17 @@ def lando_cohomology(
     component, smallest first: X of a disjoint union is the join of the
     X's, so the homologies convolve; that keeps a graph with thirty
     vertices in three components tractable even though its independence
-    complex would have millions of faces.  ``cap`` bounds each component's
-    complex.  The dual and brute routes delete no vertices.
+    complex would have millions of faces.  A graph with no vertices counts
+    as one empty component, whose X is {∅}, the unit of the join; so every
+    graph that is not a cone has at least one complex built.  ``cap``
+    bounds each component's complex.  The dual and brute routes delete no
+    vertices.
     """
     parse_ring(ring)
     core = fold_graph(g)
     if core is None:
         return {}
-    comps = sorted(core.connected_components(), key=len)
-    if len(comps) <= 1:
-        return cohomology_of(independence_complex(core, cap), ring, cap)
+    comps = sorted(core.connected_components(), key=len) or [()]
     h = _joined_homology(
         (independence_complex(core.subgraph(c), cap) for c in comps), ring, cap
     )
@@ -176,28 +183,22 @@ def extreme_via_lando(
     )
 
 
-def _brute_row(
-    d: Diagram, j: int, ring: str, max_crossings: int
+def extreme_via_brute(
+    d: Diagram, ring: str = "Z", max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> ExtremeRow:
-    """One row of the enhanced-state complex, no geometry involved.
+    """The j_min row from the enhanced-state complex, no geometry involved.
 
     The row's integer-keyed complex is reduced as built; no EnhancedState
     is made.
     """
     n = d.negative_count
+    j_min, _ = j_bounds(d)
     groups = {
         i: grp
-        for i, grp in cohomology(_j_rows(d, j, max_crossings)[j], ring).items()
+        for i, grp in cohomology(_j_rows(d, j_min, max_crossings)[j_min], ring).items()
         if not grp.is_trivial
     }
-    return ExtremeRow(j=j, groups=groups, provenance="brute", n=n, shift=n - 1)
-
-
-def extreme_via_brute(
-    d: Diagram, ring: str = "Z", max_crossings: int = DEFAULT_CROSSING_CAP
-) -> ExtremeRow:
-    """The j_min row from the enhanced-state complex."""
-    return _brute_row(d, j_bounds(d)[0], ring, max_crossings)
+    return ExtremeRow(j=j_min, groups=groups, provenance="brute", n=n, shift=n - 1)
 
 
 def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
@@ -208,11 +209,9 @@ def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
     a planar diagram is bipartite (chords drawn inside the circles never
     interleave each other, nor do the outside ones).  Components come
     smallest first, so an isolated vertex, whose Y_k is void, ends the dual
-    route before anything is enumerated.  Raises EmptyPartW when the graph
-    has no vertices at all.
+    route before anything is enumerated.  A graph with no vertices has no
+    parts, and Y_D is then the empty join.
     """
-    if not g.vertices:
-        raise EmptyPartW("the Lando graph has no admissible chords")
     coloring = g.two_coloring()
     if coloring is None:
         raise EmptyPartW("the Lando graph is not bipartite")
@@ -232,8 +231,8 @@ def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     no N(w) for w in W.  The dual route itself never builds this whole
     complex, only its components' Y_k.
 
-    Raises EmptyPartW when the graph has no vertices at all; callers fall
-    back to the plain Lando route, whose complex is then a single point.
+    Raises EmptyPartW when W is empty, as it is when the graph has no
+    vertices; the dual route answers that graph with the empty join.
     """
     g = build_lando(d)
     return jonsson_dual(g, [v for _, side in _dual_parts(g) for v in side], cap)
@@ -262,25 +261,21 @@ def extreme_via_dual(
 
 
 def extreme_jmax(
-    d: Diagram,
-    ring: str = "Z",
-    cap: int = DEFAULT_FACE_CAP,
-    max_crossings: int = DEFAULT_CROSSING_CAP,
+    d: Diagram, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
 ) -> ExtremeRow:
-    """The j_max row of a diagram.
+    """The j_max row of a diagram, from the lando row of its mirror.
 
-    Over a field this mirrors the diagram and negates indices, reusing the
-    geometric route.  Over Z that reflection moves torsion between degrees,
-    so integral answers come from brute force on the j_max row instead.
+    The mirror's degrees are negated and its torsion moves up one degree
+    (Khovanov's duality, which holds for planar diagrams).  Over a field
+    there is no torsion to move, so one path serves every ring; ``cap``
+    bounds the mirror's complexes.
     """
     _, j_max = j_bounds(d)
-    kind, _ = parse_ring(ring)
-    if kind == "Z":
-        return _brute_row(d, j_max, ring, max_crossings)
     row = extreme_via_lando(d.mirror(), ring, cap)
+    groups = shift_torsion({-i: grp for i, grp in row.groups.items()}, 1)
     return ExtremeRow(
         j=j_max,
-        groups={-i: grp for i, grp in row.groups.items()},
+        groups={i: grp for i, grp in groups.items() if not grp.is_trivial},
         provenance="lando",
         n=d.negative_count,
         shift=row.shift,
@@ -294,16 +289,13 @@ def extreme_row(
     cap: int = DEFAULT_FACE_CAP,
     max_crossings: int = DEFAULT_CROSSING_CAP,
 ) -> ExtremeRow:
-    """Dispatch on the computation route; 'dual' falls back for tiny graphs."""
+    """The j_min row by the route ``method``: 'lando', 'brute' or 'dual'."""
     if method == "lando":
         return extreme_via_lando(d, ring, cap)
     if method == "brute":
         return extreme_via_brute(d, ring, max_crossings)
     if method == "dual":
-        try:
-            return extreme_via_dual(d, ring, cap)
-        except EmptyPartW:
-            return extreme_via_lando(d, ring, cap)
+        return extreme_via_dual(d, ring, cap)
     raise ValueError(f"unknown method {method!r} (use lando, brute or dual)")
 
 

@@ -34,9 +34,9 @@ from math import comb
 
 from .diagram import Diagram, parse_pd
 from .errors import ClaspFailed, DiagramError, SameComponent
-from .extreme import extreme_via_brute, extreme_via_lando
+from .extreme import extreme_via_lando
 from .khovanov import j_bounds
-from .lando import Graph, build_lando, cycle_graph, isomorphic, two_hexagons_shared_vertex
+from .lando import build_lando, cycle_graph, isomorphic, two_hexagons_shared_vertex
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,

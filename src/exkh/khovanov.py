@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import A, B, Diagram, State, pd_hash
 from .errors import CapExceeded, DifferentDiagram, NotAComplex

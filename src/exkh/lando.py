@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 from .diagram import Diagram, ResolvedState
-from .errors import CapExceeded, NotBipartition
+from .errors import CapExceeded
 
 Vertex = Hashable
 

@@ -545,13 +545,6 @@ class SimplicialComplex:
         f = frozenset(face)
         return any(f <= m for m in self.maximal)
 
-    def _position(self, v: Hashable) -> int:
-        return self.ground.index(v)
-
-    def sort_face(self, face: Iterable) -> tuple:
-        pos = {v: i for i, v in enumerate(self.ground)}
-        return tuple(sorted(face, key=pos.__getitem__))
-
     def faces(self, cap: int = DEFAULT_FACE_CAP) -> tuple[tuple, ...]:
         """Every face, ordered by dimension then lexicographically."""
         cached = self.__dict__.get("_faces")

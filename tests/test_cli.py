@@ -3,10 +3,11 @@ import json
 import pytest
 
 from exkh.cli import main
-from exkh.families import thick_family
+from exkh.families import catalog_diagram, split_union, thick_family
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
+HEXAGON_MIRROR = catalog_diagram("hexagon_link").mirror().to_pd()
 
 
 def run(argv, capsys):
@@ -115,15 +116,21 @@ def test_extreme_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--method", "brute"], ["--side", "max"]],
+    "argv, stage",
+    [
+        (["extreme", "--method", "brute", "--max-crossings", "3", "hexagon_link"],
+         "crossing count"),
+        # --side max enumerates no states: the face cap holds on the mirror,
+        # whose mirror (the hexagon link itself) has the Lando graph C_6
+        (["extreme", "--side", "max", "--max-faces", "2", HEXAGON_MIRROR],
+         "independent set enumeration"),
+    ],
     ids=["brute", "side-max"],
 )
-def test_extreme_brute_paths_keep_crossing_cap(capsys, flags):
-    argv = ["extreme", *flags, "--max-crossings", "3", "hexagon_link"]
+def test_extreme_brute_paths_keep_crossing_cap(capsys, argv, stage):
     code, _, err = run(argv, capsys)
     assert code == 2
-    assert "crossing count" in err
+    assert stage in err
 
 
 def test_extreme_prints_groups_over_q(capsys):
@@ -308,6 +315,39 @@ def test_verify_reports_every_failure(capsys, monkeypatch):
     assert f"{TREFOIL}: extreme rows disagree" in err
     assert "hexagon_link: extreme rows disagree" in err
     assert "verified 2 diagrams, 2 failed" in out
+
+
+def test_verify_checks_the_top_row_against_the_table(capsys, monkeypatch):
+    import dataclasses
+
+    import exkh.cli as cli
+    from exkh.simplicial import AbelianGroup
+
+    code, out, _ = run(["verify", TREFOIL], capsys)
+    assert code == 0
+    assert "jmax-vs-table" in out
+    honest = cli.extreme_jmax
+
+    def disagreeing(d, *args):
+        row = honest(d, *args)
+        return dataclasses.replace(row, groups={**row.groups, 99: AbelianGroup(1)})
+
+    monkeypatch.setattr(cli, "extreme_jmax", disagreeing)
+    code, out, err = run(["verify", TREFOIL], capsys)
+    assert code == 3
+    assert f"{TREFOIL}: j_max rows disagree" in err
+    assert "i=99: Z" in err and "table j=-1: i=0: Z)" in err
+    assert "verified 1 diagrams, 1 failed" in out
+
+
+def test_extreme_side_max_reaches_past_the_crossing_cap(capsys):
+    eleven = catalog_diagram("eleven_crossing")
+    d = split_union(eleven, eleven)
+    assert d.crossing_count > 16
+    code, out, _ = run(["extreme", "--side", "max", d.to_pd()], capsys)
+    assert code == 0
+    # the top row of each factor is Z at i=8, so theirs tensor to Z at i=16
+    assert out.strip() == "j=34: i=16: Z"
 
 
 def test_verify_other_failures_exit_one(capsys, monkeypatch):

@@ -125,9 +125,10 @@ def test_y_complex_requires_some_chords():
 
 
 def test_dual_method_falls_back_when_no_chords():
+    # no chords: the dual route answers with the empty join, no fallback
     d = parse_pd(HOPF)
     row = extreme_row(d, "Z", method="dual")
-    assert row.provenance == "lando"
+    assert row.provenance == "dual"
     assert row.groups == {0: Z(1)}
 
 

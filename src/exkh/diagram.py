@@ -302,8 +302,9 @@ class Diagram:
     def _resolve_bits(self, bits: int) -> tuple[tuple[Endpoint, ...], ...]:
         """Circles of the state whose B-labelled crossings are the set bits.
 
-        This is the package's one circle tracer: every state loop counts or
-        compares circles through it.
+        This is the package's one circle tracer: every loop that compares
+        circles gets them from here.  Loops that only count circles read
+        ``_circle_counts`` instead.
         """
         cache = self.__dict__.setdefault("_resolution_cache", {})
         hit = cache.get(bits)
@@ -344,6 +345,62 @@ class Diagram:
         result = tuple(circles)
         cache[bits] = result
         return result
+
+    @cached_property
+    def _circle_counts(self) -> bytearray:
+        """Circle count of every smoothing, free loops left out, by B-bits.
+
+        One Gray-code walk fills all 2^c entries.  Each step flips one
+        crossing x and walks only the circle through port a of x in the new
+        smoothing, giving its ports a fresh label.  If x's two joins had
+        two labels before, two circles merged.  Otherwise one circle either
+        split (the walk missed x's other join) or kept its ports (the walk
+        passed both joins, which happens only in virtual diagrams).  A
+        smoothing has at most 2c circles, so with the free loops left out an
+        entry fits a byte at any c the array can be built for.  Callers
+        check the crossing cap first.
+        """
+        n_ports = 4 * len(self.crossings)
+        partner = [self._arc_partner[p] for p in range(n_ports)]
+        join = [1] * len(self.crossings)  # port p is joined to p ^ join[p >> 2]
+        label = [-1] * n_ports
+        m = 0
+        for start in range(n_ports):
+            if label[start] >= 0:
+                continue
+            p = start
+            while True:
+                q = p ^ join[p >> 2]
+                label[p] = label[q] = m
+                p = partner[q]
+                if p == start:
+                    break
+            m += 1
+        counts = bytearray(1 << len(self.crossings))
+        counts[0] = m
+        bits = 0
+        fresh = m
+        for k in range(1, len(counts)):
+            x = (k & -k).bit_length() - 1
+            bits ^= 1 << x
+            join[x] ^= 2
+            s = 4 * x
+            # Slots a and c never share a join, so they name x's two joins.
+            merge = label[s] != label[s | 2]
+            fresh += 1
+            p = s
+            while True:
+                q = p ^ join[p >> 2]
+                label[p] = label[q] = fresh
+                p = partner[q]
+                if p == s:
+                    break
+            if merge:
+                m -= 1
+            elif label[s | 2] != fresh:
+                m += 1
+            counts[bits] = m
+        return counts
 
     # ----- diagram surgeries --------------------------------------------------
 

@@ -31,10 +31,12 @@ basis (``khovanov_complex``).
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
-end-to-end check.  The bracket, the j-range scan and the complex all count
-and compare circles through the one tracer, ``Diagram._resolve_bits``; the
-independent check on that tracer is the union-find circle count among the
-test suite's oracles (``tests/conftest.py``).
+end-to-end check.  Circles come from one tracer and counts from one count
+array: the complex compares circles through ``Diagram._resolve_bits``, and
+the bracket, the j-range scan and the complex's state loops read circle
+counts from ``Diagram._circle_counts``, filled in one Gray-code walk over
+the smoothings.  The independent check on both is the union-find circle
+count among the test suite's oracles (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -222,12 +224,12 @@ def enumerate_enhanced(
     c = d.crossing_count
     w = d.writhe
     n = d.negative_count
+    loops = d.free_loops
     out: dict[tuple[int, int], list[EnhancedState]] = {}
-    for bits in range(1 << c):
+    for bits, m in enumerate(d._circle_counts):
         state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-        circles = d._resolve_bits(bits)
-        i = bin(bits).count("1") - n
-        for signs in itertools.product((1, -1), repeat=len(circles)):
+        i = bits.bit_count() - n
+        for signs in itertools.product((1, -1), repeat=m + loops):
             es = EnhancedState(state, signs)
             j = w + i + sum(signs)
             out.setdefault((i, j), []).append(es)
@@ -353,8 +355,9 @@ def _j_rows(
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
     numbered: list[dict[int, tuple[int, dict]]] = []  # bits -> mask -> (col, row)
-    for bits in range(1 << c):
-        m = len(d._resolve_bits(bits))
+    loops = d.free_loops
+    for bits, m in enumerate(d._circle_counts):
+        m += loops
         i = bits.bit_count() - n
         if only_j is None:
             minus_counts = range(m + 1)
@@ -413,12 +416,13 @@ def khovanov_complex(
     """
     cc = _j_rows(d, j, max_crossings)[j]
     c = d.crossing_count
+    counts = d._circle_counts
     bases = {}
     for i, states in cc.bases.items():
         enhanced = []
         for bits, mask in states:
             state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-            m = len(d._resolve_bits(bits))
+            m = counts[bits] + d.free_loops
             signs = tuple(-1 if (mask >> k) & 1 else 1 for k in range(m))
             enhanced.append(EnhancedState(state, signs))
         bases[i] = tuple(enhanced)
@@ -515,17 +519,18 @@ def scanned_j_range(
 
     Per state the extremes of j are w + i -+ (circle count), so the scan
     touches every smoothing but no sign vectors; it checks the closed
-    formulas of j_bounds.  Circles are counted by the one tracer,
-    ``Diagram._resolve_bits``, which the test suite checks against an
-    independent union-find count.
+    formulas of j_bounds, which trace circles.  The counts come from
+    ``Diagram._circle_counts``, which the test suite checks against the
+    tracer and an independent union-find count.
     """
     _check_crossing_cap(d, max_crossings)
     w = d.writhe
     n = d.negative_count
+    loops = d.free_loops
     lo = None
     hi = None
-    for bits in range(1 << d.crossing_count):
-        m = len(d._resolve_bits(bits))
+    for bits, m in enumerate(d._circle_counts):
+        m += loops
         i = bits.bit_count() - n
         a, b = w + i - m, w + i + m
         lo = a if lo is None or a < lo else lo
@@ -568,8 +573,8 @@ def kauffman_bracket(
 
     Each smoothing contributes A^sigma (-A^2 - A^-2)^(circles - 1); the
     empty diagram brackets to 1.  The smoothings are counted per
-    (sigma, circles - 1) pair, with circles from the one tracer
-    ``Diagram._resolve_bits``, and each pair costs one Laurent power.  The
+    (sigma, circles - 1) pair, with circles read from the count array
+    ``Diagram._circle_counts``, and each pair costs one Laurent power.  The
     test suite checks the sum against a per-state one over an independent
     union-find circle count.
     """
@@ -577,9 +582,10 @@ def kauffman_bracket(
     c = d.crossing_count
     if c == 0 and d.free_loops == 0:
         return LaurentPoly.one()
+    loops = d.free_loops
     counts: dict[tuple[int, int], int] = {}
-    for bits in range(1 << c):
-        key = (c - 2 * bits.bit_count(), len(d._resolve_bits(bits)) - 1)
+    for bits, m in enumerate(d._circle_counts):
+        key = (c - 2 * bits.bit_count(), m + loops - 1)
         counts[key] = counts.get(key, 0) + 1
     delta = LaurentPoly({2: -1, -2: -1})
     total = LaurentPoly()

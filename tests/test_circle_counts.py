@@ -1,0 +1,152 @@
+"""The circle count array, Diagram._circle_counts.
+
+One Gray-code walk fills the circle count of every smoothing.  These tests
+pin it against the tracer and the union-find oracle where the walk meets
+count-preserving flips and many free loops (the catalog and ``corpus12``
+are checked in ``test_diagram``), check that it is built only behind the
+crossing cap, and record that the loops which only count circles no
+longer trace them.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+from conftest import circle_count_by_union_find
+
+from exkh.diagram import Diagram, parse_pd
+from exkh.errors import CapExceeded
+from exkh.extreme import extreme_via_brute
+from exkh.families import thick_family
+from exkh.khovanov import (
+    DEFAULT_CROSSING_CAP,
+    enumerate_enhanced,
+    j_bounds,
+    kauffman_bracket,
+    khovanov_cohomology,
+    khovanov_complex,
+    scanned_j_range,
+)
+
+TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+
+
+def _fresh(d: Diagram) -> Diagram:
+    """The same diagram with none of its caches filled."""
+    return Diagram(d.crossings, d.signs, d.free_loops)
+
+
+def _assert_counts_match(d: Diagram) -> None:
+    counts = d._circle_counts
+    assert len(counts) == 1 << d.crossing_count
+    for bits, m in enumerate(counts):
+        m += d.free_loops
+        assert m == circle_count_by_union_find(d, bits), (d.to_pd(), bits)
+        assert m == len(d._resolve_bits(bits)), (d.to_pd(), bits)
+
+
+def test_counts_match_on_a_diagram_with_count_preserving_flips():
+    d = thick_family(1)
+    assert d.crossing_count == 15
+    counts = d._circle_counts
+    # Flips that keep the count occur only in virtual diagrams; this one
+    # has them, so the walk's third case is exercised.
+    assert any(
+        counts[bits] == counts[bits ^ 1 << x]
+        for bits in range(0, 1 << 15, 97)
+        for x in range(15)
+    )
+    _assert_counts_match(d)
+
+
+def test_free_loops_stay_out_of_the_array():
+    d = parse_pd(TREFOIL + " U" * 300)
+    assert d.free_loops == 300
+    assert max(d._circle_counts) <= 2 * d.crossing_count
+    _assert_counts_match(d)
+
+
+def test_crossingless_diagram_has_one_empty_smoothing():
+    d = Diagram.unknot(3)
+    assert d._circle_counts == bytearray([0])
+    assert scanned_j_range(d) == (-3, 3)
+
+
+def test_j_bounds_reaches_past_the_cap_without_the_array():
+    d = thick_family(3)
+    assert d.crossing_count == 49 > DEFAULT_CROSSING_CAP
+    j_bounds(d)
+    assert "_circle_counts" not in d.__dict__
+
+
+@pytest.mark.parametrize(
+    "count_loop",
+    [
+        scanned_j_range,
+        kauffman_bracket,
+        enumerate_enhanced,
+        khovanov_cohomology,
+        lambda d: khovanov_complex(d, 0),
+    ],
+)
+def test_count_loops_check_the_cap_before_building_the_array(count_loop):
+    d = thick_family(2)
+    with pytest.raises(CapExceeded):
+        count_loop(d)
+    assert "_circle_counts" not in d.__dict__
+
+
+def _recording(monkeypatch):
+    """Patch the tracer so that every call records its bits."""
+    traced: list[int] = []
+    tracer = Diagram._resolve_bits
+
+    def recording(self, bits):
+        traced.append(bits)
+        return tracer(self, bits)
+
+    monkeypatch.setattr(Diagram, "_resolve_bits", recording)
+    return traced
+
+
+def test_count_only_loops_trace_no_circles(monkeypatch, corpus12):
+    d = _fresh(next(d for d in corpus12 if d.crossing_count == 12))
+    traced = _recording(monkeypatch)
+    scanned_j_range(d)
+    kauffman_bracket(d)
+    assert traced == []
+
+
+def test_brute_row_traces_only_its_own_smoothings(monkeypatch, corpus12):
+    d = _fresh(next(d for d in corpus12 if d.crossing_count == 12))
+    c = d.crossing_count
+    w, n = d.writhe, d.negative_count
+    j_min = c - 3 * n - circle_count_by_union_find(d, 0)
+    # A smoothing holds a j_min state exactly when its all-minus
+    # enhancement sits there, since j >= w + i - m on every enhancement.
+    row = {
+        bits
+        for bits in range(1 << c)
+        if w + bits.bit_count() - n - circle_count_by_union_find(d, bits) == j_min
+    }
+    traced = _recording(monkeypatch)
+    extreme_via_brute(d)
+    # j_bounds also reads the all-B smoothing, for j_max.
+    assert set(traced) - {(1 << c) - 1} <= row
+    assert len(row) < (1 << c) // 4
+
+
+def test_bracket_and_scan_leave_the_diagram_small():
+    d = thick_family(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bracket = kauffman_bracket(d, max_crossings=16)
+        span = scanned_j_range(d, max_crossings=16)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not bracket.is_zero and span[0] < span[1]
+    assert held < 1 << 20

@@ -1,6 +1,9 @@
-"""The package traces circles in one place, Diagram._resolve_bits.
+"""One tracer for circles, one count array for counts.
 
-A second tracer would need the port pairing ``_arc_partner``; only the
+Diagram._resolve_bits is the only producer of canonical circles, and
+Diagram._circle_counts the only source of circle counts for the loops that
+need nothing else.  Both live in the diagram module; a second tracer
+elsewhere would need the port pairing ``_arc_partner``, so only the
 diagram module may read it.
 """
 
@@ -21,3 +24,37 @@ def test_arc_partner_is_read_only_in_the_diagram_module():
         )
     assert any(r.startswith("diagram.py:") for r in readers)
     assert [r for r in readers if not r.startswith("diagram.py:")] == []
+
+
+def _is_len_of_trace(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Attribute)
+        and node.args[0].func.attr == "_resolve_bits"
+    )
+
+
+def test_state_loops_count_circles_from_the_array():
+    # s_min_states loops over the faces of X_D, which reach past the
+    # crossing cap, so it cannot build the 2^c array; adjacent checks its
+    # two states against the circles it is about to compare.
+    allowed = {"s_min_states", "adjacent"}
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    offenders = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name in allowed:
+                continue
+            offenders.update(
+                f"{path.name}:{node.lineno}"
+                for loop in ast.walk(func)
+                if isinstance(loop, loops)
+                for node in ast.walk(loop)
+                if _is_len_of_trace(node)
+            )
+    assert offenders == set()

@@ -1,12 +1,14 @@
 """Abstract simplicial complexes and exact integer (co)homology.
 
-Complexes are stored by ground set and maximal faces; the full face list is
-expanded on demand under a cap.  Two degenerate complexes are kept distinct:
-the *void* complex has no faces at all, while the *empty* complex has the
-single face {}.  All homology here is reduced, computed from the augmented
-(co)chain complex in which the empty face generates degree -1; with that
-convention the empty complex has one unit of (co)homology in degree -1 and
-combinatorial Alexander duality
+A complex is given by ground set and maximal faces, and carries its faces
+as int bitmasks over ground positions (bit k is ground[k]), one list per
+size; a complex made from maximal faces enumerates them on first use, under
+a cap.  Two degenerate complexes are kept distinct: the *void* complex has
+no faces at all, while the *empty* complex has the single face {}.  All
+homology here is reduced, computed from the augmented (co)chain complex in
+which the empty face generates degree -1; with that convention the empty
+complex has one unit of (co)homology in degree -1 and combinatorial
+Alexander duality
 
     H~_i(X)  ~=  H~^{n-i-3}(dual(X)),        n = |ground|,
 
@@ -15,11 +17,12 @@ holds on the nose in every degree, void and empty cases included.
 How complexes are built.  Independence complexes, Jonsson complexes, the
 duals of Jonsson complexes (read straight off the neighbourhoods) and
 Alexander duals are families closed under subsets, and one enumerator
-builds them all: it grows each face by later vertices of the ground order
-while a per-construction test admits them, and past the face cap it raises
-CapExceeded naming its stage.  In such a family a face is maximal exactly
-when no one-vertex extension of it is a face, so no pairwise comparison of
-faces is needed.
+builds them all, one size at a time: it extends each face of the last size,
+in order, by later vertices of the ground order while a per-construction
+test admits them, so each size comes out in lexicographic order, and past
+the face cap it raises CapExceeded naming its stage.  The same pass checks
+that every facet of a face was built and finds the maximal faces, those
+that are a facet of no larger face.
 
 Cochain conventions.  Faces of each degree are ordered lexicographically by
 ground position.  The coboundary of a face s is
@@ -29,7 +32,8 @@ ground position.  The coboundary of a face s is
 k being the number of vertices of s that come after v in the ground order.
 A map is held as sparse rows, target by source: delta_i has one
 {column: value} dict per (i+1)-face g, read off the boundary of g, where
-dropping its k-th vertex gives the entry (-1)^(|g|-1-k).  No zero is ever
+dropping its k-th vertex (g ^ bit for the k-th set bit of g's mask) gives
+the entry (-1)^(|g|-1-k).  No zero is ever
 stored; a dense matrix exists only as a view for printing and for tests.
 Boundaries are the transposes, whence homology and cohomology share free
 ranks while torsion shifts one degree, as usual.
@@ -62,7 +66,6 @@ from .lando import Graph
 
 DEFAULT_FACE_CAP = 1 << 22
 
-Face = frozenset
 Row = dict  # {column: nonzero int}
 
 
@@ -495,22 +498,21 @@ class SimplicialComplex:
     def from_faces(ground: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
         """Build from an explicit full face list, verifying closure.
 
-        In a family closed under subsets a face is maximal exactly when no
-        one-vertex extension of it is a face, an O(faces * ground) test.
+        The enumerator grows the listed faces and checks their facets; a
+        listed face it does not reach lacks a subset.
         """
         ground = tuple(ground)
-        fs = {frozenset(f) for f in faces}
-        for f in fs:
-            for v in f:
-                if f - {v} not in fs:
-                    raise NotAComplex(
-                        f"face {sorted(f, key=repr)} present but "
-                        f"{sorted(f - {v}, key=repr)} missing"
-                    )
-        maximal = frozenset(
-            f for f in fs if not any(v not in f and f | {v} in fs for v in ground)
+        pos = {v: k for k, v in enumerate(ground)}
+        listed = {_mask(pos, f) for f in faces}
+        if not listed:
+            return SimplicialComplex.void(ground)
+        x = _closed_family(
+            ground, lambda f, k: f | 1 << k in listed, len(listed) + 1, "face list"
         )
-        return SimplicialComplex(ground, maximal)
+        unreached = listed.difference(*x._levels()) if 0 in listed else listed
+        if unreached:
+            raise NotAComplex(f"face {_vertices(ground, min(unreached))} lacks a subset")
+        return x
 
     @staticmethod
     def void(ground: Iterable = ()) -> "SimplicialComplex":
@@ -541,49 +543,42 @@ class SimplicialComplex:
             return None
         return max(len(f) for f in self.maximal) - 1
 
-    def has_face(self, face: Iterable) -> bool:
-        f = frozenset(face)
-        return any(f <= m for m in self.maximal)
+    def _levels(self, cap: int = DEFAULT_FACE_CAP) -> tuple[list[int], ...]:
+        """The face masks, one list per size, each in lexicographic order.
+
+        A builder attaches them; a complex made from maximal faces grows
+        them here, once, while a face lies inside a maximal face.  ``within``
+        holds the maximal faces over each face grown so far, as a bitmask.
+        """
+        levels = self.__dict__.get("_masks", () if self.is_void else None)
+        if levels is None:
+            pos = {v: k for k, v in enumerate(self.ground)}
+            holders = [0] * len(self.ground)  # bit j: maximal face j holds ground[k]
+            for j, m in enumerate(self.maximal):
+                for v in m:
+                    holders[pos[v]] |= 1 << j
+            within = {0: (1 << len(self.maximal)) - 1}
+
+            def admits(f: int, k: int) -> bool:
+                w = within[f] & holders[k]
+                if w:
+                    within[f | 1 << k] = w
+                return w != 0
+
+            x = _closed_family(self.ground, admits, cap, "face enumeration")
+            levels = self.__dict__["_masks"] = x._levels()
+        if sum(map(len, levels)) > cap:
+            raise CapExceeded("face enumeration", cap)
+        return levels
 
     def faces(self, cap: int = DEFAULT_FACE_CAP) -> tuple[tuple, ...]:
-        """Every face, ordered by dimension then lexicographically."""
-        cached = self.__dict__.get("_faces")
-        if cached is None:
-            seen: set = set()
-            stack = list(self.maximal)
-            while stack:
-                f = stack.pop()
-                if f in seen:
-                    continue
-                seen.add(f)
-                if len(seen) > cap:
-                    raise CapExceeded("face enumeration", cap)
-                for v in f:
-                    g = f - {v}
-                    if g not in seen:
-                        stack.append(g)
-            pos = {v: i for i, v in enumerate(self.ground)}
-            cached = tuple(
-                sorted(
-                    (tuple(sorted(f, key=pos.__getitem__)) for f in seen),
-                    key=lambda t: (len(t), tuple(pos[v] for v in t)),
-                )
-            )
-            self.__dict__["_faces"] = cached
-        if len(cached) > cap:
-            raise CapExceeded("face enumeration", cap)
-        return cached
+        """Every face as a tuple of ground vertices, ordered by dimension
+        then lexicographically, as the cochain bases are."""
+        return tuple(itertools.chain(*_named(self.ground, self._levels(cap))))
 
     def f_vector(self, cap: int = DEFAULT_FACE_CAP) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); (0,) for the void complex."""
-        if self.is_void:
-            return (0,)
-        fs = self.faces(cap)
-        top = max(len(f) for f in fs)
-        counts = [0] * (top + 1)
-        for f in fs:
-            counts[len(f)] += 1
-        return tuple(counts)
+        return tuple(map(len, self._levels(cap))) or (0,)
 
     # ---- serialisation ----
 
@@ -610,24 +605,26 @@ class SimplicialComplex:
 def coboundary_complex(
     x: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
 ) -> ChainComplex:
-    """The reduced simplicial cochain complex of x with lex-ordered bases."""
-    if x.is_void:
-        return ChainComplex(bases={}, rows={})
-    by_dim: dict[int, list[tuple]] = {}
-    for f in x.faces(cap):
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    bases = {d: tuple(fs) for d, fs in by_dim.items()}
+    """The reduced simplicial cochain complex of x with lex-ordered bases,
+    read off x's face masks in the order they were enumerated."""
+    levels = x._levels(cap)
+    bases = {d - 1: fs for d, fs in enumerate(_named(x.ground, levels))}
     rows: dict[int, tuple[Row, ...]] = {}
-    for d in range(-1, max(bases)):
-        index = {f: i for i, f in enumerate(bases[d])}
-        # g minus its k-th vertex, which has len(g) - 1 - k vertices after it
-        rows[d] = tuple(
-            {
-                index[g[:k] + g[k + 1:]]: -1 if (len(g) - 1 - k) % 2 else 1
-                for k in range(len(g))
-            }
-            for g in bases[d + 1]
-        )
+    for d in range(1, len(levels)):
+        index = {f: i for i, f in enumerate(levels[d - 1])}
+        maps = []
+        for g in levels[d]:
+            # dropping the lowest vertex leaves |g| - 1 vertices after it
+            sign = 1 if g.bit_count() & 1 else -1
+            row = {}
+            rest = g
+            while rest:
+                bit = rest & -rest
+                row[index[g ^ bit]] = sign
+                sign = -sign
+                rest ^= bit
+            maps.append(row)
+        rows[d - 2] = tuple(maps)
     return ChainComplex(bases=bases, rows=rows)
 
 
@@ -654,39 +651,96 @@ def cohomology_of(
 # --------------------------------------------------------------------------
 
 
+def _mask(pos: dict, vertices: Iterable) -> int:
+    """The bitmask of some vertices, given each vertex's bit position."""
+    try:
+        return sum(1 << pos[v] for v in set(vertices))
+    except KeyError:
+        raise ValueError(f"face {sorted(vertices, key=repr)} not inside ground") from None
+
+
+def _vertices(ground: Sequence, mask: int) -> list:
+    return [v for k, v in enumerate(ground) if mask >> k & 1]
+
+
+def _named(ground: Sequence, levels: Sequence[list[int]]) -> list[tuple[tuple, ...]]:
+    """Each level of face masks as tuples of ground vertices, in order.
+
+    A face is its parent, the face without its top vertex, plus that vertex.
+    """
+    out = []
+    names: dict[int, tuple] = {}
+    for level in levels:
+        parents, names = names, {}
+        for g in level:
+            top = g.bit_length() - 1
+            names[g] = parents[g ^ 1 << top] + (ground[top],) if g else ()
+        out.append(tuple(names.values()))
+    return out
+
+
 def _closed_family(
     ground: Sequence,
-    admits: Callable[[frozenset, Hashable], bool],
+    admits: Callable[[int, int], bool],
     cap: int,
     stage: str,
 ) -> SimplicialComplex:
     """The complex of faces reached from {} by admitted one-vertex steps.
 
-    A face f grows by a later vertex v of ``ground`` while ``admits(f, v)``
-    holds, so each face is reached once, along its vertices in ground
-    order.  ``admits`` must describe a family closed under subsets; more
-    than ``cap`` faces raise CapExceeded naming ``stage``.
+    Faces are bitmasks over ground positions, built one size at a time:
+    each face f of the last size, in order, grows by each later position k,
+    ascending, for which ``admits(f, k)`` holds.  So each face is built
+    once and each size comes out in lexicographic order.  The cap counts
+    faces as they are built, the empty face included; face ``cap + 1``
+    raises CapExceeded naming ``stage``.  ``admits`` must describe a family
+    closed under subsets: a face with a facet missing one size down raises
+    NotAComplex, and a face that is a facet of no face one size up is
+    maximal.
     """
-    faces = [frozenset()]
-    stack = [(faces[0], 0)]
-    while stack:
-        f, start = stack.pop()
-        for k in range(start, len(ground)):
-            v = ground[k]
-            if admits(f, v):
-                g = f | {v}
-                faces.append(g)
-                if len(faces) > cap:
-                    raise CapExceeded(stage, cap)
-                stack.append((g, k + 1))
-    return SimplicialComplex.from_faces(ground, faces)
+    ground = tuple(ground)
+    n = len(ground)
+    count = 1  # the empty face
+    if count > cap:
+        raise CapExceeded(stage, cap)
+    levels = [[0]]
+    maximal = []
+    while True:
+        below = levels[-1]
+        level = []
+        for f in below:
+            for k in range(f.bit_length(), n):
+                if admits(f, k):
+                    count += 1
+                    if count > cap:
+                        raise CapExceeded(stage, cap)
+                    level.append(f | 1 << k)
+        facets = set()
+        for g in level:
+            rest = g
+            while rest:
+                bit = rest & -rest
+                facets.add(g ^ bit)
+                rest ^= bit
+        missing = facets.difference(below)
+        if missing:
+            raise NotAComplex(f"{_vertices(ground, min(missing))} missing under a face")
+        maximal.extend(f for f in below if f not in facets)
+        if not level:
+            break
+        levels.append(level)
+    x = SimplicialComplex(
+        ground, frozenset(frozenset(_vertices(ground, m)) for m in maximal)
+    )
+    x.__dict__["_masks"] = tuple(levels)
+    return x
 
 
 def independence_complex(g: Graph, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """The complex of independent vertex sets of a graph."""
-    adj = g.adjacency
+    pos = {v: k for k, v in enumerate(g.vertices)}
+    adj = [_mask(pos, g.adjacency[v]) for v in g.vertices]
     return _closed_family(
-        g.vertices, lambda f, v: not adj[v] & f, cap, "independent set enumeration"
+        g.vertices, lambda f, k: not adj[k] & f, cap, "independent set enumeration"
     )
 
 
@@ -694,12 +748,15 @@ def alexander_dual(
     x: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
 ) -> SimplicialComplex:
     """Faces of the dual are complements of non-faces of x, same ground."""
-    full = frozenset(x.ground)
-    if x.has_face(full):
+    if frozenset(x.ground) in x.maximal:
         return SimplicialComplex.void(x.ground)
+    pos = {v: k for k, v in enumerate(x.ground)}
+    tops = [_mask(pos, m) for m in x.maximal]
+    full = (1 << len(x.ground)) - 1
+    # f + {v} is a face when its complement lies in no maximal face of x
     return _closed_family(
         x.ground,
-        lambda f, v: not x.has_face(full - f - {v}),
+        lambda f, k: not any(m | full ^ f ^ 1 << k == m for m in tops),
         cap,
         "dual face enumeration",
     )
@@ -776,11 +833,13 @@ def jonsson_complex(
     is homotopy equivalent to the independence complex of the graph.
     """
     v_side, w_side = _bipartition(g, part_v)
-    adj = g.adjacency
-    # f + {v} is a face when some w of the other side misses both
+    pos = {v: k for k, v in enumerate(v_side)}
+    hoods = [_mask(pos, g.adjacency[w]) for w in w_side]
+    # f + {v} is a face when the neighbourhood of some w of the other side
+    # misses both
     return _closed_family(
         v_side,
-        lambda f, v: any(v not in adj[w] and not adj[w] & f for w in w_side),
+        lambda f, k: any(not h & (f | 1 << k) for h in hoods),
         cap,
         "Jonsson face enumeration",
     )
@@ -801,13 +860,17 @@ def jonsson_dual(
     if any(not adj[w] for w in w_side):
         return SimplicialComplex.void(v_side)
     # f + {v} is a face unless it swallows N(w) for some w next to v
-    rest = {v: [adj[w] - {v} for w in adj[v]] for v in v_side}
-    return _closed_family(
-        v_side,
-        lambda f, v: not any(r <= f for r in rest[v]),
-        cap,
-        "Y_D face enumeration",
-    )
+    pos = {v: k for k, v in enumerate(v_side)}
+    hood = {w: _mask(pos, adj[w]) for w in w_side}
+    rest = [[hood[w] ^ 1 << k for w in adj[v]] for k, v in enumerate(v_side)]
+
+    def admits(f: int, k: int) -> bool:
+        for r in rest[k]:
+            if r & f == r:
+                return False
+        return True
+
+    return _closed_family(v_side, admits, cap, "Y_D face enumeration")
 
 
 def bipartite_from_complex(x: SimplicialComplex) -> Graph:

@@ -87,18 +87,41 @@ def random_graph(rng: random.Random, max_vertices: int = 9) -> Graph:
 # --------------------------------------------------------------------------
 
 
+def subsets_by_enumeration(ground, keep) -> list[tuple]:
+    """Every subset of ``ground`` that ``keep`` accepts as a frozenset, in
+    the order combinations yield them: by size, then lexicographically."""
+    return [
+        combo
+        for r in range(len(ground) + 1)
+        for combo in itertools.combinations(ground, r)
+        if keep(frozenset(combo))
+    ]
+
+
 def independent_sets_by_enumeration(g: Graph) -> list[tuple]:
     """Every independent set, empty set included, by brute subsets."""
-    out = []
-    vs = g.vertices
-    for r in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, r):
-            if all(
-                frozenset((a, b)) not in g.edges
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                out.append(combo)
-    return out
+    return subsets_by_enumeration(
+        g.vertices,
+        lambda s: all(
+            frozenset(pair) not in g.edges for pair in itertools.combinations(s, 2)
+        ),
+    )
+
+
+def maximal_by_enumeration(ground, faces) -> frozenset:
+    """The faces of a subset-closed list that no one-vertex extension of
+    stays in the list."""
+    fs = {frozenset(f) for f in faces}
+    return frozenset(
+        f for f in fs if not any(v not in f and f | {v} in fs for v in ground)
+    )
+
+
+def bipartite_part(g: Graph) -> tuple[Graph, list]:
+    """The graph minus its edges between two even or two odd vertices, with
+    the even vertices as the side V; vertices are the ints of random_graph."""
+    edges = [e for e in g.edges if sum(v % 2 for v in e) == 1]
+    return Graph.build(g.vertices, edges), [v for v in g.vertices if v % 2 == 0]
 
 
 def invariant_factors_by_minors(matrix) -> tuple[int, ...]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from exkh.families import catalog_diagram, split_union, thick_family
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
 HEXAGON_MIRROR = catalog_diagram("hexagon_link").mirror().to_pd()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -386,6 +391,25 @@ def test_unknown_input_is_an_error(capsys):
     code, _, err = run(["parse", "not a diagram"], capsys)
     assert code == 1
     assert "catalog entries" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "exkh", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    ok = module("extreme", TREFOIL)
+    assert ok.returncode == 0, ok.stderr
+    assert "agreement: OK" in ok.stdout
+    bad = module("extreme", "X(1,2,3)")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error:")
+    assert "Traceback" not in bad.stderr
 
 
 def test_cap_exceeded_exit_code(capsys):

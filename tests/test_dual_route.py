@@ -89,6 +89,7 @@ def test_direct_dual_matches_dual_of_jonsson():
         got = jonsson_dual(g, part_v)
         assert got.ground == want.ground, (g, part_v)
         assert got.maximal == want.maximal, (g, part_v)
+        assert got.faces() == want.faces(), (g, part_v)
         adj = g.adjacency
         kinds["void"] += got.is_void
         kinds["empty V"] += not part_v
@@ -160,6 +161,46 @@ def test_dual_route_builds_no_jonsson_complex_and_no_fold(monkeypatch, corpus12)
             extreme_via_dual(d, "Z")
     assert not calls
     assert built and max(built) <= 12
+
+
+def test_routes_enumerate_each_complex_once_and_never_from_a_face_list(
+    monkeypatch, corpus12
+):
+    # the builders attach their face masks, and coboundary_complex reads them
+    def no_face_list(*args, **kwargs):
+        raise AssertionError("from_faces called on a route")
+
+    monkeypatch.setattr(
+        simplicial.SimplicialComplex, "from_faces", staticmethod(no_face_list)
+    )
+    enumerated, built = [], []
+
+    def counting_family(*args):
+        enumerated.append(args[-1])
+        return closed_family(*args)
+
+    def counting(build):
+        def stand_in(*args):
+            x = build(*args)
+            if not x.is_void:  # a void Y_k is answered without enumerating
+                built.append(build.__name__)
+            return x
+        return stand_in
+
+    closed_family = simplicial._closed_family
+    monkeypatch.setattr(simplicial, "_closed_family", counting_family)
+    for build in (simplicial.independence_complex, jonsson_dual):
+        monkeypatch.setattr(extreme, build.__name__, counting(build))
+    for d in corpus12[:60]:
+        brute = extreme.extreme_via_brute(d, "Z").groups
+        assert extreme_via_lando(d, "Z").groups == brute, d.to_pd()
+        assert extreme_via_dual(d, "Z").groups == brute, d.to_pd()
+    row = extreme_via_lando(thick_family(3), "Z").groups
+    lo = min(row)
+    assert row == {lo + k: Z(comb(3, k)) for k in range(4)}
+    assert extreme_via_dual(thick_family(3), "Z").groups == row
+    assert len(enumerated) == len(built) > 30
+    assert {"independence_complex", "jonsson_dual"} <= set(built)
 
 
 def test_thick_family_six_builds_components_only():

@@ -3,18 +3,23 @@ import random
 import pytest
 
 from conftest import (
+    bipartite_part,
     faces_by_product,
     independent_sets_by_enumeration,
     invariant_factors_by_minors,
+    maximal_by_enumeration,
     random_complex,
     random_graph,
+    subsets_by_enumeration,
 )
 from exkh.errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
 from exkh.lando import Graph, cycle_graph, isomorphic, two_hexagons_shared_vertex
 from exkh.simplicial import (
     AbelianGroup,
     ChainComplex,
+    DEFAULT_FACE_CAP,
     SimplicialComplex,
+    _closed_family,
     _snf_dense,
     alexander_dual,
     bipartite_from_complex,
@@ -27,6 +32,7 @@ from exkh.simplicial import (
     join,
     join_homology,
     jonsson_complex,
+    jonsson_dual,
     parse_ring,
     rank_mod_p,
     smith_normal_form,
@@ -172,12 +178,41 @@ def test_from_faces_rebuilds_every_corpus_complex(complex_corpus):
 
 
 def test_independence_complex_matches_subset_enumeration():
+    # the enumerator's faces come out in the cochain order, with nothing
+    # sorted: by size, then lexicographically, as combinations yield them
     rng = random.Random(9)
-    for _ in range(40):
+    for _ in range(200):
         g = random_graph(rng)
-        assert independence_complex(g) == SimplicialComplex.from_maximal(
-            g.vertices, independent_sets_by_enumeration(g)
-        )
+        want = independent_sets_by_enumeration(g)
+        x = independence_complex(g)
+        assert x.faces() == tuple(want), g
+        assert x.maximal == maximal_by_enumeration(g.vertices, want), g
+        assert x == SimplicialComplex.from_maximal(g.vertices, want)
+
+
+def test_jonsson_builders_match_subset_enumeration():
+    rng = random.Random(10)
+    checked = {"Jonsson": 0, "void Y": 0}
+    while checked["Jonsson"] < 200:
+        g, part_v = bipartite_part(random_graph(rng))
+        hoods = [g.adjacency[w] for w in g.vertices if w not in part_v]
+        if not hoods:
+            continue  # no side W
+        checked["Jonsson"] += 1
+        for build, keep in (
+            (jonsson_complex, lambda s: any(not h & s for h in hoods)),
+            (jonsson_dual, lambda s: not any(h <= s for h in hoods)),
+        ):
+            want = subsets_by_enumeration(part_v, keep)
+            x = build(g, part_v)
+            assert x.faces() == tuple(want), (build.__name__, g)
+            assert x.maximal == maximal_by_enumeration(part_v, want), (build.__name__, g)
+        y = jonsson_dual(g, part_v)
+        dual = alexander_dual(jonsson_complex(g, part_v))
+        assert (y.ground, y.maximal) == (dual.ground, dual.maximal)
+        assert y.faces() == dual.faces()
+        checked["void Y"] += y.is_void
+    assert all(checked.values()), checked
 
 
 def test_void_vs_empty():
@@ -483,6 +518,59 @@ def test_independence_complex_respects_cap():
     g = Graph.build(range(20), [])
     with pytest.raises(CapExceeded):
         independence_complex(g, cap=100)
+
+
+def test_every_builder_stops_at_its_cap():
+    rng = random.Random(11)
+    capped = set()
+    for _ in range(30):
+        g, part_v = bipartite_part(random_graph(rng))
+        if len(part_v) == len(g.vertices):
+            continue  # no side W
+        x = independence_complex(g)
+        f_vectors = {  # each within a cap
+            "independent set enumeration": lambda cap: independence_complex(g, cap).f_vector(),
+            "Jonsson face enumeration": lambda cap: jonsson_complex(g, part_v, cap).f_vector(),
+            "Y_D face enumeration": lambda cap: jonsson_dual(g, part_v, cap).f_vector(),
+            "dual face enumeration": lambda cap: alexander_dual(x, cap).f_vector(),
+            # a complex made from maximal faces enumerates them when asked
+            "face enumeration": lambda cap: SimplicialComplex.from_maximal(
+                x.ground, x.maximal
+            ).f_vector(cap),
+        }
+        for stage, build in f_vectors.items():
+            count = sum(build(DEFAULT_FACE_CAP))
+            if not count:
+                continue  # a void complex builds nothing
+            with pytest.raises(CapExceeded, match=stage):
+                build(count - 1)
+            build(count)
+            capped.add(stage)
+    assert len(capped) == 5, capped
+
+
+def test_capped_enumeration_stops_right_after_the_face_past_the_cap():
+    adj = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]  # the 5-cycle
+    answers = []
+
+    def admits(f, k):
+        answers.append(not adj[k] & f)
+        return answers[-1]
+
+    total = len(_closed_family(range(5), admits, DEFAULT_FACE_CAP, "cycle").faces())
+    assert total == 11
+    for cap in range(1, total):
+        answers.clear()
+        with pytest.raises(CapExceeded, match="cycle"):
+            _closed_family(range(5), admits, cap, "cycle")
+        # the empty face and ``cap`` admitted ones, and not one question more
+        assert answers.count(True) == cap and answers[-1]
+
+
+def test_enumerator_rejects_a_family_not_closed_under_subsets():
+    # {1} is never admitted, but {0, 1} is
+    with pytest.raises(NotAComplex):
+        _closed_family(range(3), lambda f, k: f != 0 or k != 1, DEFAULT_FACE_CAP, "t")
 
 
 def test_jonsson_complex_respects_cap():

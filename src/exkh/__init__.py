@@ -8,7 +8,7 @@ enhanced-state cochain complex and, on a third route, from the Alexander
 dual of a Jonsson complex.
 """
 
-from .diagram import Chord, Diagram, ResolvedState, State, parse_pd, pd_hash
+from .diagram import Diagram, ResolvedState, State, parse_pd, pd_hash
 from .errors import (
     ArcLabelNotPairedTwice,
     CapExceeded,
@@ -20,6 +20,7 @@ from .errors import (
     ExkhError,
     InconsistentOrientation,
     MalformedTuple,
+    NonPlanarDiagram,
     NotAComplex,
     NotBipartition,
     SameComponent,

@@ -270,6 +270,11 @@ def _cmd_extreme(args) -> int:
     d = _load_diagram(args.input, args.orient)
     if args.side == "max" or args.method != "both":
         if args.side == "max":
+            if args.method in ("brute", "dual"):
+                raise ExkhError(
+                    f"--side max has only the mirror's lando route; "
+                    f"--method {args.method} applies to the bottom row"
+                )
             row = extreme_jmax(d, args.ring, args.max_faces)
         else:
             row = extreme_row(
@@ -496,7 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
         "extreme", help="extreme cohomology row by two independent routes"
     )
     _common(p)
-    p.add_argument("--side", choices=("min", "max"), default="min")
+    p.add_argument(
+        "--side", choices=("min", "max"), default="min",
+        help="'max' is the top row, from the mirror's lando route only",
+    )
     p.add_argument(
         "--method",
         choices=("both", "lando", "brute", "dual"),

@@ -84,21 +84,16 @@ class State:
 
 
 @dataclass(frozen=True)
-class Chord:
-    """The trace of one smoothed crossing on the resolved circles."""
-
-    crossing: int
-    label: str
-    endpoints: tuple[Endpoint, Endpoint]
-
-
-@dataclass(frozen=True)
 class ResolvedState:
-    """Circles and chords left after smoothing every crossing of a state."""
+    """The circles left after smoothing every crossing of a state.
+
+    Crossing ci leaves a chord between its endpoints ``(ci, 0)`` and
+    ``(ci, 1)`` on these circles; ``to_json`` lists the chords from the
+    state's labels.
+    """
 
     state: State
     circles: tuple[tuple[Endpoint, ...], ...]
-    chords: tuple[Chord, ...]
 
     @property
     def circle_count(self) -> int:
@@ -116,12 +111,8 @@ class ResolvedState:
                 "state": list(self.state.labels),
                 "circles": [[list(e) for e in circle] for circle in self.circles],
                 "chords": [
-                    {
-                        "crossing": ch.crossing,
-                        "label": ch.label,
-                        "endpoints": [list(e) for e in ch.endpoints],
-                    }
-                    for ch in self.chords
+                    {"crossing": ci, "label": label, "endpoints": [[ci, 0], [ci, 1]]}
+                    for ci, label in enumerate(self.state.labels)
                 ],
             }
         )
@@ -191,6 +182,40 @@ class Diagram:
             partner[p] = q
             partner[q] = p
         return partner
+
+    @cached_property
+    def is_planar(self) -> bool:
+        """Whether the projection, with the crossings' rotations, is planar.
+
+        Faces are traced port by port: from port p along its arc to
+        q = partner[p], then on to the next slot counterclockwise at q's
+        crossing.  With c crossings, 2c edges and k connected pieces, Euler's
+        formula makes the projection planar exactly when it has c + 2k
+        faces; a virtual diagram has fewer.  Free loops change neither side.
+        """
+        partner = self._arc_partner
+        c = len(self.crossings)
+        seen = [False] * (4 * c)
+        faces = 0
+        for start in range(4 * c):
+            if not seen[start]:
+                faces += 1
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    q = partner[p]
+                    p = (q & ~3) | ((q + 1) & 3)
+        root = list(range(c))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for p, q in partner.items():
+            root[find(p >> 2)] = find(q >> 2)
+        pieces = sum(root[x] == x for x in range(c))
+        return faces == c + 2 * pieces
 
     @cached_property
     def _strands(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
@@ -281,12 +306,7 @@ class Diagram:
         """
         if len(state.labels) != self.crossing_count:
             raise ValueError("state length does not match crossing count")
-        circles = self._resolve_bits(state.bits)
-        chords = tuple(
-            Chord(ci, state.labels[ci], ((ci, 0), (ci, 1)))
-            for ci in range(self.crossing_count)
-        )
-        return ResolvedState(state=state, circles=circles, chords=chords)
+        return ResolvedState(state=state, circles=self._resolve_bits(state.bits))
 
     @cached_property
     def _endpoints(self) -> tuple[Endpoint, ...]:

@@ -27,6 +27,10 @@ class EmptyDiagram(DiagramError):
     """The input contains no crossings and no loop markers."""
 
 
+class NonPlanarDiagram(DiagramError):
+    """The crossings' rotations do not embed the projection in the plane."""
+
+
 class CapExceeded(ExkhError, RuntimeError):
     """An enumeration grew past its configured bound.
 

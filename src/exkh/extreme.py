@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagram import A, B, Diagram, State
-from .errors import EmptyPartW
+from .errors import EmptyPartW, NonPlanarDiagram
 from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, _j_rows, j_bounds
 from .lando import Graph, build_lando, fold_graph, is_complete_bipartite
 from .simplicial import (
@@ -266,10 +266,16 @@ def extreme_jmax(
     """The j_max row of a diagram, from the lando row of its mirror.
 
     The mirror's degrees are negated and its torsion moves up one degree
-    (Khovanov's duality, which holds for planar diagrams).  Over a field
-    there is no torsion to move, so one path serves every ring; ``cap``
-    bounds the mirror's complexes.
+    (Khovanov's duality).  Over a field there is no torsion to move, so
+    one path serves every ring; ``cap`` bounds the mirror's complexes.
+
+    Raises NonPlanarDiagram on a virtual diagram, where the duality fails.
     """
+    if not d.is_planar:
+        raise NonPlanarDiagram(
+            "the j_max row comes from Khovanov duality, which needs a planar "
+            "diagram; this one does not embed in the plane"
+        )
     _, j_max = j_bounds(d)
     row = extreme_via_lando(d.mirror(), ring, cap)
     groups = shift_torsion({-i: grp for i, grp in row.groups.items()}, 1)

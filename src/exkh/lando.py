@@ -156,26 +156,26 @@ class Graph:
 
 
 def build_lando(source: Diagram | ResolvedState) -> Graph:
-    """Lando graph of a diagram's all-A state (or of a given resolution).
+    """Lando graph of a diagram's all-A state, or of a given resolution.
 
-    Vertices are the crossing indices of the admissible chords, in crossing
-    order.
+    The circles come straight from the circle tracer (``_resolve_bits(0)``)
+    or from ``source.circles``.  Crossing ci is a vertex when its chord
+    endpoints ``(ci, 0)`` and ``(ci, 1)`` lie on one circle; vertices come
+    in crossing order.  Free loops carry no chord.
     """
-    if isinstance(source, Diagram):
-        resolved = source.resolve(source.all_a_state())
-    else:
-        resolved = source
-    position: dict = {}
-    for k, circle in enumerate(resolved.circles):
-        for pos, endpoint in enumerate(circle):
-            position[endpoint] = (k, pos)
-    vertices = []
-    chord_span: dict[int, tuple[int, int, int]] = {}
-    for chord in resolved.chords:
-        (c1, p1), (c2, p2) = (position[e] for e in chord.endpoints)
-        if c1 == c2:
-            vertices.append(chord.crossing)
-            chord_span[chord.crossing] = (c1, min(p1, p2), max(p1, p2))
+    circles = source._resolve_bits(0) if isinstance(source, Diagram) else source.circles
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for k, circle in enumerate(circles):
+        for pos, (ci, _) in enumerate(circle):
+            if ci >= 0:  # (-k, 0) marks a free loop
+                ends.setdefault(ci, []).append((k, pos))
+    # chord_span[ci] = (circle, lower position, higher position)
+    chord_span = {
+        ci: (k1, p1, p2)
+        for ci, ((k1, p1), (k2, p2)) in sorted(ends.items())
+        if k1 == k2
+    }
+    vertices = list(chord_span)
     edges = []
     for u, v in itertools.combinations(vertices, 2):
         cu, lo_u, hi_u = chord_span[u]

@@ -110,6 +110,28 @@ def test_extreme_side_max(capsys):
     assert out.strip() == "j=-1: i=0: Z"
 
 
+@pytest.mark.parametrize("method", ["brute", "dual"])
+def test_extreme_side_max_has_only_the_mirror_route(capsys, method):
+    code, out, err = run(["extreme", TREFOIL, "--side", "max", "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--side max has only the mirror's lando route" in err
+    assert f"--method {method}" in err
+
+
+def test_extreme_side_max_accepts_the_lando_method(capsys):
+    code, out, _ = run(["extreme", TREFOIL, "--side", "max", "--method", "lando"], capsys)
+    assert code == 0
+    assert out.strip() == "j=-1: i=0: Z"
+
+
+def test_extreme_side_max_refuses_a_virtual_diagram(capsys):
+    code, out, err = run(["extreme", "--side", "max", thick_family(1).to_pd()], capsys)
+    assert code == 1
+    assert out == ""
+    assert "planar" in err and "Traceback" not in err
+
+
 def test_extreme_json(capsys):
     code, out, _ = run(["extreme", "hexagon_link", "--format", "json"], capsys)
     assert code == 0

@@ -10,7 +10,7 @@ from exkh.errors import (
     InconsistentOrientation,
     MalformedTuple,
 )
-from exkh.families import load_catalog
+from exkh.families import load_catalog, split_union, thick_family
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -204,3 +204,32 @@ def test_tracer_counts_circles_like_union_find(corpus12):
             m = circle_count_by_union_find(d, bits)
             assert len(d._resolve_bits(bits)) == m, (d.to_pd(), bits)
             assert counts[bits] + d.free_loops == m, (d.to_pd(), bits)
+
+
+def test_resolved_state_json_lists_one_chord_per_crossing():
+    d = parse_pd(FIG8)
+    rs = d.resolve(State((A, B, B, A)))
+    assert json.loads(rs.to_json())["chords"] == [
+        {"crossing": ci, "label": label, "endpoints": [[ci, 0], [ci, 1]]}
+        for ci, label in enumerate("ABBA")
+    ]
+
+
+def test_planar_diagrams_pass_the_face_count(corpus12):
+    catalog = [e.diagram() for e in load_catalog().values()]
+    for d in catalog + list(corpus12):
+        assert d.is_planar, d.to_pd()
+    assert split_union(*catalog).is_planar
+    assert split_union(catalog[0], Diagram.unknot(2)).is_planar
+    assert parse_pd(TREFOIL).mirror().is_planar
+    assert Diagram.unknot(3).is_planar
+
+
+def test_virtual_diagrams_fail_the_face_count():
+    # a one-component two-crossing diagram whose rotations close up only on
+    # a torus: 2 faces, where a planar one needs 4
+    d = parse_pd("X(1,2,3,4) X(3,1,4,2)")
+    assert len(d.components) == 1
+    assert not d.is_planar
+    for n in (1, 2, 3):
+        assert not thick_family(n).is_planar

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import independent_sets_by_enumeration, random_graph
-from exkh.diagram import parse_pd
+from exkh.diagram import Diagram, ResolvedState, parse_pd
 from exkh.errors import CapExceeded
+from exkh.families import catalog_diagram
 from exkh.lando import (
     Graph,
     build_lando,
@@ -94,6 +95,37 @@ def test_lando_accepts_resolved_state():
     d = parse_pd(HOPF)
     rs = d.resolve(d.all_a_state())
     assert isomorphic(build_lando(rs), build_lando(d))
+
+
+def test_lando_reads_only_the_all_a_circles(monkeypatch):
+    made, traced = [], []
+    real_init, real_trace = ResolvedState.__init__, Diagram._resolve_bits
+
+    def recording_init(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    def recording_trace(self, bits):
+        traced.append(bits)
+        return real_trace(self, bits)
+
+    def no_resolve(self, state):
+        raise AssertionError("build_lando called Diagram.resolve")
+
+    monkeypatch.setattr(ResolvedState, "__init__", recording_init)
+    monkeypatch.setattr(Diagram, "_resolve_bits", recording_trace)
+    monkeypatch.setattr(Diagram, "resolve", no_resolve)
+    d = parse_pd(catalog_diagram("eleven_crossing").to_pd())
+    g = build_lando(d)
+    assert len(g.vertices) == 11 and len(g.edges) == 12
+    assert made == []
+    assert traced == [0]
+    assert set(d.__dict__["_resolution_cache"]) == {0}
+
+
+def test_lando_of_a_diagram_equals_lando_of_its_all_a_resolution(corpus12):
+    for d in corpus12:
+        assert build_lando(d) == build_lando(d.resolve(d.all_a_state()))
 
 
 def test_lando_graphs_are_bipartite_on_corpus(corpus12):

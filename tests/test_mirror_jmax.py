@@ -11,9 +11,9 @@ import pytest
 
 from exkh import extreme, khovanov
 from exkh.diagram import parse_pd
-from exkh.errors import CapExceeded
+from exkh.errors import CapExceeded, DiagramError, NonPlanarDiagram
 from exkh.extreme import ExtremeRow, extreme_jmax, extreme_via_dual
-from exkh.families import catalog_diagram, load_catalog, split_union
+from exkh.families import catalog_diagram, load_catalog, split_union, thick_family
 from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_cohomology
 from exkh.simplicial import AbelianGroup, cohomology, tensor_group, tor_group
 
@@ -135,3 +135,12 @@ def test_jmax_reaches_past_the_crossing_cap(names):
     assert dual.provenance == "dual"
     want = extreme.shift_torsion({-i: g for i, g in dual.groups.items()}, 1)
     assert row.groups == {i: g for i, g in want.items() if not g.is_trivial}
+
+
+def test_jmax_refuses_a_virtual_diagram():
+    # thick_family(1) is a virtual diagram, where Khovanov duality fails
+    d = thick_family(1)
+    assert not d.is_planar
+    with pytest.raises(NonPlanarDiagram, match="planar"):
+        extreme_jmax(d, "Z")
+    assert issubclass(NonPlanarDiagram, DiagramError)

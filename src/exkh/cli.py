@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .diagram import Diagram, State, parse_pd, pd_hash
+from .diagram import Diagram, State, is_pd_text, parse_pd, pd_hash
 from .errors import CapExceeded, ExkhError
 from .extreme import (
     extreme_jmax,
@@ -120,7 +120,7 @@ def _common(sub: argparse.ArgumentParser, diagram_input: bool = True) -> None:
 def _load_diagram(spec: str, orient: list[str]) -> Diagram:
     if spec == "-":
         d = parse_pd(sys.stdin.read())
-    elif "X(" in spec or spec.strip().replace("U", "").strip() == "":
+    elif is_pd_text(spec):
         d = parse_pd(spec)
     else:
         catalog = load_catalog()

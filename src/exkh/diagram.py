@@ -45,6 +45,8 @@ _TUPLE_RE = re.compile(
     r"[Xx]\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
 )
 
+_LOOP_MARKERS = ("U", "u")  # a crossingless circle in PD text
+
 A = "A"
 B = "B"
 
@@ -487,20 +489,33 @@ class Diagram:
         return Diagram((), (), loops)
 
 
+def _pd_tokens(text: str) -> tuple[list[tuple[int, ...]], list[str]]:
+    """The crossing tuples of PD text, and its other whitespace-separated
+    tokens, which well-formed text holds only as loop markers."""
+    tuples = [tuple(int(g) for g in m.groups()) for m in _TUPLE_RE.finditer(text)]
+    return tuples, _TUPLE_RE.sub(" ", text).split()
+
+
+def is_pd_text(text: str) -> bool:
+    """Whether ``text`` holds a crossing tuple or a loop marker of PD text.
+
+    This tells inline PD from a catalog name or a file path; whether the
+    rest of the text is well formed is for ``parse_pd`` to say.
+    """
+    tuples, tokens = _pd_tokens(text)
+    return bool(tuples) or any(t in _LOOP_MARKERS for t in tokens)
+
+
 def parse_pd(text: str) -> Diagram:
     """Parse PD text into a Diagram.
 
     Raises MalformedTuple, ArcLabelNotPairedTwice, InconsistentOrientation or
     EmptyDiagram on bad input.
     """
-    rest = text
-    tuples: list[tuple[int, int, int, int]] = []
-    for m in _TUPLE_RE.finditer(text):
-        tuples.append(tuple(int(g) for g in m.groups()))
-    rest = _TUPLE_RE.sub(" ", text)
+    tuples, tokens = _pd_tokens(text)
     loops = 0
-    for token in rest.split():
-        if token in ("U", "u"):
+    for token in tokens:
+        if token in _LOOP_MARKERS:
             loops += 1
         else:
             raise MalformedTuple(f"unrecognised token {token!r}")
@@ -511,12 +526,16 @@ def parse_pd(text: str) -> Diagram:
 
     labels = sorted({x for tup in tuples for x in tup})
     relabel = {old: new for new, old in enumerate(labels, start=1)}
-    tuples = [tuple(relabel[x] for x in tup) for tup in tuples]
+    crossings = tuple(tuple(relabel[x] for x in tup) for tup in tuples)
 
-    probe = Diagram(tuple(tuples), (1,) * len(tuples), loops)
+    probe = Diagram(crossings, (1,) * len(crossings), loops)
     _, over_entry = probe._strands  # validates pairing and orientation
-    signs = tuple(1 if over_entry[ci] == 3 else -1 for ci in range(len(tuples)))
-    return Diagram(tuple(tuples), signs, loops)
+    signs = tuple(1 if over_entry[ci] == 3 else -1 for ci in range(len(crossings)))
+    d = Diagram(crossings, signs, loops)
+    # the arcs and strands traced so far depend on the tuples, not the signs
+    for name in ("_arc_ports", "_arc_partner", "_strands"):
+        d.__dict__[name] = probe.__dict__[name]
+    return d
 
 
 def pd_hash(d: Diagram) -> str:

@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagram import A, B, Diagram, State
+from .diagram import Diagram
 from .errors import EmptyPartW, NonPlanarDiagram
-from .khovanov import DEFAULT_CROSSING_CAP, EnhancedState, _j_rows, j_bounds
+from .khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_complex
 from .lando import Graph, build_lando, fold_graph, is_complete_bipartite
 from .simplicial import (
     DEFAULT_FACE_CAP,
@@ -99,26 +99,6 @@ class ExtremeRow:
         return tuple(
             self.groups.get(i, AbelianGroup(0)) for i in range(lo, hi + 1)
         )
-
-
-def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:
-    """The enhanced states realising j = j_min.
-
-    They are exactly the all-minus enhancements of states whose B-labelled
-    crossings form an independent set of the Lando graph; in particular
-    there are as many of them as X_D has faces, the empty face included.
-    """
-    g = build_lando(d)
-    x = independence_complex(g, cap)
-    out: set[EnhancedState] = set()
-    c = d.crossing_count
-    for face in x.faces(cap):
-        chords = set(face)
-        labels = tuple(B if k in chords else A for k in range(c))
-        state = State(labels)
-        m = len(d._resolve_bits(sum(1 << k for k in chords)))
-        out.add(EnhancedState(state, (-1,) * m))
-    return out
 
 
 def _joined_homology(
@@ -186,18 +166,11 @@ def extreme_via_lando(
 def extreme_via_brute(
     d: Diagram, ring: str = "Z", max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> ExtremeRow:
-    """The j_min row from the enhanced-state complex, no geometry involved.
-
-    The row's integer-keyed complex is reduced as built; no EnhancedState
-    is made.
-    """
+    """The j_min row from the enhanced-state complex, no geometry involved."""
     n = d.negative_count
     j_min, _ = j_bounds(d)
-    groups = {
-        i: grp
-        for i, grp in cohomology(_j_rows(d, j_min, max_crossings)[j_min], ring).items()
-        if not grp.is_trivial
-    }
+    cc = khovanov_complex(d, j_min, max_crossings)
+    groups = {i: grp for i, grp in cohomology(cc, ring).items() if not grp.is_trivial}
     return ExtremeRow(j=j_min, groups=groups, provenance="brute", n=n, shift=n - 1)
 
 
@@ -221,21 +194,6 @@ def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
         side1 = [v for v in comp if coloring[v] == 1]
         parts.append((g.subgraph(comp), side0 if len(side0) <= len(side1) else side1))
     return sorted(parts, key=lambda part: len(part[0].vertices))
-
-
-def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
-    """The Alexander dual Y_D of a Jonsson complex of the Lando graph, whole.
-
-    Built straight from the neighbourhoods (``jonsson_dual``): the faces are
-    the subsets of V, the union of the components' sides V_k, that contain
-    no N(w) for w in W.  The dual route itself never builds this whole
-    complex, only its components' Y_k.
-
-    Raises EmptyPartW when W is empty, as it is when the graph has no
-    vertices; the dual route answers that graph with the empty join.
-    """
-    g = build_lando(d)
-    return jonsson_dual(g, [v for _, side in _dual_parts(g) for v in side], cap)
 
 
 def extreme_via_dual(

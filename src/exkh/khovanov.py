@@ -21,12 +21,13 @@ counts the B-labelled crossings of s strictly after the changed one in
 crossing order.  Cohomology of the resulting complex, row by row in j, is
 the Khovanov cohomology of the diagram.
 
-One pass over the 2^c smoothings builds every j-row at once: enhanced
-states are numbered as (B-bits, minus mask) integer pairs, each
-(smoothing, A-crossing) pair is traced once for all rows, and the maps are
-emitted as the sparse rows the reduction kernel takes, never as dense
-matrices.  EnhancedState objects are made only where a caller asks for a
-basis (``khovanov_complex``).
+One pass over the 2^c smoothings builds every j-row at once: an enhanced
+state is keyed as the integer pair (B-bits, mask of minus-signed circles),
+with bit k of the mask the sign of circle k in the order
+``Diagram._resolve_bits`` lists them; each (smoothing, A-crossing) pair is
+traced once for all rows, and the maps are emitted as the sparse rows the
+reduction kernel takes, never as dense matrices.  Every caller, the
+complex of one row included, sees the states in that one keying.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
@@ -45,8 +46,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .diagram import A, B, Diagram, State, pd_hash
-from .errors import CapExceeded, DifferentDiagram, NotAComplex
+from .diagram import Diagram, pd_hash
+from .errors import CapExceeded, NotAComplex
 from .simplicial import (
     AbelianGroup,
     ChainComplex,
@@ -176,122 +177,6 @@ class LaurentPoly:
 
 
 # --------------------------------------------------------------------------
-# enhanced states
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnhancedState:
-    """A smoothing state with a sign on each of its circles.
-
-    ``signs[k]`` belongs to circle k of the canonical resolution of
-    ``state``; the circle order is the one ``Diagram.resolve`` produces.
-    """
-
-    state: State
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e not in (1, -1) for e in self.signs):
-            raise ValueError("circle signs must be +1 or -1")
-
-    @property
-    def tau(self) -> int:
-        return sum(self.signs)
-
-
-def state_i(d: Diagram, s: State | EnhancedState) -> int:
-    labels = s.labels if isinstance(s, State) else s.state.labels
-    if len(labels) != d.crossing_count:
-        raise DifferentDiagram("state length does not match the diagram")
-    sigma = labels.count(A) - labels.count(B)
-    return (d.writhe - sigma) // 2
-
-
-def state_j(d: Diagram, s: EnhancedState) -> int:
-    return d.writhe + state_i(d, s) + s.tau
-
-
-def enumerate_enhanced(
-    d: Diagram, max_crossings: int = DEFAULT_CROSSING_CAP
-) -> dict[tuple[int, int], tuple[EnhancedState, ...]]:
-    """All enhanced states, grouped by bidegree (i, j).
-
-    The total count is sum over states of 2^(number of circles), so this is
-    only for small diagrams; the cap guards against runaway requests.
-    """
-    _check_crossing_cap(d, max_crossings)
-    c = d.crossing_count
-    w = d.writhe
-    n = d.negative_count
-    loops = d.free_loops
-    out: dict[tuple[int, int], list[EnhancedState]] = {}
-    for bits, m in enumerate(d._circle_counts):
-        state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-        i = bits.bit_count() - n
-        for signs in itertools.product((1, -1), repeat=m + loops):
-            es = EnhancedState(state, signs)
-            j = w + i + sum(signs)
-            out.setdefault((i, j), []).append(es)
-    return {key: tuple(v) for key, v in sorted(out.items())}
-
-
-def _transition_sign(
-    d: Diagram, s: EnhancedState, t: EnhancedState, x: int
-) -> int:
-    """Incidence of s -> t when t flips crossing x from A to B, else 0."""
-    sc = d._resolve_bits(s.state.bits)
-    tc = d._resolve_bits(t.state.bits)
-    s_sign = dict(zip(sc, s.signs))
-    t_sign = dict(zip(tc, t.signs))
-    s_only = []
-    for circ, e in s_sign.items():
-        if circ in t_sign:
-            if t_sign[circ] != e:
-                return 0
-        else:
-            s_only.append(e)
-    t_only = [e for circ, e in t_sign.items() if circ not in s_sign]
-    if len(s_only) == 2 and len(t_only) == 1:
-        e1, e2 = s_only
-        if e1 == e2 == -1 or t_only[0] != e1 * e2:
-            return 0
-    elif len(s_only) == 1 and len(t_only) == 2:
-        e = s_only[0]
-        e1, e2 = t_only
-        if e == -1:
-            if not (e1 == e2 == -1):
-                return 0
-        elif e1 * e2 != -1:
-            return 0
-    else:
-        return 0
-    k = sum(1 for y in range(x + 1, d.crossing_count) if s.state.labels[y] == B)
-    return -1 if k % 2 else 1
-
-
-def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
-    """Matrix entry of the differential between two enhanced states."""
-    for es in (s, t):
-        if len(es.state.labels) != d.crossing_count:
-            raise DifferentDiagram("state length does not match the diagram")
-        if len(es.signs) != len(d._resolve_bits(es.state.bits)):
-            raise DifferentDiagram("sign count does not match the resolution")
-    if state_j(d, s) != state_j(d, t):
-        return 0
-    if state_i(d, t) != state_i(d, s) + 1:
-        return 0
-    diff = [
-        x
-        for x in range(d.crossing_count)
-        if s.state.labels[x] != t.state.labels[x]
-    ]
-    if len(diff) != 1 or s.state.labels[diff[0]] != A:
-        return 0
-    return _transition_sign(d, s, t, diff[0])
-
-
-# --------------------------------------------------------------------------
 # the complex, one j-row at a time
 # --------------------------------------------------------------------------
 
@@ -408,25 +293,12 @@ def khovanov_complex(
     """The fixed-j cochain complex of enhanced states.
 
     Degrees run over i; the maps are sparse rows in the row-per-target
-    convention of ChainComplex, verified to compose to zero.  Bases run
-    over the smoothings in bit order, and within one smoothing over its
-    minus-signed circle sets in lexicographic order.  The rows come from
-    the one-pass builder ``_j_rows`` restricted to j; only the bases are
-    turned into EnhancedState objects here.
+    convention of ChainComplex, verified to compose to zero.  Basis
+    elements are the (B-bits, mask of minus-signed circles) pairs of
+    ``_j_rows``, over the smoothings in bit order, and within one smoothing
+    over its minus-signed circle sets in lexicographic order.
     """
-    cc = _j_rows(d, j, max_crossings)[j]
-    c = d.crossing_count
-    counts = d._circle_counts
-    bases = {}
-    for i, states in cc.bases.items():
-        enhanced = []
-        for bits, mask in states:
-            state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
-            m = counts[bits] + d.free_loops
-            signs = tuple(-1 if (mask >> k) & 1 else 1 for k in range(m))
-            enhanced.append(EnhancedState(state, signs))
-        bases[i] = tuple(enhanced)
-    return ChainComplex(bases=bases, rows=cc.rows)
+    return _j_rows(d, j, max_crossings)[j]
 
 
 # --------------------------------------------------------------------------

@@ -775,11 +775,6 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(ground, maximal)
 
 
-def suspension(x: SimplicialComplex) -> SimplicialComplex:
-    two_points = SimplicialComplex.from_maximal("NS", [["N"], ["S"]])
-    return join(two_points, x)
-
-
 def join_homology(
     hx: dict[int, AbelianGroup], hy: dict[int, AbelianGroup]
 ) -> dict[int, AbelianGroup]:
@@ -871,25 +866,3 @@ def jonsson_dual(
         return True
 
     return _closed_family(v_side, admits, cap, "Y_D face enumeration")
-
-
-def bipartite_from_complex(x: SimplicialComplex) -> Graph:
-    """The bipartite graph on ground vertices and maximal faces of x.
-
-    A ground vertex v is joined to a maximal face m exactly when v is not a
-    member of m.  For complexes arising as Jonsson complexes this reverses
-    the construction up to isomorphism.
-    """
-    pos = {v: i for i, v in enumerate(x.ground)}
-    face_ids = sorted(
-        (tuple(sorted(m, key=pos.__getitem__)) for m in x.maximal),
-        key=lambda t: (len(t), [pos[v] for v in t]),
-    )
-    vertices = list(x.ground) + [("m",) + f for f in face_ids]
-    edges = [
-        (v, ("m",) + f)
-        for v in x.ground
-        for f in face_ids
-        if v not in f
-    ]
-    return Graph.build(vertices, edges)

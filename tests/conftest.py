@@ -1,23 +1,47 @@
 """Shared corpora and independent oracles.
 
 The corpora are deterministic (fixed seeds) so failures replay exactly.
-Oracles here recompute package outputs by the most naive route available:
-independent sets by subset enumeration, Smith invariant factors by
-gcd-of-minors, joins by direct face products, circle counts by union-find
-over the PD tuples.  They are deliberately slow and deliberately share no
-code with the package.
+Oracles here recompute package outputs by the most naive route available,
+sharing no code with the package: independent sets by subset enumeration,
+Smith invariant factors by gcd-of-minors, joins by direct face products,
+circle counts by union-find over the PD tuples.  They are deliberately
+slow.
+
+The reference model of the enhanced-state complex lives here too:
+``EnhancedState`` objects, their gradings, every enhanced state by brute
+enumeration, and the differential entry between two states (``adjacent``)
+read off the local merge and split rules.  It keys states by labels and
+sign tuples, where the package keys them as (B-bits, minus mask) integer
+pairs; ``enhanced`` converts one to the other.  It reads circles through
+the package's one tracer, ``Diagram._resolve_bits``, and circle counts
+from ``Diagram._circle_counts``; ``circle_count_by_union_find`` checks
+both from outside.  The j_min states
+(``s_min_states``), the whole Y_D (``y_complex``), the bipartite graph of
+a complex and the suspension are oracles built from package pieces, for
+the tests that compare them with the routes.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
+from exkh.diagram import A, B, Diagram, State
+from exkh.errors import CapExceeded, DifferentDiagram
+from exkh.extreme import _dual_parts
 from exkh.families import random_diagrams
-from exkh.lando import Graph
-from exkh.simplicial import SimplicialComplex
+from exkh.khovanov import DEFAULT_CROSSING_CAP
+from exkh.lando import Graph, build_lando
+from exkh.simplicial import (
+    DEFAULT_FACE_CAP,
+    SimplicialComplex,
+    independence_complex,
+    join,
+    jonsson_dual,
+)
 
 CORPUS_SEED = 20260814
 
@@ -225,3 +249,184 @@ def bracket_by_state_sum(d) -> dict[int, int]:
             e = sigma + 4 * r - 2 * k
             out[e] = out.get(e, 0) + (-1) ** k * comb(k, r)
     return {e: v for e, v in out.items() if v}
+
+
+def suspension(x: SimplicialComplex) -> SimplicialComplex:
+    """The join of x with two points."""
+    two_points = SimplicialComplex.from_maximal("NS", [["N"], ["S"]])
+    return join(two_points, x)
+
+
+def bipartite_from_complex(x: SimplicialComplex) -> Graph:
+    """The bipartite graph on ground vertices and maximal faces of x.
+
+    A ground vertex v is joined to a maximal face m exactly when v is not a
+    member of m.  For complexes arising as Jonsson complexes this reverses
+    the construction up to isomorphism.
+    """
+    pos = {v: i for i, v in enumerate(x.ground)}
+    face_ids = sorted(
+        (tuple(sorted(m, key=pos.__getitem__)) for m in x.maximal),
+        key=lambda t: (len(t), [pos[v] for v in t]),
+    )
+    vertices = list(x.ground) + [("m",) + f for f in face_ids]
+    edges = [
+        (v, ("m",) + f)
+        for v in x.ground
+        for f in face_ids
+        if v not in f
+    ]
+    return Graph.build(vertices, edges)
+
+
+# --------------------------------------------------------------------------
+# the reference model of the enhanced-state complex
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnhancedState:
+    """A smoothing state with a sign on each of its circles.
+
+    ``signs[k]`` belongs to circle k of the state's resolution, in the
+    order ``Diagram._resolve_bits`` lists the circles.
+    """
+
+    state: State
+    signs: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(e not in (1, -1) for e in self.signs):
+            raise ValueError("circle signs must be +1 or -1")
+
+    @property
+    def tau(self) -> int:
+        return sum(self.signs)
+
+
+def enhanced(d: Diagram, bits: int, mask: int) -> EnhancedState:
+    """The EnhancedState of the package's (B-bits, minus mask) pair."""
+    state = State(tuple(B if (bits >> k) & 1 else A for k in range(d.crossing_count)))
+    m = len(d._resolve_bits(bits))
+    return EnhancedState(state, tuple(-1 if (mask >> k) & 1 else 1 for k in range(m)))
+
+
+def state_i(d: Diagram, s: State | EnhancedState) -> int:
+    labels = s.labels if isinstance(s, State) else s.state.labels
+    if len(labels) != d.crossing_count:
+        raise DifferentDiagram("state length does not match the diagram")
+    sigma = labels.count(A) - labels.count(B)
+    return (d.writhe - sigma) // 2
+
+
+def state_j(d: Diagram, s: EnhancedState) -> int:
+    return d.writhe + state_i(d, s) + s.tau
+
+
+def enumerate_enhanced(
+    d: Diagram, max_crossings: int = DEFAULT_CROSSING_CAP
+) -> dict[tuple[int, int], tuple[EnhancedState, ...]]:
+    """All enhanced states, grouped by bidegree (i, j).
+
+    The total count is sum over states of 2^(number of circles), so this is
+    only for small diagrams; the cap guards against runaway requests.
+    """
+    if d.crossing_count > max_crossings:
+        raise CapExceeded("crossing count", max_crossings)
+    c = d.crossing_count
+    w = d.writhe
+    n = d.negative_count
+    loops = d.free_loops
+    out: dict[tuple[int, int], list[EnhancedState]] = {}
+    for bits, m in enumerate(d._circle_counts):
+        state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
+        i = bits.bit_count() - n
+        for signs in itertools.product((1, -1), repeat=m + loops):
+            es = EnhancedState(state, signs)
+            j = w + i + sum(signs)
+            out.setdefault((i, j), []).append(es)
+    return {key: tuple(v) for key, v in sorted(out.items())}
+
+
+def _transition_sign(
+    d: Diagram, s: EnhancedState, t: EnhancedState, x: int
+) -> int:
+    """Incidence of s -> t when t flips crossing x from A to B, else 0."""
+    sc = d._resolve_bits(s.state.bits)
+    tc = d._resolve_bits(t.state.bits)
+    s_sign = dict(zip(sc, s.signs))
+    t_sign = dict(zip(tc, t.signs))
+    s_only = []
+    for circ, e in s_sign.items():
+        if circ in t_sign:
+            if t_sign[circ] != e:
+                return 0
+        else:
+            s_only.append(e)
+    t_only = [e for circ, e in t_sign.items() if circ not in s_sign]
+    if len(s_only) == 2 and len(t_only) == 1:
+        e1, e2 = s_only
+        if e1 == e2 == -1 or t_only[0] != e1 * e2:
+            return 0
+    elif len(s_only) == 1 and len(t_only) == 2:
+        e = s_only[0]
+        e1, e2 = t_only
+        if e == -1:
+            if not (e1 == e2 == -1):
+                return 0
+        elif e1 * e2 != -1:
+            return 0
+    else:
+        return 0
+    k = sum(1 for y in range(x + 1, d.crossing_count) if s.state.labels[y] == B)
+    return -1 if k % 2 else 1
+
+
+def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
+    """Matrix entry of the differential between two enhanced states."""
+    for es in (s, t):
+        if len(es.state.labels) != d.crossing_count:
+            raise DifferentDiagram("state length does not match the diagram")
+        if len(es.signs) != len(d._resolve_bits(es.state.bits)):
+            raise DifferentDiagram("sign count does not match the resolution")
+    if state_j(d, s) != state_j(d, t):
+        return 0
+    if state_i(d, t) != state_i(d, s) + 1:
+        return 0
+    diff = [
+        x
+        for x in range(d.crossing_count)
+        if s.state.labels[x] != t.state.labels[x]
+    ]
+    if len(diff) != 1 or s.state.labels[diff[0]] != A:
+        return 0
+    return _transition_sign(d, s, t, diff[0])
+
+
+def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:
+    """The enhanced states realising j = j_min.
+
+    They are exactly the all-minus enhancements of states whose B-labelled
+    crossings form an independent set of the Lando graph; in particular
+    there are as many of them as X_D has faces, the empty face included.
+    """
+    x = independence_complex(build_lando(d), cap)
+    out: set[EnhancedState] = set()
+    for face in x.faces(cap):
+        out.add(enhanced(d, sum(1 << k for k in face), -1))  # mask -1: all minus
+    return out
+
+
+def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
+    """The Alexander dual Y_D of a Jonsson complex of the Lando graph, whole.
+
+    Built straight from the neighbourhoods (``jonsson_dual``): the faces are
+    the subsets of V, the union of the components' sides V_k, that contain
+    no N(w) for w in W.  The dual route itself never builds this whole
+    complex, only its components' Y_k.
+
+    Raises EmptyPartW when W is empty, as it is when the graph has no
+    vertices; the dual route answers that graph with the empty join.
+    """
+    g = build_lando(d)
+    return jonsson_dual(g, [v for _, side in _dual_parts(g) for v in side], cap)

@@ -4,12 +4,12 @@ Run with ``pytest -v tests/test_acceptance.py`` for a pass/fail line per
 criterion, or add ``-s`` to see the printed verdicts too.
 """
 
-import itertools
 import random
 from collections import defaultdict
 from math import comb
 
-from exkh.diagram import A, B, Diagram, State, parse_pd
+from conftest import bipartite_from_complex, enhanced, suspension
+from exkh.diagram import Diagram, parse_pd
 from exkh.extreme import (
     extreme_row,
     extreme_via_brute,
@@ -23,8 +23,6 @@ from exkh.families import (
     thick_family,
 )
 from exkh.khovanov import (
-    EnhancedState,
-    adjacent,
     graded_jones,
     j_bounds,
     kauffman_bracket,
@@ -43,14 +41,12 @@ from exkh.simplicial import (
     AbelianGroup,
     SimplicialComplex,
     alexander_dual,
-    bipartite_from_complex,
     coboundary_complex,
     cohomology_of,
     homology,
     independence_complex,
     integer_rank,
     jonsson_complex,
-    suspension,
 )
 
 Z = AbelianGroup
@@ -348,30 +344,25 @@ def test_criterion_10_invariants(corpus12):
         )
         assert extreme_via_lando(shuffled).groups == extreme_via_lando(d).groups
 
-    # the only legal label transitions are the six multiplication rules
-    split = parse_pd("X(1,2,2,1)")
-    for before in ((1,), (-1,)):
-        for after in itertools.product((1, -1), repeat=2):
-            got = adjacent(
-                split,
-                EnhancedState(State((A,)), before),
-                EnhancedState(State((B,)), after),
-            )
-            legal = {(1,): {(1, -1), (-1, 1)}, (-1,): {(-1, -1)}}[before]
-            assert got == (1 if after in legal else 0)
-    merge = parse_pd("X(1,1,2,2)")
-    for before in itertools.product((1, -1), repeat=2):
-        for after in ((1,), (-1,)):
-            got = adjacent(
-                merge,
-                EnhancedState(State((A,)), before),
-                EnhancedState(State((B,)), after),
-            )
-            legal = {
-                (1, 1): {(1,)}, (1, -1): {(-1,)},
-                (-1, 1): {(-1,)}, (-1, -1): set(),
-            }[before]
-            assert got == (1 if after in legal else 0)
+    # the only legal label transitions are the six multiplication rules:
+    # every entry of the program's differential on a split and on a merge,
+    # over all its rows, with the circle signs decoded from the minus masks
+    split = {(1,): {(1, -1), (-1, 1)}, (-1,): {(-1, -1)}}
+    merge = {(1, 1): {(1,)}, (1, -1): {(-1,)}, (-1, 1): {(-1,)}, (-1, -1): set()}
+    for pd, legal in (("X(1,2,2,1)", split), ("X(1,1,2,2)", merge)):
+        d = parse_pd(pd)
+        got = {}
+        j_min, j_max = j_bounds(d)
+        for j in range(j_min, j_max + 1, 2):
+            cc = khovanov_complex(d, j)
+            for i, rows in cc.rows.items():
+                for t, row in zip(cc.bases.get(i + 1, ()), rows):
+                    for col, value in row.items():
+                        s = cc.bases[i][col]
+                        got[enhanced(d, *s).signs, enhanced(d, *t).signs] = value
+        assert got == {
+            (before, after): 1 for before, allowed in legal.items() for after in allowed
+        }, pd
     _verdict(
         10,
         "differentials square to zero, single j parity, crossing order "

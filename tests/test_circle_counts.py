@@ -12,7 +12,7 @@ import gc
 import tracemalloc
 
 import pytest
-from conftest import circle_count_by_union_find
+from conftest import circle_count_by_union_find, enumerate_enhanced
 
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
@@ -20,7 +20,6 @@ from exkh.extreme import extreme_via_brute
 from exkh.families import thick_family
 from exkh.khovanov import (
     DEFAULT_CROSSING_CAP,
-    enumerate_enhanced,
     j_bounds,
     kauffman_bracket,
     khovanov_cohomology,

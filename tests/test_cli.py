@@ -409,6 +409,21 @@ def test_file_input(capsys, tmp_path):
     assert "crossings: 3" in out
 
 
+@pytest.mark.parametrize(
+    "spelling,canonical",
+    [
+        ("x(1,4,2,5) x(3,6,4,1) x(5,2,6,3)", TREFOIL),
+        ("X (1,4,2,5) X (3,6,4,1) X (5,2,6,3)", TREFOIL),
+        ("u", "U"),
+        ("u U", "U U"),
+    ],
+)
+def test_inline_pd_in_every_spelling_parse_pd_accepts(capsys, spelling, canonical):
+    code, out, err = run(["parse", spelling, "--format", "json"], capsys)
+    assert code == 0, err
+    assert (code, out) == run(["parse", canonical, "--format", "json"], capsys)[:2]
+
+
 def test_unknown_input_is_an_error(capsys):
     code, _, err = run(["parse", "not a diagram"], capsys)
     assert code == 1

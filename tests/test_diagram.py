@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -45,6 +46,27 @@ def test_free_loops():
     d2 = parse_pd(TREFOIL + " U")
     assert d2.component_count == 2
     assert d2.free_loops == 1
+
+
+def test_parse_pd_traces_the_arcs_once(monkeypatch):
+    # the probe that finds the signs hands its traced arcs and strands on
+    calls = []
+    real = Diagram._arc_ports.func
+
+    def recording(self):
+        calls.append(self.crossings)
+        return real(self)
+
+    prop = functools.cached_property(recording)
+    prop.__set_name__(Diagram, "_arc_ports")
+    monkeypatch.setattr(Diagram, "_arc_ports", prop)
+    d = parse_pd(TREFOIL + " U")
+    traced = [d._resolve_bits(bits) for bits in range(8)]
+    assert d.is_planar and len(d.components) == 1
+    assert len(calls) == 1
+    fresh = Diagram(d.crossings, d.signs, d.free_loops)
+    assert [fresh._resolve_bits(bits) for bits in range(8)] == traced
+    assert fresh.components == d.components
 
 
 def test_unknot_constructor():

@@ -11,11 +11,12 @@ import random
 from math import comb
 
 import pytest
+from conftest import y_complex
 
 from exkh import extreme, simplicial
 from exkh.diagram import Diagram
 from exkh.errors import CapExceeded, EmptyPartW, NotBipartition
-from exkh.extreme import extreme_row, extreme_via_dual, extreme_via_lando, y_complex
+from exkh.extreme import extreme_row, extreme_via_dual, extreme_via_lando
 from exkh.families import thick_family
 from exkh.lando import Graph, build_lando
 from exkh.simplicial import (

@@ -1,4 +1,5 @@
 import pytest
+from conftest import enumerate_enhanced, s_min_states, y_complex
 
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded, EmptyPartW
@@ -11,10 +12,8 @@ from exkh.extreme import (
     extreme_via_lando,
     krs_criterion,
     lando_cohomology,
-    s_min_states,
-    y_complex,
 )
-from exkh.khovanov import enumerate_enhanced, j_bounds, khovanov_cohomology
+from exkh.khovanov import j_bounds, khovanov_cohomology
 from exkh.lando import build_lando, cycle_graph
 from exkh.families import catalog_diagram
 from exkh.simplicial import AbelianGroup

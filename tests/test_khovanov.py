@@ -2,15 +2,20 @@ import itertools
 import json
 
 import pytest
-from conftest import bracket_by_state_sum
+from conftest import (
+    EnhancedState,
+    adjacent,
+    bracket_by_state_sum,
+    enhanced,
+    enumerate_enhanced,
+    state_i,
+    state_j,
+)
 
 from exkh.diagram import A, B, Diagram, State, parse_pd
 from exkh.errors import CapExceeded, DifferentDiagram, NotAComplex
 from exkh.khovanov import (
-    EnhancedState,
     LaurentPoly,
-    adjacent,
-    enumerate_enhanced,
     graded_jones,
     j_bounds,
     jones,
@@ -18,8 +23,6 @@ from exkh.khovanov import (
     khovanov_cohomology,
     khovanov_complex,
     scanned_j_range,
-    state_i,
-    state_j,
 )
 from exkh.simplicial import AbelianGroup, cohomology
 
@@ -185,12 +188,13 @@ def test_complex_entries_equal_the_reference_differential(corpus12):
         j_min, j_max = j_bounds(d)
         for j in range(j_min, j_max + 1, 2):
             cc = khovanov_complex(d, j)
+            states = {i: [enhanced(d, *s) for s in b] for i, b in cc.bases.items()}
             for i, m in cc.matrices.items():
-                target = cc.bases.get(i + 1, ())
+                target = states.get(i + 1, ())
                 assert len(m) == len(target)
                 for row, t in zip(m, target):
-                    assert len(row) == len(cc.bases[i])
-                    assert list(row) == [adjacent(d, s, t) for s in cc.bases[i]]
+                    assert len(row) == len(states[i])
+                    assert list(row) == [adjacent(d, s, t) for s in states[i]]
 
 
 # --------------------------------------------------------------------------

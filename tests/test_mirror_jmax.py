@@ -90,13 +90,13 @@ def test_jmax_matches_the_brute_row_at_fifteen_crossings():
 
 def test_jmax_enumerates_no_states(corpus12, monkeypatch):
     calls = []
-    real = extreme._j_rows
+    real = extreme.khovanov_complex
 
     def recording(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(extreme, "_j_rows", recording)
+    monkeypatch.setattr(extreme, "khovanov_complex", recording)
     extreme.extreme_via_brute(corpus12[0], "Z")
     assert calls  # the stand-in sees the brute route
     calls.clear()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    bipartite_from_complex,
     bipartite_part,
     faces_by_product,
     independent_sets_by_enumeration,
@@ -11,6 +12,7 @@ from conftest import (
     random_complex,
     random_graph,
     subsets_by_enumeration,
+    suspension,
 )
 from exkh.errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
 from exkh.lando import Graph, cycle_graph, isomorphic, two_hexagons_shared_vertex
@@ -22,7 +24,6 @@ from exkh.simplicial import (
     _closed_family,
     _snf_dense,
     alexander_dual,
-    bipartite_from_complex,
     coboundary_complex,
     cohomology,
     cohomology_of,
@@ -36,7 +37,6 @@ from exkh.simplicial import (
     parse_ring,
     rank_mod_p,
     smith_normal_form,
-    suspension,
     tensor_group,
     tor_group,
 )

@@ -16,20 +16,11 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import random_graph
+from conftest import adjacent, enhanced, enumerate_enhanced, random_graph, state_j
 from exkh import khovanov
-from exkh.diagram import A, B, Diagram, State
-from exkh.extreme import extreme_jmax, extreme_via_brute
+from exkh.diagram import Diagram
 from exkh.families import load_catalog
-from exkh.khovanov import (
-    EnhancedState,
-    _j_rows,
-    adjacent,
-    enumerate_enhanced,
-    khovanov_cohomology,
-    khovanov_complex,
-    state_j,
-)
+from exkh.khovanov import _j_rows, khovanov_cohomology, khovanov_complex
 from exkh.lando import two_hexagons_shared_vertex
 from exkh.simplicial import (
     AbelianGroup,
@@ -166,12 +157,6 @@ def test_unit_pivots_cancel_the_next_maps_columns():
 # --------------------------------------------------------------------------
 
 
-def enhanced(d: Diagram, bits: int, mask: int) -> EnhancedState:
-    state = State(tuple(B if (bits >> k) & 1 else A for k in range(d.crossing_count)))
-    m = d.resolve(state).circle_count
-    return EnhancedState(state, tuple(-1 if (mask >> k) & 1 else 1 for k in range(m)))
-
-
 def test_single_pass_rows_equal_the_reference_differential(corpus12, monkeypatch):
     built = []
 
@@ -208,6 +193,13 @@ def test_single_pass_rows_equal_the_reference_differential(corpus12, monkeypatch
                     assert row == {c: v for c, v in enumerate(column) if v}
 
 
+def test_khovanov_complex_is_one_row_of_the_one_pass(corpus12):
+    for d in catalog_diagrams() + [dd for dd in corpus12 if dd.crossing_count <= 6][:20]:
+        for j, cc in _j_rows(d).items():
+            row = khovanov_complex(d, j)
+            assert (row.bases, row.rows) == (cc.bases, cc.rows), (d.to_pd(), j)
+
+
 def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):
     calls = []
     real = khovanov._move
@@ -223,23 +215,6 @@ def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):
         c = d.crossing_count
         assert len(calls) == c * 2 ** (c - 1)
         assert len(set(calls)) == len(calls)
-
-
-def test_brute_rows_build_no_enhanced_states(corpus12, monkeypatch):
-    made = []
-    real = EnhancedState.__post_init__
-
-    def recording(self):
-        made.append(self)
-        real(self)
-
-    monkeypatch.setattr(EnhancedState, "__post_init__", recording)
-    for d in [dd for dd in corpus12 if dd.crossing_count <= 7][:20]:
-        extreme_via_brute(d, "Z")
-        extreme_jmax(d, "Z")
-    assert not made
-    khovanov_complex(corpus12[0], khovanov.j_bounds(corpus12[0])[0])
-    assert made  # the stand-in does see states that are built
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .errors import (
     CapExceeded,
     ClaspFailed,
     DiagramError,
-    DifferentDiagram,
     EmptyDiagram,
     EmptyPartW,
     ExkhError,

@@ -244,7 +244,7 @@ def _cmd_complex(args) -> int:
     cc = coboundary_complex(x)
     matrices = cc.matrices
     payload = json.loads(x.to_json())
-    fv = x.f_vector(args.max_faces)
+    fv = x.f_vector()
     payload["f_vector"] = list(fv)
     payload["coboundaries"] = {
         str(deg): [list(r) for r in matrices[deg]] for deg in cc.degrees[:-1]
@@ -354,7 +354,10 @@ def _cmd_families(args) -> int:
         )
         return 0
     if kind == "show":
-        entry = load_catalog()[arg]
+        catalog = load_catalog()
+        if arg not in catalog:
+            raise ExkhError(f"no catalog entry {arg!r}; the entries are {sorted(catalog)}")
+        entry = catalog[arg]
         payload = {
             "name": entry.name,
             "pd": entry.pd,

@@ -62,7 +62,3 @@ class SameComponent(ExkhError, ValueError):
 
 class ClaspFailed(ExkhError, RuntimeError):
     """A clasp move failed to keep the new all-A chords inadmissible."""
-
-
-class DifferentDiagram(ExkhError, ValueError):
-    """Two states being compared belong to different diagrams."""

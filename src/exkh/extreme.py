@@ -102,7 +102,7 @@ class ExtremeRow:
 
 
 def _joined_homology(
-    complexes: Iterable[SimplicialComplex], ring: str, cap: int
+    complexes: Iterable[SimplicialComplex], ring: str
 ) -> dict[int, AbelianGroup]:
     """Reduced homology of the join of the complexes, built one at a time.
 
@@ -112,7 +112,7 @@ def _joined_homology(
     """
     folded = {-1: AbelianGroup(1)}
     for x in complexes:
-        hk = homology(x, ring, cap)
+        hk = homology(x, ring)
         folded = join_homology(folded, {k: g for k, g in hk.items() if not g.is_trivial})
         if not folded:
             break
@@ -142,7 +142,7 @@ def lando_cohomology(
         return {}
     comps = sorted(core.connected_components(), key=len) or [()]
     h = _joined_homology(
-        (independence_complex(core.subgraph(c), cap) for c in comps), ring, cap
+        (independence_complex(core.subgraph(c), cap) for c in comps), ring
     )
     return shift_torsion(h, 1)
 
@@ -210,7 +210,7 @@ def extreme_via_dual(
     parts = _dual_parts(build_lando(d))
     size_v = sum(len(side) for _, side in parts)
     h = _joined_homology(
-        (jonsson_dual(comp, side, cap) for comp, side in parts), ring, cap
+        (jonsson_dual(comp, side, cap) for comp, side in parts), ring
     )
     groups = {size_v - 1 - n - deg: grp for deg, grp in h.items()}
     return ExtremeRow(

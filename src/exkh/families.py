@@ -358,6 +358,7 @@ def join_power_table(
     The complex is {∅,1,2,3,4,5,12,23,34,41}: a 4-cycle and an isolated
     vertex.  Its n-fold join has homology Z^binomial(n, i-n+1) in degrees
     n-1 .. 2n-1, which is what the thick families realise as extreme rows.
+    ``cap`` bounds the faces of each join built on the way.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -367,12 +368,8 @@ def join_power_table(
     )
     j = x
     for _ in range(n - 1):
-        j = join(j, x)
-    return {
-        deg: grp
-        for deg, grp in homology(j, "Z", cap).items()
-        if not grp.is_trivial
-    }
+        j = join(j, x, cap)
+    return {deg: grp for deg, grp in homology(j, "Z").items() if not grp.is_trivial}
 
 
 def binomial_row(n: int) -> dict[int, AbelianGroup]:
@@ -445,8 +442,11 @@ def random_diagrams(
     """A reproducible corpus of braid-closure diagrams.
 
     With ``multi_component`` every diagram has at least two components that
-    carry crossings, which is what knotification needs.
+    carry crossings, which is what knotification needs.  That takes at least
+    two crossings, so ``max_crossings`` below 2 raises ValueError.
     """
+    if multi_component and max_crossings < 2:
+        raise ValueError("two crossing components need max_crossings >= 2")
     rng = random.Random(seed)
     out: list[Diagram] = []
     while len(out) < count:

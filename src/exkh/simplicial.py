@@ -1,9 +1,10 @@
 """Abstract simplicial complexes and exact integer (co)homology.
 
-A complex is given by ground set and maximal faces, and carries its faces
-as int bitmasks over ground positions (bit k is ground[k]), one list per
-size; a complex made from maximal faces enumerates them on first use, under
-a cap.  Two degenerate complexes are kept distinct: the *void* complex has
+A complex is its ordered ground set and its faces, held as int bitmasks
+over ground positions (bit k is ground[k]), one tuple per size, with its
+maximal faces beside them.  The faces are enumerated once, when the complex
+is built, under the face cap of whoever builds it; reading them takes no
+cap.  Two degenerate complexes are kept distinct: the *void* complex has
 no faces at all, while the *empty* complex has the single face {}.  All
 homology here is reduced, computed from the augmented (co)chain complex in
 which the empty face generates degree -1; with that convention the empty
@@ -15,14 +16,15 @@ Alexander duality
 holds on the nose in every degree, void and empty cases included.
 
 How complexes are built.  Independence complexes, Jonsson complexes, the
-duals of Jonsson complexes (read straight off the neighbourhoods) and
-Alexander duals are families closed under subsets, and one enumerator
-builds them all, one size at a time: it extends each face of the last size,
-in order, by later vertices of the ground order while a per-construction
-test admits them, so each size comes out in lexicographic order, and past
-the face cap it raises CapExceeded naming its stage.  The same pass checks
-that every facet of a face was built and finds the maximal faces, those
-that are a facet of no larger face.
+duals of Jonsson complexes (read straight off the neighbourhoods),
+Alexander duals, joins and the subsets of given maximal faces are families
+closed under subsets, and one enumerator builds them all, one size at a
+time: it extends each face of the last size, in order, by later vertices
+of the ground order while a per-construction test admits them, so each
+size comes out in lexicographic order, and past the face cap it raises
+CapExceeded naming its stage.  The same pass checks that every facet of a
+face was built and finds the maximal faces, those that are a facet of no
+larger face.
 
 Cochain conventions.  Faces of each degree are ordered lexicographically by
 ground position.  The coboundary of a face s is
@@ -468,31 +470,48 @@ def shift_torsion(
 class SimplicialComplex:
     """An abstract simplicial complex with ordered ground set.
 
-    ``maximal`` empty means the void complex; ``maximal == {frozenset()}``
-    is the empty complex whose only face is the empty face.
+    ``levels[s]`` holds the faces of size s as int bitmasks over ground
+    positions (bit k is ground[k]), in lexicographic order, and ``tops``
+    holds the maximal faces, by size and then lexicographically.  No levels
+    is the void complex; ``levels == ((0,),)`` is the empty complex whose
+    only face is the empty face.  Every complex but the void one comes out
+    of ``_closed_family``, once, under the cap of whoever builds it.
     """
 
     ground: tuple[Hashable, ...]
-    maximal: frozenset
-
-    def __post_init__(self):
-        vs = set(self.ground)
-        if len(vs) != len(self.ground):
-            raise ValueError("duplicate ground vertices")
-        for f in self.maximal:
-            if not f <= vs:
-                raise ValueError(f"face {sorted(f, key=repr)} not inside ground")
-        for f, g in itertools.combinations(self.maximal, 2):
-            if f <= g or g <= f:
-                raise ValueError("maximal faces must be inclusion-incomparable")
+    levels: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
 
     # ---- constructors ----
 
     @staticmethod
-    def from_maximal(ground: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
-        fs = {frozenset(f) for f in faces}
-        maximal = {f for f in fs if not any(f < g for g in fs)}
-        return SimplicialComplex(tuple(ground), frozenset(maximal))
+    def from_maximal(
+        ground: Iterable, faces: Iterable[Iterable], cap: int = DEFAULT_FACE_CAP
+    ) -> "SimplicialComplex":
+        """Every subset of the given faces, enumerated under ``cap``.
+
+        A face grows while it lies inside a given face; ``within`` holds the
+        given faces over each face grown so far, as a bitmask.
+        """
+        ground = tuple(ground)
+        pos = {v: k for k, v in enumerate(ground)}
+        given = {_mask(pos, f) for f in faces}
+        if not given:
+            return SimplicialComplex.void(ground)
+        # bit j of holders[k]: the j-th given face holds ground[k]
+        holders = [
+            sum(1 << j for j, m in enumerate(given) if m >> k & 1)
+            for k in range(len(ground))
+        ]
+        within = {0: (1 << len(given)) - 1}
+
+        def admits(f: int, k: int) -> bool:
+            w = within[f] & holders[k]
+            if w:
+                within[f | 1 << k] = w
+            return w != 0
+
+        return _closed_family(ground, admits, cap, "face enumeration")
 
     @staticmethod
     def from_faces(ground: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
@@ -509,88 +528,58 @@ class SimplicialComplex:
         x = _closed_family(
             ground, lambda f, k: f | 1 << k in listed, len(listed) + 1, "face list"
         )
-        unreached = listed.difference(*x._levels()) if 0 in listed else listed
+        unreached = listed.difference(*x.levels) if 0 in listed else listed
         if unreached:
             raise NotAComplex(f"face {_vertices(ground, min(unreached))} lacks a subset")
         return x
 
     @staticmethod
     def void(ground: Iterable = ()) -> "SimplicialComplex":
-        return SimplicialComplex(tuple(ground), frozenset())
+        return SimplicialComplex(_ground(ground), (), ())
 
     @staticmethod
     def empty(ground: Iterable = ()) -> "SimplicialComplex":
-        return SimplicialComplex(tuple(ground), frozenset({frozenset()}))
+        return _closed_family(ground, lambda f, k: False, 1, "face enumeration")
 
     @staticmethod
-    def full_simplex(ground: Iterable) -> "SimplicialComplex":
-        g = tuple(ground)
-        return SimplicialComplex(g, frozenset({frozenset(g)}))
+    def full_simplex(ground: Iterable, cap: int = DEFAULT_FACE_CAP) -> "SimplicialComplex":
+        return _closed_family(ground, lambda f, k: True, cap, "face enumeration")
 
     # ---- basic queries ----
 
     @property
+    def maximal(self) -> frozenset:
+        """The maximal faces as frozensets of ground vertices, made on each read."""
+        return frozenset(frozenset(_vertices(self.ground, m)) for m in self.tops)
+
+    @property
     def is_void(self) -> bool:
-        return not self.maximal
+        return not self.levels
 
     @property
     def is_empty_complex(self) -> bool:
-        return self.maximal == frozenset({frozenset()})
+        return self.levels == ((0,),)
 
     @property
     def dimension(self) -> int | None:
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.maximal) - 1
+        return len(self.levels) - 2 if self.levels else None
 
-    def _levels(self, cap: int = DEFAULT_FACE_CAP) -> tuple[list[int], ...]:
-        """The face masks, one list per size, each in lexicographic order.
-
-        A builder attaches them; a complex made from maximal faces grows
-        them here, once, while a face lies inside a maximal face.  ``within``
-        holds the maximal faces over each face grown so far, as a bitmask.
-        """
-        levels = self.__dict__.get("_masks", () if self.is_void else None)
-        if levels is None:
-            pos = {v: k for k, v in enumerate(self.ground)}
-            holders = [0] * len(self.ground)  # bit j: maximal face j holds ground[k]
-            for j, m in enumerate(self.maximal):
-                for v in m:
-                    holders[pos[v]] |= 1 << j
-            within = {0: (1 << len(self.maximal)) - 1}
-
-            def admits(f: int, k: int) -> bool:
-                w = within[f] & holders[k]
-                if w:
-                    within[f | 1 << k] = w
-                return w != 0
-
-            x = _closed_family(self.ground, admits, cap, "face enumeration")
-            levels = self.__dict__["_masks"] = x._levels()
-        if sum(map(len, levels)) > cap:
-            raise CapExceeded("face enumeration", cap)
-        return levels
-
-    def faces(self, cap: int = DEFAULT_FACE_CAP) -> tuple[tuple, ...]:
+    def faces(self) -> tuple[tuple, ...]:
         """Every face as a tuple of ground vertices, ordered by dimension
         then lexicographically, as the cochain bases are."""
-        return tuple(itertools.chain(*_named(self.ground, self._levels(cap))))
+        return tuple(itertools.chain(*_named(self.ground, self.levels)))
 
-    def f_vector(self, cap: int = DEFAULT_FACE_CAP) -> tuple[int, ...]:
+    def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); (0,) for the void complex."""
-        return tuple(map(len, self._levels(cap))) or (0,)
+        return tuple(map(len, self.levels)) or (0,)
 
     # ---- serialisation ----
 
     def to_json(self) -> str:
-        pos = {v: i for i, v in enumerate(self.ground)}
         return json.dumps(
             {
                 "ground": list(self.ground),
-                "maximal_faces": sorted(
-                    (sorted(f, key=pos.__getitem__) for f in self.maximal),
-                    key=lambda t: (len(t), [pos[v] for v in t]),
-                ),
+                "maximal_faces": [_vertices(self.ground, m) for m in self.tops],
             }
         )
 
@@ -602,12 +591,10 @@ class SimplicialComplex:
         )
 
 
-def coboundary_complex(
-    x: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
-) -> ChainComplex:
+def coboundary_complex(x: SimplicialComplex) -> ChainComplex:
     """The reduced simplicial cochain complex of x with lex-ordered bases,
     read off x's face masks in the order they were enumerated."""
-    levels = x._levels(cap)
+    levels = x.levels
     bases = {d - 1: fs for d, fs in enumerate(_named(x.ground, levels))}
     rows: dict[int, tuple[Row, ...]] = {}
     for d in range(1, len(levels)):
@@ -628,22 +615,18 @@ def coboundary_complex(
     return ChainComplex(bases=bases, rows=rows)
 
 
-def homology(
-    x: SimplicialComplex, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
-) -> dict[int, AbelianGroup]:
+def homology(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     """Reduced simplicial homology of a complex.
 
     Boundary matrices are the transposes of the coboundaries, so free ranks
     match the cohomology of the same degree and torsion sits one lower.
     """
-    return shift_torsion(cohomology_of(x, ring, cap), -1)
+    return shift_torsion(cohomology_of(x, ring), -1)
 
 
-def cohomology_of(
-    x: SimplicialComplex, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
-) -> dict[int, AbelianGroup]:
+def cohomology_of(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     """Reduced simplicial cohomology of a complex."""
-    return cohomology(coboundary_complex(x, cap), ring)
+    return cohomology(coboundary_complex(x), ring)
 
 
 # --------------------------------------------------------------------------
@@ -659,11 +642,19 @@ def _mask(pos: dict, vertices: Iterable) -> int:
         raise ValueError(f"face {sorted(vertices, key=repr)} not inside ground") from None
 
 
+def _ground(vertices: Iterable) -> tuple:
+    """The vertices as a ground tuple; a repeated vertex raises ValueError."""
+    ground = tuple(vertices)
+    if len(set(ground)) != len(ground):
+        raise ValueError("duplicate ground vertices")
+    return ground
+
+
 def _vertices(ground: Sequence, mask: int) -> list:
     return [v for k, v in enumerate(ground) if mask >> k & 1]
 
 
-def _named(ground: Sequence, levels: Sequence[list[int]]) -> list[tuple[tuple, ...]]:
+def _named(ground: Sequence, levels: Sequence[Sequence[int]]) -> list[tuple[tuple, ...]]:
     """Each level of face masks as tuples of ground vertices, in order.
 
     A face is its parent, the face without its top vertex, plus that vertex.
@@ -695,14 +686,14 @@ def _closed_family(
     raises CapExceeded naming ``stage``.  ``admits`` must describe a family
     closed under subsets: a face with a facet missing one size down raises
     NotAComplex, and a face that is a facet of no face one size up is
-    maximal.
+    maximal.  A repeated ground vertex raises ValueError.
     """
-    ground = tuple(ground)
+    ground = _ground(ground)
     n = len(ground)
     count = 1  # the empty face
     if count > cap:
         raise CapExceeded(stage, cap)
-    levels = [[0]]
+    levels = [(0,)]
     maximal = []
     while True:
         below = levels[-1]
@@ -727,12 +718,8 @@ def _closed_family(
         maximal.extend(f for f in below if f not in facets)
         if not level:
             break
-        levels.append(level)
-    x = SimplicialComplex(
-        ground, frozenset(frozenset(_vertices(ground, m)) for m in maximal)
-    )
-    x.__dict__["_masks"] = tuple(levels)
-    return x
+        levels.append(tuple(level))
+    return SimplicialComplex(ground, tuple(levels), tuple(maximal))
 
 
 def independence_complex(g: Graph, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
@@ -748,11 +735,10 @@ def alexander_dual(
     x: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
 ) -> SimplicialComplex:
     """Faces of the dual are complements of non-faces of x, same ground."""
-    if frozenset(x.ground) in x.maximal:
-        return SimplicialComplex.void(x.ground)
-    pos = {v: k for k, v in enumerate(x.ground)}
-    tops = [_mask(pos, m) for m in x.maximal]
     full = (1 << len(x.ground)) - 1
+    tops = x.tops
+    if full in tops:
+        return SimplicialComplex.void(x.ground)
     # f + {v} is a face when its complement lies in no maximal face of x
     return _closed_family(
         x.ground,
@@ -762,17 +748,28 @@ def alexander_dual(
     )
 
 
-def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; vertices are tagged (0, v) and (1, w)."""
+def join(
+    x: SimplicialComplex, y: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
+) -> SimplicialComplex:
+    """Simplicial join; vertices are tagged (0, v) and (1, w).
+
+    A face of the join is a face of x beside a face of y, the y part's bits
+    shifted past x's ground.  Faces grow by ascending position, so a face
+    grown by a vertex of x has no vertex of y yet.
+    """
     ground = tuple((0, v) for v in x.ground) + tuple((1, w) for w in y.ground)
     if x.is_void or y.is_void:
         return SimplicialComplex.void(ground)
-    maximal = frozenset(
-        frozenset((0, v) for v in f) | frozenset((1, w) for w in g)
-        for f in x.maximal
-        for g in y.maximal
-    )
-    return SimplicialComplex(ground, maximal)
+    n = len(x.ground)
+    xs = set(itertools.chain(*x.levels))
+    ys = set(itertools.chain(*y.levels))
+
+    def admits(f: int, k: int) -> bool:
+        if k < n:
+            return f | 1 << k in xs
+        return f >> n | 1 << (k - n) in ys
+
+    return _closed_family(ground, admits, cap, "face enumeration")
 
 
 def join_homology(

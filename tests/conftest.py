@@ -30,7 +30,7 @@ from math import comb, gcd
 import pytest
 
 from exkh.diagram import A, B, Diagram, State
-from exkh.errors import CapExceeded, DifferentDiagram
+from exkh.errors import CapExceeded
 from exkh.extreme import _dual_parts
 from exkh.families import random_diagrams
 from exkh.khovanov import DEFAULT_CROSSING_CAP
@@ -314,7 +314,7 @@ def enhanced(d: Diagram, bits: int, mask: int) -> EnhancedState:
 def state_i(d: Diagram, s: State | EnhancedState) -> int:
     labels = s.labels if isinstance(s, State) else s.state.labels
     if len(labels) != d.crossing_count:
-        raise DifferentDiagram("state length does not match the diagram")
+        raise ValueError("state length does not match the diagram")
     sigma = labels.count(A) - labels.count(B)
     return (d.writhe - sigma) // 2
 
@@ -386,9 +386,9 @@ def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
     """Matrix entry of the differential between two enhanced states."""
     for es in (s, t):
         if len(es.state.labels) != d.crossing_count:
-            raise DifferentDiagram("state length does not match the diagram")
+            raise ValueError("state length does not match the diagram")
         if len(es.signs) != len(d._resolve_bits(es.state.bits)):
-            raise DifferentDiagram("sign count does not match the resolution")
+            raise ValueError("sign count does not match the resolution")
     if state_j(d, s) != state_j(d, t):
         return 0
     if state_i(d, t) != state_i(d, s) + 1:
@@ -412,7 +412,7 @@ def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:
     """
     x = independence_complex(build_lando(d), cap)
     out: set[EnhancedState] = set()
-    for face in x.faces(cap):
+    for face in x.faces():
         out.add(enhanced(d, sum(1 << k for k in face), -1))  # mask -1: all minus
     return out
 

@@ -241,6 +241,24 @@ def test_families_show(capsys):
     assert out.strip().startswith("X(")
 
 
+def test_families_show_names_the_catalog_entries_on_a_miss(capsys):
+    code, _, err = run(["families", "show", "nope"], capsys)
+    assert code == 1
+    assert "hexagon_link" in err
+
+
+def test_families_random_multi_component_needs_two_crossings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    argv = ["families", "random", "1", "--multi-component", "--max-crossings", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "exkh", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+
+
 def test_families_joins(capsys):
     code, out, _ = run(["families", "joins", "2"], capsys)
     assert code == 0

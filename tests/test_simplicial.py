@@ -14,6 +14,7 @@ from conftest import (
     subsets_by_enumeration,
     suspension,
 )
+from exkh import simplicial
 from exkh.errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
 from exkh.lando import Graph, cycle_graph, isomorphic, two_hexagons_shared_vertex
 from exkh.simplicial import (
@@ -232,9 +233,7 @@ def test_faces_and_cap():
     f = SimplicialComplex.full_simplex(range(5))
     assert len(f.faces()) == 32
     with pytest.raises(CapExceeded):
-        f.faces(cap=10)
-    with pytest.raises(CapExceeded):
-        f.f_vector(cap=10)
+        SimplicialComplex.full_simplex(range(5), cap=10)
 
 
 def test_hexagon_coboundaries_match_frozen_matrices():
@@ -533,10 +532,9 @@ def test_every_builder_stops_at_its_cap():
             "Jonsson face enumeration": lambda cap: jonsson_complex(g, part_v, cap).f_vector(),
             "Y_D face enumeration": lambda cap: jonsson_dual(g, part_v, cap).f_vector(),
             "dual face enumeration": lambda cap: alexander_dual(x, cap).f_vector(),
-            # a complex made from maximal faces enumerates them when asked
             "face enumeration": lambda cap: SimplicialComplex.from_maximal(
-                x.ground, x.maximal
-            ).f_vector(cap),
+                x.ground, x.maximal, cap
+            ).f_vector(),
         }
         for stage, build in f_vectors.items():
             count = sum(build(DEFAULT_FACE_CAP))
@@ -584,3 +582,65 @@ def test_json_round_trip():
     x = square_plus_point()
     back = SimplicialComplex.from_json(x.to_json())
     assert back.maximal == x.maximal and back.ground == x.ground
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SimplicialComplex.from_maximal((1, 1, 2), [(1, 2)]), "duplicate"),
+        (lambda: SimplicialComplex.from_maximal((1, 2), [(1, 3)]), "not inside"),
+        (lambda: SimplicialComplex.from_faces((1, 1, 2), [(), (1,), (2,)]), "duplicate"),
+        (lambda: SimplicialComplex.from_faces((1, 2), [(), (3,)]), "not inside"),
+        (
+            lambda: SimplicialComplex.from_json('{"ground": [1, 1, 2], "maximal_faces": [[2]]}'),
+            "duplicate",
+        ),
+        (
+            lambda: SimplicialComplex.from_json('{"ground": [1, 2], "maximal_faces": [[3]]}'),
+            "not inside",
+        ),
+        (lambda: SimplicialComplex.full_simplex((1, 1, 2)), "duplicate"),
+    ],
+    ids=[
+        "from_maximal-repeat", "from_maximal-outside",
+        "from_faces-repeat", "from_faces-outside",
+        "from_json-repeat", "from_json-outside",
+        "full_simplex-repeat",
+    ],
+)
+def test_builders_reject_a_repeated_vertex_and_a_face_outside_the_ground(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_every_complex_comes_out_of_one_enumeration(monkeypatch):
+    x = independence_complex(hexagon_graph())
+    stages = []
+    honest = simplicial._closed_family
+
+    def recording(ground, admits, cap, stage):
+        stages.append(stage)
+        return honest(ground, admits, cap, stage)
+
+    monkeypatch.setattr(simplicial, "_closed_family", recording)
+    built = {}
+    for name, build in {
+        "independence_complex": lambda: independence_complex(hexagon_graph()),
+        "from_maximal": lambda: SimplicialComplex.from_maximal(x.ground, x.maximal),
+        "join": lambda: join(x, x),
+        "from_json": lambda: SimplicialComplex.from_json(x.to_json()),
+    }.items():
+        stages.clear()
+        built[name] = build()
+        assert len(stages) == 1, (name, stages)
+    stages.clear()
+    for y in built.values():
+        y.faces()
+        y.f_vector()
+        coboundary_complex(y)
+        homology(y, "Z")
+    assert stages == []
+    # complexes with the same faces are equal and hash alike, however built
+    same = {built["independence_complex"], built["from_maximal"], built["from_json"], x}
+    assert len(same) == 1
+    assert built["join"] != x

@@ -326,7 +326,7 @@ class Diagram:
 
         This is the package's one circle tracer: every loop that compares
         circles gets them from here.  Loops that only count circles read
-        ``_circle_counts`` instead.
+        ``_circle_counts``, or its tally ``_count_histogram``, instead.
         """
         cache = self.__dict__.setdefault("_resolution_cache", {})
         hit = cache.get(bits)
@@ -381,6 +381,11 @@ class Diagram:
         smoothing has at most 2c circles, so with the free loops left out an
         entry fits a byte at any c the array can be built for.  Callers
         check the crossing cap first.
+
+        The same walk tracks the B-count, one up or down per step, and
+        counts the smoothings per (B-count, circle count) pair; it caches
+        that tally as ``_count_histogram``, for the loops that need only
+        how many smoothings share a pair, not which ones.
         """
         n_ports = 4 * len(self.crossings)
         partner = [self._arc_partner[p] for p in range(n_ports)]
@@ -400,12 +405,17 @@ class Diagram:
             m += 1
         counts = bytearray(1 << len(self.crossings))
         counts[0] = m
+        stride = 2 * len(self.crossings) + 1  # circle counts run 0 .. 2c
+        tally = [0] * (stride * (len(self.crossings) + 1))
+        tally[m] = 1
         bits = 0
+        b = 0  # B-count of bits
         fresh = m
         for k in range(1, len(counts)):
             x = (k & -k).bit_length() - 1
             bits ^= 1 << x
             join[x] ^= 2
+            b += 1 if join[x] == 3 else -1
             s = 4 * x
             # Slots a and c never share a join, so they name x's two joins.
             merge = label[s] != label[s | 2]
@@ -422,7 +432,21 @@ class Diagram:
             elif label[s | 2] != fresh:
                 m += 1
             counts[bits] = m
+            tally[b * stride + m] += 1
+        self.__dict__["_count_histogram"] = {
+            divmod(key, stride): n for key, n in enumerate(tally) if n
+        }
         return counts
+
+    @cached_property
+    def _count_histogram(self) -> dict[tuple[int, int], int]:
+        """(B-count, circle count) -> how many smoothings have them.
+
+        Circle counts leave the free loops out, as in ``_circle_counts``,
+        whose walk fills this tally; only pairs that occur are keys.
+        """
+        self._circle_counts  # whose walk stores the tally under this name
+        return self.__dict__["_count_histogram"]
 
     # ----- diagram surgeries --------------------------------------------------
 

@@ -27,17 +27,23 @@ with bit k of the mask the sign of circle k in the order
 ``Diagram._resolve_bits`` lists them; each (smoothing, A-crossing) pair is
 traced once for all rows, and the maps are emitted as the sparse rows the
 reduction kernel takes, never as dense matrices.  Every caller, the
-complex of one row included, sees the states in that one keying.
+complex of one row included, sees the states in that one keying.  One row
+j needs only the smoothings with i - m <= j - w, m the circle count: a
+flip raises i by one and moves m by at most one, so they form a family
+closed under subsets, grown from the all-A smoothing without visiting the
+others.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
-end-to-end check.  Circles come from one tracer and counts from one count
-array: the complex compares circles through ``Diagram._resolve_bits``, and
-the bracket, the j-range scan and the complex's state loops read circle
-counts from ``Diagram._circle_counts``, filled in one Gray-code walk over
-the smoothings.  The independent check on both is the union-find circle
-count among the test suite's oracles (``tests/conftest.py``).
+end-to-end check.  Circles come from one tracer and counts from one
+Gray-code walk over the smoothings: the complex compares circles through
+``Diagram._resolve_bits`` and reads circle counts from
+``Diagram._circle_counts``; the bracket and the j-range scan read only the
+walk's tally of smoothings per (B-count, circle count) pair,
+``Diagram._count_histogram``.  The independent check on all three is the
+union-find circle count among the test suite's oracles
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -216,6 +222,32 @@ def _move(d: Diagram, bits: int, x: int) -> tuple:
     return gone[0], gone[-1], triples, outs
 
 
+def _low_family(counts: bytearray, c: int, limit: int) -> list[int]:
+    """The smoothings whose B-count minus circle count is at most ``limit``.
+
+    ``counts`` is ``Diagram._circle_counts`` of a c-crossing diagram.  A
+    flip from A to B raises the B-count by one and changes the circle count
+    by at most one, so the family is closed under subsets.  It is grown
+    from the all-A smoothing one B-count at a time: each member grows only
+    by the crossings above its highest B-bit, so each candidate is read
+    once from ``counts``.  Returned in bit order.
+    """
+    family = [0] if -counts[0] <= limit else []
+    level = family[:]
+    b = 0
+    while level:
+        b += 1
+        level = [
+            grown
+            for bits in level
+            for x in range(bits.bit_length(), c)
+            if b - counts[grown := bits | 1 << x] <= limit
+        ]
+        family += level
+    family.sort()
+    return family
+
+
 def _j_rows(
     d: Diagram, only_j: int | None = None, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> dict[int, ChainComplex]:
@@ -227,9 +259,12 @@ def _j_rows(
     bit order, then by minus set in lexicographic order.  Rows are sparse,
     as ChainComplex holds them, and each row is checked to square to zero.
 
-    The smoothings are visited in bit order.  Each one numbers its states
-    into their (j, i) bases, then pulls its incoming differential from the
-    smoothings one B-crossing lower, which are numbered already: every
+    The smoothings are visited in bit order: all 2^c of them for the full
+    table, and for row ``only_j`` only those with i - m <= only_j - w
+    (``_low_family``), since an enhancement of m circles has j >= w + i - m.
+    Each one numbers its states into their (j, i) bases, then pulls its
+    incoming differential from the smoothings one B-crossing lower, which
+    are numbered already (the family is closed under subsets): every
     (smoothing, A-crossing) pair is traced by ``_move`` once, for all
     rows at once, and maps source masks to target masks by bit operations.
     """
@@ -237,12 +272,17 @@ def _j_rows(
     c = d.crossing_count
     w = d.writhe
     n = d.negative_count
+    loops = d.free_loops
+    counts = d._circle_counts
+    if only_j is None:
+        smoothings = range(1 << c)
+    else:
+        smoothings = _low_family(counts, c, only_j - w + n + loops)
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
-    numbered: list[dict[int, tuple[int, dict]]] = []  # bits -> mask -> (col, row)
-    loops = d.free_loops
-    for bits, m in enumerate(d._circle_counts):
-        m += loops
+    numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)
+    for bits in smoothings:
+        m = counts[bits] + loops
         i = bits.bit_count() - n
         if only_j is None:
             minus_counts = range(m + 1)
@@ -260,7 +300,7 @@ def _j_rows(
                 here[mask] = (len(basis), row)
                 basis.append((bits, mask))
                 rows.append(row)
-        numbered.append(here)
+        numbered[bits] = here
         if not here:
             continue
         after = 0  # B-crossings of bits after x
@@ -296,7 +336,9 @@ def khovanov_complex(
     convention of ChainComplex, verified to compose to zero.  Basis
     elements are the (B-bits, mask of minus-signed circles) pairs of
     ``_j_rows``, over the smoothings in bit order, and within one smoothing
-    over its minus-signed circle sets in lexicographic order.
+    over its minus-signed circle sets in lexicographic order.  Only the
+    smoothings with i - m <= j - w are visited, m the circle count; for
+    j = j_min that is exactly the smoothings holding a j_min state.
     """
     return _j_rows(d, j, max_crossings)[j]
 
@@ -387,27 +429,23 @@ def j_bounds(d: Diagram) -> tuple[int, int]:
 def scanned_j_range(
     d: Diagram, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> tuple[int, int]:
-    """min/max of j over all enhanced states, found state by state.
+    """min/max of j over all enhanced states, found smoothing by smoothing.
 
-    Per state the extremes of j are w + i -+ (circle count), so the scan
-    touches every smoothing but no sign vectors; it checks the closed
-    formulas of j_bounds, which trace circles.  The counts come from
-    ``Diagram._circle_counts``, which the test suite checks against the
-    tracer and an independent union-find count.
+    Per smoothing the extremes of j are w + i -+ (circle count), so the
+    scan takes them over the (B-count, circle count) pairs of
+    ``Diagram._count_histogram``, which the Gray-code walk over every
+    smoothing tallies, and touches no sign vectors; it checks the closed
+    formulas of j_bounds, which trace circles.  The test suite checks the
+    tally against an independent union-find count.
     """
     _check_crossing_cap(d, max_crossings)
-    w = d.writhe
-    n = d.negative_count
+    shift = d.writhe - d.negative_count
     loops = d.free_loops
-    lo = None
-    hi = None
-    for bits, m in enumerate(d._circle_counts):
-        m += loops
-        i = bits.bit_count() - n
-        a, b = w + i - m, w + i + m
-        lo = a if lo is None or a < lo else lo
-        hi = b if hi is None or b > hi else hi
-    return lo, hi
+    pairs = d._count_histogram
+    return (
+        shift + min(b - m for b, m in pairs) - loops,
+        shift + max(b + m for b, m in pairs) + loops,
+    )
 
 
 def khovanov_cohomology(
@@ -444,25 +482,28 @@ def kauffman_bracket(
     """The bracket state sum in the variable A.
 
     Each smoothing contributes A^sigma (-A^2 - A^-2)^(circles - 1); the
-    empty diagram brackets to 1.  The smoothings are counted per
-    (sigma, circles - 1) pair, with circles read from the count array
-    ``Diagram._circle_counts``, and each pair costs one Laurent power.  The
-    test suite checks the sum against a per-state one over an independent
-    union-find circle count.
+    empty diagram brackets to 1.  The smoothings come counted per
+    (B-count, circle count) pair from ``Diagram._count_histogram``; they
+    are grouped by circle count into one polynomial in A each, and each
+    power of the loop value is formed once, by multiplying the last one.
+    The test suite checks the sum against a per-state one over an
+    independent union-find circle count.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
     if c == 0 and d.free_loops == 0:
         return LaurentPoly.one()
-    loops = d.free_loops
-    counts: dict[tuple[int, int], int] = {}
-    for bits, m in enumerate(d._circle_counts):
-        key = (c - 2 * bits.bit_count(), m + loops - 1)
-        counts[key] = counts.get(key, 0) + 1
+    by_circles: dict[int, dict[int, int]] = {}  # circles -> sigma -> smoothings
+    for (b, m), count in d._count_histogram.items():
+        by_circles.setdefault(m + d.free_loops, {})[c - 2 * b] = count
     delta = LaurentPoly({2: -1, -2: -1})
-    total = LaurentPoly()
-    for (sigma, k), count in counts.items():
-        total = total + (delta**k).shift(sigma).scale(count)
+    lo, hi = min(by_circles), max(by_circles)
+    power = delta ** (lo - 1)
+    total = LaurentPoly(by_circles[lo]) * power
+    for m in range(lo + 1, hi + 1):
+        power = power * delta
+        if m in by_circles:
+            total = total + LaurentPoly(by_circles[m]) * power
     return total
 
 

@@ -1,15 +1,18 @@
-"""The circle count array, Diagram._circle_counts.
+"""The circle count array, Diagram._circle_counts, and its tally.
 
-One Gray-code walk fills the circle count of every smoothing.  These tests
-pin it against the tracer and the union-find oracle where the walk meets
-count-preserving flips and many free loops (the catalog and ``corpus12``
-are checked in ``test_diagram``), check that it is built only behind the
-crossing cap, and record that the loops which only count circles no
-longer trace them.
+One Gray-code walk fills the circle count of every smoothing, and tallies
+the smoothings per (B-count, circle count) pair in
+Diagram._count_histogram.  These tests pin both against the tracer and
+the union-find oracle where the walk meets count-preserving flips and many
+free loops (the catalog and ``corpus12`` counts are checked in
+``test_diagram``), check that the array is built only behind the crossing
+cap, and record that the loops which only count circles no longer trace
+them.
 """
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import circle_count_by_union_find, enumerate_enhanced
@@ -17,7 +20,7 @@ from conftest import circle_count_by_union_find, enumerate_enhanced
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_brute
-from exkh.families import thick_family
+from exkh.families import split_union, thick_family
 from exkh.khovanov import (
     DEFAULT_CROSSING_CAP,
     j_bounds,
@@ -36,12 +39,20 @@ def _fresh(d: Diagram) -> Diagram:
 
 
 def _assert_counts_match(d: Diagram) -> None:
+    # the tally is read first, from a fresh diagram: its walk fills both
+    fresh = _fresh(d)
+    histogram = fresh._count_histogram
     counts = d._circle_counts
+    assert fresh._circle_counts == counts
     assert len(counts) == 1 << d.crossing_count
+    tally = Counter()
     for bits, m in enumerate(counts):
         m += d.free_loops
-        assert m == circle_count_by_union_find(d, bits), (d.to_pd(), bits)
+        found = circle_count_by_union_find(d, bits)
+        assert m == found, (d.to_pd(), bits)
         assert m == len(d._resolve_bits(bits)), (d.to_pd(), bits)
+        tally[bits.bit_count(), found - d.free_loops] += 1
+    assert histogram == dict(tally), d.to_pd()
 
 
 def test_counts_match_on_a_diagram_with_count_preserving_flips():
@@ -68,7 +79,16 @@ def test_free_loops_stay_out_of_the_array():
 def test_crossingless_diagram_has_one_empty_smoothing():
     d = Diagram.unknot(3)
     assert d._circle_counts == bytearray([0])
+    assert d._count_histogram == {(0, 0): 1}
     assert scanned_j_range(d) == (-3, 3)
+
+
+def test_histogram_matches_union_find_on_a_split_union_and_large_closures(corpus12):
+    # corpus12 up to 10 crossings is checked in test_diagram
+    largest = [next(d for d in corpus12 if d.crossing_count == c) for c in (11, 12)]
+    split = split_union(parse_pd(TREFOIL + " U U"), corpus12[0].mirror())
+    for d in [*largest, split]:
+        _assert_counts_match(d)
 
 
 def test_j_bounds_reaches_past_the_cap_without_the_array():

@@ -4,7 +4,8 @@
 columns that were unit pivot rows of d_{i-1}.  These tests hold it to the
 per-map formula computed independently from the dense view, hold the
 one-pass Khovanov builder to the reference differential ``adjacent``, count
-its circle traces, and run the cycle C_24, whose dense coboundaries did not
+its circle traces, check that one row visits only the smoothings that can
+hold its states, and run the cycle C_24, whose dense coboundaries did not
 fit in memory, in a child process under a peak-RSS bound.
 """
 
@@ -16,11 +17,18 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import adjacent, enhanced, enumerate_enhanced, random_graph, state_j
+from conftest import (
+    adjacent,
+    circle_count_by_union_find,
+    enhanced,
+    enumerate_enhanced,
+    random_graph,
+    state_j,
+)
 from exkh import khovanov
-from exkh.diagram import Diagram
-from exkh.families import load_catalog
-from exkh.khovanov import _j_rows, khovanov_cohomology, khovanov_complex
+from exkh.diagram import Diagram, parse_pd
+from exkh.families import load_catalog, split_union
+from exkh.khovanov import _j_rows, j_bounds, khovanov_cohomology, khovanov_complex
 from exkh.lando import two_hexagons_shared_vertex
 from exkh.simplicial import (
     AbelianGroup,
@@ -198,6 +206,37 @@ def test_khovanov_complex_is_one_row_of_the_one_pass(corpus12):
         for j, cc in _j_rows(d).items():
             row = khovanov_complex(d, j)
             assert (row.bases, row.rows) == (cc.bases, cc.rows), (d.to_pd(), j)
+
+
+def test_one_row_visits_only_its_subset_closed_family(corpus12, monkeypatch):
+    visited = []
+    grow = khovanov._low_family
+
+    def recording(counts, c, limit):
+        visited.append(grow(counts, c, limit))
+        return visited[-1]
+
+    monkeypatch.setattr(khovanov, "_low_family", recording)
+    small = [d for d in corpus12 if d.crossing_count <= 8][::3]
+    trefoil = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) U U")
+    hopf = parse_pd("X(4,2,1,3) X(2,4,3,1)")
+    diagrams = small + [trefoil, split_union(trefoil, hopf), small[-1].mirror()]
+    for d in diagrams:
+        full = _j_rows(d)
+        w, n = d.writhe, d.negative_count
+        # i - m per smoothing, m from the union-find oracle
+        low = [
+            bits.bit_count() - n - circle_count_by_union_find(d, bits)
+            for bits in range(1 << d.crossing_count)
+        ]
+        j_min, j_max = j_bounds(d)
+        for j in range(j_min - 2, j_max + 3):
+            visited.clear()
+            row = khovanov_complex(d, j)
+            want = (full[j].bases, full[j].rows) if j in full else ({}, {})
+            assert (row.bases, row.rows) == want, (d.to_pd(), j)
+            family = [bits for bits, v in enumerate(low) if v <= j - w]
+            assert visited == [family], (d.to_pd(), j)
 
 
 def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):

@@ -369,23 +369,24 @@ class Diagram:
         return result
 
     @cached_property
-    def _circle_counts(self) -> bytearray:
-        """Circle count of every smoothing, free loops left out, by B-bits.
+    def _walk(self) -> tuple[bytearray, dict[tuple[int, int], int]]:
+        """Circle counts of every smoothing, and their tally, from one walk.
 
-        One Gray-code walk fills all 2^c entries.  Each step flips one
-        crossing x and walks only the circle through port a of x in the new
-        smoothing, giving its ports a fresh label.  If x's two joins had
-        two labels before, two circles merged.  Otherwise one circle either
-        split (the walk missed x's other join) or kept its ports (the walk
-        passed both joins, which happens only in virtual diagrams).  A
-        smoothing has at most 2c circles, so with the free loops left out an
-        entry fits a byte at any c the array can be built for.  Callers
-        check the crossing cap first.
+        The first result is read as ``_circle_counts``, the second as
+        ``_count_histogram``.  One Gray-code walk fills all 2^c entries.
+        Each step flips one crossing x and walks only the circle through
+        port a of x in the new smoothing, giving its ports a fresh label.
+        If x's two joins had two labels before, two circles merged.
+        Otherwise one circle either split (the walk missed x's other join)
+        or kept its ports (the walk passed both joins, which happens only
+        in virtual diagrams).  A smoothing has at most 2c circles, so with
+        the free loops left out an entry fits a byte at any c the array can
+        be built for.  Callers check the crossing cap first.
 
         The same walk tracks the B-count, one up or down per step, and
-        counts the smoothings per (B-count, circle count) pair; it caches
-        that tally as ``_count_histogram``, for the loops that need only
-        how many smoothings share a pair, not which ones.
+        counts the smoothings per (B-count, circle count) pair, for the
+        loops that need only how many smoothings share a pair, not which
+        ones.
         """
         n_ports = 4 * len(self.crossings)
         partner = [self._arc_partner[p] for p in range(n_ports)]
@@ -433,20 +434,22 @@ class Diagram:
                 m += 1
             counts[bits] = m
             tally[b * stride + m] += 1
-        self.__dict__["_count_histogram"] = {
-            divmod(key, stride): n for key, n in enumerate(tally) if n
-        }
-        return counts
+        histogram = {divmod(key, stride): n for key, n in enumerate(tally) if n}
+        return counts, histogram
 
-    @cached_property
+    @property
+    def _circle_counts(self) -> bytearray:
+        """Circle count of every smoothing, free loops left out, by B-bits."""
+        return self._walk[0]
+
+    @property
     def _count_histogram(self) -> dict[tuple[int, int], int]:
         """(B-count, circle count) -> how many smoothings have them.
 
-        Circle counts leave the free loops out, as in ``_circle_counts``,
-        whose walk fills this tally; only pairs that occur are keys.
+        Circle counts leave the free loops out, as in ``_circle_counts``;
+        only pairs that occur are keys.
         """
-        self._circle_counts  # whose walk stores the tally under this name
-        return self.__dict__["_count_histogram"]
+        return self._walk[1]
 
     # ----- diagram surgeries --------------------------------------------------
 

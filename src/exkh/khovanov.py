@@ -57,6 +57,7 @@ from .errors import CapExceeded, NotAComplex
 from .simplicial import (
     AbelianGroup,
     ChainComplex,
+    _closed_family,
     check_square_zero,
     cohomology,
     parse_ring,
@@ -125,9 +126,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()}, self.var)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
@@ -222,32 +220,6 @@ def _move(d: Diagram, bits: int, x: int) -> tuple:
     return gone[0], gone[-1], triples, outs
 
 
-def _low_family(counts: bytearray, c: int, limit: int) -> list[int]:
-    """The smoothings whose B-count minus circle count is at most ``limit``.
-
-    ``counts`` is ``Diagram._circle_counts`` of a c-crossing diagram.  A
-    flip from A to B raises the B-count by one and changes the circle count
-    by at most one, so the family is closed under subsets.  It is grown
-    from the all-A smoothing one B-count at a time: each member grows only
-    by the crossings above its highest B-bit, so each candidate is read
-    once from ``counts``.  Returned in bit order.
-    """
-    family = [0] if -counts[0] <= limit else []
-    level = family[:]
-    b = 0
-    while level:
-        b += 1
-        level = [
-            grown
-            for bits in level
-            for x in range(bits.bit_length(), c)
-            if b - counts[grown := bits | 1 << x] <= limit
-        ]
-        family += level
-    family.sort()
-    return family
-
-
 def _j_rows(
     d: Diagram, only_j: int | None = None, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> dict[int, ChainComplex]:
@@ -260,8 +232,13 @@ def _j_rows(
     as ChainComplex holds them, and each row is checked to square to zero.
 
     The smoothings are visited in bit order: all 2^c of them for the full
-    table, and for row ``only_j`` only those with i - m <= only_j - w
-    (``_low_family``), since an enhancement of m circles has j >= w + i - m.
+    table, and for row ``only_j`` only those with i - m <= only_j - w,
+    since an enhancement of m circles has j >= w + i - m.  A flip from A to
+    B raises i by one and changes m by at most one, so that family is
+    closed under subsets; ``_closed_family`` grows it from the all-A
+    smoothing, each member only by the crossings above its highest B-bit,
+    so each candidate is read once from the count array.  Its cap, 2^c,
+    never trips: the crossing cap bounds the family.
     Each one numbers its states into their (j, i) bases, then pulls its
     incoming differential from the smoothings one B-crossing lower, which
     are numbered already (the family is closed under subsets): every
@@ -277,7 +254,18 @@ def _j_rows(
     if only_j is None:
         smoothings = range(1 << c)
     else:
-        smoothings = _low_family(counts, c, only_j - w + n + loops)
+        limit = only_j - w + n + loops  # on B-count minus counts[bits]
+        family = _closed_family(
+            range(c),
+            lambda f, x: f.bit_count() + 1 - counts[f | 1 << x] <= limit,
+            1 << c,
+            "smoothing family",
+        )
+        # the all-A smoothing, always in the family, is in the row's only if
+        # any smoothing is: it has the least B-count minus circle count
+        smoothings = [] if -counts[0] > limit else sorted(
+            itertools.chain.from_iterable(family.levels)
+        )
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
     numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)

@@ -423,9 +423,7 @@ def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
     for d in sorted(cc.rows):
         drop = cancelled.pop(d, ())
-        if p is None and not drop:
-            rows = [dict(r) for r in cc.rows[d]]  # _eliminate consumes its rows
-        elif p is None:
+        if p is None:
             rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
         else:
             rows = [

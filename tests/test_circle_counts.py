@@ -95,7 +95,7 @@ def test_j_bounds_reaches_past_the_cap_without_the_array():
     d = thick_family(3)
     assert d.crossing_count == 49 > DEFAULT_CROSSING_CAP
     j_bounds(d)
-    assert "_circle_counts" not in d.__dict__
+    assert "_walk" not in d.__dict__
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def test_count_loops_check_the_cap_before_building_the_array(count_loop):
     d = thick_family(2)
     with pytest.raises(CapExceeded):
         count_loop(d)
-    assert "_circle_counts" not in d.__dict__
+    assert "_walk" not in d.__dict__
 
 
 def _recording(monkeypatch):

@@ -68,8 +68,12 @@ from .simplicial import (
 class ExtremeRow:
     """One extreme row of a cohomology table, with its provenance.
 
-    ``groups`` holds only the nonzero entries; ``shift`` records the degree
-    translation n - 1 between diagram gradings and complex gradings.
+    ``groups`` holds only the nonzero entries.  ``n`` is the negative
+    crossing count of the diagram and ``shift`` the translation between
+    complex degrees and diagram gradings.  On a j_min row ``shift`` is
+    n - 1 and i = deg - shift.  On the j_max row of ``extreme_jmax``,
+    ``n`` is still the diagram's but ``shift`` is its mirror's, and
+    i = shift - deg: the left trefoil (n = 3) reports shift = -1.
     """
 
     j: int

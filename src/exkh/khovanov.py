@@ -27,11 +27,13 @@ with bit k of the mask the sign of circle k in the order
 ``Diagram._resolve_bits`` lists them; each (smoothing, A-crossing) pair is
 traced once for all rows, and the maps are emitted as the sparse rows the
 reduction kernel takes, never as dense matrices.  Every caller, the
-complex of one row included, sees the states in that one keying.  One row
-j needs only the smoothings with i - m <= j - w, m the circle count: a
-flip raises i by one and moves m by at most one, so they form a family
-closed under subsets, grown from the all-A smoothing without visiting the
-others.
+complex of one row included, sees the states in that one keying.  The
+pass builds the rows of one window [lo, hi] of j: the full table's
+[j_min, j_max], or [j, j] for one row.  One filter over the count array
+keeps the smoothings with i - m <= hi - w, m the circle count, as only
+they hold a state with j <= hi; a flip raises i by one and moves m by at
+most one, so they form a family closed under subsets, and none is left
+below j_min.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
@@ -57,7 +59,6 @@ from .errors import CapExceeded, NotAComplex
 from .simplicial import (
     AbelianGroup,
     ChainComplex,
-    _closed_family,
     check_square_zero,
     cohomology,
     parse_ring,
@@ -223,27 +224,26 @@ def _move(d: Diagram, bits: int, x: int) -> tuple:
 def _j_rows(
     d: Diagram, only_j: int | None = None, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> dict[int, ChainComplex]:
-    """Every j-row of the enhanced-state complex, built in one pass.
+    """The j-rows of the enhanced-state complex in one window, built in one pass.
 
-    Returns j -> fixed-j cochain complex: every row that holds a state, or
-    just row ``only_j``, empty if it holds none.  Basis elements are the integer
-    pairs (B-bits, mask of minus-signed circles), ordered by smoothing in
-    bit order, then by minus set in lexicographic order.  Rows are sparse,
-    as ChainComplex holds them, and each row is checked to square to zero.
+    The window is [j_min, j_max] of ``j_bounds`` for the full table, and
+    just ``only_j`` for one row.  Returns j -> fixed-j cochain complex for
+    every j in the window that holds a state.  Basis elements are the
+    integer pairs (B-bits, mask of minus-signed circles), ordered by
+    smoothing in bit order, then by minus set in lexicographic order.  Rows
+    are sparse, as ChainComplex holds them, and each row is checked to
+    square to zero.
 
-    The smoothings are visited in bit order: all 2^c of them for the full
-    table, and for row ``only_j`` only those with i - m <= only_j - w,
-    since an enhancement of m circles has j >= w + i - m.  A flip from A to
-    B raises i by one and changes m by at most one, so that family is
-    closed under subsets; ``_closed_family`` grows it from the all-A
-    smoothing, each member only by the crossings above its highest B-bit,
-    so each candidate is read once from the count array.  Its cap, 2^c,
-    never trips: the crossing cap bounds the family.
-    Each one numbers its states into their (j, i) bases, then pulls its
-    incoming differential from the smoothings one B-crossing lower, which
-    are numbered already (the family is closed under subsets): every
-    (smoothing, A-crossing) pair is traced by ``_move`` once, for all
-    rows at once, and maps source masks to target masks by bit operations.
+    One filter over the count array picks the smoothings: those with
+    i - m <= hi - w, hi the top of the window, since an enhancement of m
+    circles has j >= w + i - m.  A flip from A to B raises i by one and
+    changes m by at most one, so they are closed under subsets, come in bit
+    order, and are none at all below j_min.  Each one numbers the states of
+    its minus counts k that land in the window into their (j, i) bases,
+    then pulls its incoming differential from the smoothings one
+    B-crossing lower, which are numbered already: every (smoothing,
+    A-crossing) pair is traced by ``_move`` once, for all rows at once, and
+    maps source masks to target masks by bit operations.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
@@ -251,35 +251,19 @@ def _j_rows(
     n = d.negative_count
     loops = d.free_loops
     counts = d._circle_counts
-    if only_j is None:
-        smoothings = range(1 << c)
-    else:
-        limit = only_j - w + n + loops  # on B-count minus counts[bits]
-        family = _closed_family(
-            range(c),
-            lambda f, x: f.bit_count() + 1 - counts[f | 1 << x] <= limit,
-            1 << c,
-            "smoothing family",
-        )
-        # the all-A smoothing, always in the family, is in the row's only if
-        # any smoothing is: it has the least B-count minus circle count
-        smoothings = [] if -counts[0] > limit else sorted(
-            itertools.chain.from_iterable(family.levels)
-        )
+    lo, hi = j_bounds(d) if only_j is None else (only_j, only_j)
+    limit = hi - w + n + loops  # on B-count minus counts[bits]
+    smoothings = [b for b in range(1 << c) if b.bit_count() - counts[b] <= limit]
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
     numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)
     for bits in smoothings:
         m = counts[bits] + loops
         i = bits.bit_count() - n
-        if only_j is None:
-            minus_counts = range(m + 1)
-        else:
-            k, odd = divmod(w + i + m - only_j, 2)
-            minus_counts = () if odd or not 0 <= k <= m else (k,)
+        top = w + i + m  # j of the all-plus enhancement
         here: dict[int, tuple[int, dict]] = {}
-        for k in minus_counts:
-            j = w + i + m - 2 * k
+        for k in range(max(0, (top - hi + 1) // 2), min(m, (top - lo) // 2) + 1):
+            j = top - 2 * k
             basis = bases.setdefault(j, {}).setdefault(i, [])
             rows = into.setdefault(j, {}).setdefault(i, [])
             for neg in itertools.combinations(range(m), k):
@@ -307,8 +291,8 @@ def _j_rows(
                         here[kept | extra][1][col] = incidence
             after += 1
     out = {}
-    for j in sorted(bases) if only_j is None else (only_j,):
-        row_bases = {i: tuple(b) for i, b in sorted(bases.get(j, {}).items())}
+    for j in sorted(bases):
+        row_bases = {i: tuple(b) for i, b in sorted(bases[j].items())}
         rows = {i: tuple(into[j].get(i + 1, ())) for i in row_bases}
         check_square_zero(rows, f" in row j={j}")
         out[j] = ChainComplex(bases=row_bases, rows=rows)
@@ -321,14 +305,16 @@ def khovanov_complex(
     """The fixed-j cochain complex of enhanced states.
 
     Degrees run over i; the maps are sparse rows in the row-per-target
-    convention of ChainComplex, verified to compose to zero.  Basis
-    elements are the (B-bits, mask of minus-signed circles) pairs of
-    ``_j_rows``, over the smoothings in bit order, and within one smoothing
-    over its minus-signed circle sets in lexicographic order.  Only the
-    smoothings with i - m <= j - w are visited, m the circle count; for
-    j = j_min that is exactly the smoothings holding a j_min state.
+    convention of ChainComplex, verified to compose to zero.  This is
+    ``_j_rows`` with the window [j, j]: basis elements are its
+    (B-bits, mask of minus-signed circles) pairs, over the smoothings in
+    bit order, and within one smoothing over its minus-signed circle sets
+    in lexicographic order.  The one filter over the count array keeps the
+    smoothings with i - m <= j - w, m the circle count; for j = j_min that
+    is exactly the smoothings holding a j_min state.  A row that holds no
+    state is the empty complex.
     """
-    return _j_rows(d, j, max_crossings)[j]
+    return _j_rows(d, j, max_crossings).get(j, ChainComplex(bases={}, rows={}))
 
 
 # --------------------------------------------------------------------------

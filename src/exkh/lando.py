@@ -123,9 +123,6 @@ class Graph:
                         return None
         return color
 
-    def is_bipartite(self) -> bool:
-        return self.two_coloring() is not None
-
     def to_json(self) -> str:
         return json.dumps(
             {

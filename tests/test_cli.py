@@ -110,6 +110,15 @@ def test_extreme_side_max(capsys):
     assert out.strip() == "j=-1: i=0: Z"
 
 
+def test_extreme_side_max_json_keeps_the_mirror_shift(capsys):
+    # n is the left trefoil's own; shift is its mirror's n - 1
+    code, out, _ = run(["extreme", TREFOIL, "--side", "max", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "j": -1, "groups": {"0": "Z"}, "provenance": "lando", "n": 3, "shift": -1
+    }
+
+
 @pytest.mark.parametrize("method", ["brute", "dual"])
 def test_extreme_side_max_has_only_the_mirror_route(capsys, method):
     code, out, err = run(["extreme", TREFOIL, "--side", "max", "--method", method], capsys)

@@ -42,7 +42,7 @@ def test_constructors():
     assert len(k23.edges) == 6
     th = two_hexagons_shared_vertex()
     assert len(th.vertices) == 11 and len(th.edges) == 12
-    assert th.is_bipartite
+    assert th.two_coloring() is not None
 
 
 def test_two_coloring_on_cycles():
@@ -130,7 +130,7 @@ def test_lando_of_a_diagram_equals_lando_of_its_all_a_resolution(corpus12):
 
 def test_lando_graphs_are_bipartite_on_corpus(corpus12):
     for d in corpus12[:60]:
-        assert build_lando(d).is_bipartite
+        assert build_lando(d).two_coloring() is not None
 
 
 def test_independence_number_matches_enumeration():

@@ -4,7 +4,7 @@
 columns that were unit pivot rows of d_{i-1}.  These tests hold it to the
 per-map formula computed independently from the dense view, hold the
 one-pass Khovanov builder to the reference differential ``adjacent``, count
-its circle traces, check that one row visits only the smoothings that can
+its circle traces, check that one row traces only the smoothings that can
 hold its states, and run the cycle C_24, whose dense coboundaries did not
 fit in memory, in a child process under a peak-RSS bound.
 """
@@ -208,16 +208,15 @@ def test_khovanov_complex_is_one_row_of_the_one_pass(corpus12):
             assert (row.bases, row.rows) == (cc.bases, cc.rows), (d.to_pd(), j)
 
 
-def test_one_row_visits_only_its_subset_closed_family(corpus12, monkeypatch):
-    visited = []
-    grow = khovanov._closed_family
+def test_one_row_traces_only_its_subset_closed_family(corpus12, monkeypatch):
+    traced = []
+    tracer = Diagram._resolve_bits
 
-    def recording(*args):
-        family = grow(*args)
-        visited.append(sorted(f for level in family.levels for f in level))
-        return family
+    def recording(self, bits):
+        traced.append(bits)
+        return tracer(self, bits)
 
-    monkeypatch.setattr(khovanov, "_closed_family", recording)
+    monkeypatch.setattr(Diagram, "_resolve_bits", recording)
     small = [d for d in corpus12 if d.crossing_count <= 8][::3]
     trefoil = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) U U")
     hopf = parse_pd("X(4,2,1,3) X(2,4,3,1)")
@@ -232,13 +231,15 @@ def test_one_row_visits_only_its_subset_closed_family(corpus12, monkeypatch):
         ]
         j_min, j_max = j_bounds(d)
         for j in range(j_min - 2, j_max + 3):
-            visited.clear()
+            traced.clear()
             row = khovanov_complex(d, j)
             want = (full[j].bases, full[j].rows) if j in full else ({}, {})
             assert (row.bases, row.rows) == want, (d.to_pd(), j)
-            family = [bits for bits, v in enumerate(low) if v <= j - w]
-            # an empty row's family is the all-A smoothing, left unvisited
-            assert visited == [family or [0]], (d.to_pd(), j)
+            family = {bits for bits, v in enumerate(low) if v <= j - w}
+            # empty exactly below j_min, where the row must trace nothing
+            assert bool(family) == (j >= j_min), (d.to_pd(), j)
+            assert set(traced) <= family, (d.to_pd(), j)
+            assert set(_j_rows(d, j)) <= {j}, (d.to_pd(), j)
 
 
 def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):

@@ -62,27 +62,9 @@ class State:
             raise ValueError(f"state labels must be 'A' or 'B': {self.labels!r}")
 
     @property
-    def a_count(self) -> int:
-        return self.labels.count(A)
-
-    @property
-    def b_count(self) -> int:
-        return self.labels.count(B)
-
-    @property
-    def sigma(self) -> int:
-        """Number of A labels minus number of B labels."""
-        return self.a_count - self.b_count
-
-    @property
     def bits(self) -> int:
         """The B-labelled crossings as the set bits of an integer."""
         return sum(1 << k for k, lab in enumerate(self.labels) if lab == B)
-
-    def flip(self, crossing: int) -> "State":
-        labels = list(self.labels)
-        labels[crossing] = B if labels[crossing] == A else A
-        return State(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -100,12 +82,6 @@ class ResolvedState:
     @property
     def circle_count(self) -> int:
         return len(self.circles)
-
-    def circle_of(self, endpoint: Endpoint) -> int:
-        for k, circle in enumerate(self.circles):
-            if endpoint in circle:
-                return k
-        raise KeyError(endpoint)
 
     def to_json(self) -> str:
         return json.dumps(

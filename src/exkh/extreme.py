@@ -49,7 +49,7 @@ from typing import Iterable
 from .diagram import Diagram
 from .errors import EmptyPartW, NonPlanarDiagram
 from .khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_complex
-from .lando import Graph, build_lando, fold_graph, is_complete_bipartite
+from .lando import Graph, build_lando, fold_graph
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -89,20 +89,6 @@ class ExtremeRow:
             f"i={i}: {g.to_text(ring)}" for i, g in sorted(self.groups.items())
         )
         return f"j={self.j}: {cells}"
-
-    def ranks_from_lowest(self) -> tuple[AbelianGroup, ...]:
-        """The group sequence starting at the lowest nonzero i.
-
-        Reorienting components shifts the whole row in i; comparing these
-        sequences factors that shift out.
-        """
-        if not self.groups:
-            return ()
-        lo = min(self.groups)
-        hi = max(self.groups)
-        return tuple(
-            self.groups.get(i, AbelianGroup(0)) for i in range(lo, hi + 1)
-        )
 
 
 def _joined_homology(
@@ -265,19 +251,3 @@ def extreme_row(
     if method == "dual":
         return extreme_via_dual(d, ring, cap)
     raise ValueError(f"unknown method {method!r} (use lando, brute or dual)")
-
-
-def krs_criterion(d: Diagram, ring: str = "Z") -> AbelianGroup:
-    """The group at (1 - n, j_min), read off the Lando graph's shape.
-
-    It is one copy of the coefficient ring when the Lando graph is a
-    complete bipartite graph K_{r,s} (r, s >= 1) and trivial otherwise;
-    this is the degree where H~^0(X_D) sits, and the independence complex
-    of a graph is disconnected exactly in the complete bipartite case,
-    when it is a disjoint union of two simplices.
-    """
-    parse_ring(ring)
-    g = build_lando(d)
-    if is_complete_bipartite(g) is not None:
-        return AbelianGroup(1)
-    return AbelianGroup(0)

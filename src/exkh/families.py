@@ -6,7 +6,7 @@ graph is the hexagon C6, and an eleven-crossing diagram whose Lando graph
 is two hexagons sharing a vertex.  Only their combinatorial data (chord
 endpoints and sides, crossing signs, Lando isomorphism class, extreme row)
 is pinned down; the PD codes are reconstructed from the chord diagrams by
-``from_chord_diagram`` and validated against the pinned data on load.
+``from_chord_diagram``, and the tests check them against the pinned data.
 
 The reconstruction works because a chord diagram with sides fixes the
 diagram up to orientation and altitude choices: un-smoothing a chord whose
@@ -21,7 +21,8 @@ crossing sign can be read off slot 3.
 Knotification inserts a two-crossing clasp that reroutes two components
 into one while leaving the Lando graph untouched: the A-resolution of the
 clasp reconstitutes both original strands and adds one isolated circle
-carrying both new chords, so neither chord is admissible.
+carrying both new chords, so neither chord is admissible, and the Lando
+graph of the result equals the original one, vertex for vertex.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from math import comb
 
 from .diagram import Diagram, parse_pd
 from .errors import ClaspFailed, DiagramError, SameComponent
-from .extreme import extreme_via_lando
-from .khovanov import j_bounds
-from .lando import build_lando, cycle_graph, isomorphic, two_hexagons_shared_vertex
+from .lando import build_lando
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -62,8 +61,8 @@ def from_chord_diagram(
     otherwise the picture is not planar and ValueError is raised.  The
     resulting diagram has the chord diagram as its all-A resolution; its
     components are oriented by the default rule (first arc of each runs
-    forward along the circle numbering), use reorient_for_negative_count to
-    pick a different orientation.
+    forward along the circle numbering); ``Diagram.reverse_component``
+    picks a different orientation.
     """
     c = len(pairs)
     if c == 0:
@@ -142,25 +141,6 @@ def from_chord_diagram(
     return Diagram(tuple(crossings), tuple(signs))
 
 
-def reorient_for_negative_count(d: Diagram, target: int) -> Diagram:
-    """Reverse a subset of components to hit a given negative-crossing count.
-
-    Subsets are tried in increasing size and lexicographic order, so the
-    answer is deterministic; ValueError if no orientation works.
-    """
-    mu = d.component_count
-    from itertools import combinations
-
-    for size in range(mu + 1):
-        for subset in combinations(range(mu), size):
-            out = d
-            for comp in subset:
-                out = out.reverse_component(comp)
-            if out.negative_count == target:
-                return out
-    raise ValueError(f"no orientation of the diagram has {target} negative crossings")
-
-
 # --------------------------------------------------------------------------
 # split unions and knotification
 # --------------------------------------------------------------------------
@@ -196,8 +176,10 @@ def knotify(d: Diagram, arc_a: int, arc_b: int) -> Diagram:
     The clasp cuts the two arcs and reroutes each into the other component
     through two new positive crossings.  Both new A-chords end on a little
     circle private to the clasp, so the admissible chords and their
-    interleavements are exactly those of the original diagram; the
-    postcondition is verified and ClaspFailed raised otherwise.
+    interleavements are exactly those of the original diagram.  Of the
+    clasp variants that leave one component fewer, the first whose Lando
+    graph equals the original one (same vertices, in crossing order, and
+    same edges) is returned; ClaspFailed is raised when none does.
     """
     comp_of = d._component_of_arc
     if arc_a not in comp_of or arc_b not in comp_of:
@@ -231,7 +213,7 @@ def knotify(d: Diagram, arc_a: int, arc_b: int) -> Diagram:
             continue
         if components != d.component_count - 1:
             continue
-        if isomorphic(build_lando(candidate), lando_before):
+        if build_lando(candidate) == lando_before:
             return candidate
     raise ClaspFailed(
         f"no clasp variant at arcs {arc_a}, {arc_b} preserves the Lando graph"
@@ -283,48 +265,6 @@ def catalog_diagram(name: str) -> Diagram:
     return catalog[name].diagram()
 
 
-_LANDO_CLASSES = {
-    "hexagon": lambda: cycle_graph(6),
-    "two_hexagons_shared_vertex": two_hexagons_shared_vertex,
-}
-
-
-def validate_catalog_entry(entry: CatalogEntry) -> list[str]:
-    """Recompute every pinned invariant of an entry; list the mismatches."""
-    problems = []
-    d = entry.diagram()
-    exp = entry.expected
-
-    def check(label, got, want):
-        if got != want:
-            problems.append(f"{label}: computed {got!r}, pinned {want!r}")
-
-    check("crossings", d.crossing_count, exp["crossings"])
-    check("negative", d.negative_count, exp["negative"])
-    check("components", d.component_count, exp["components"])
-    check("s_a", len(d._resolve_bits(0)), exp["s_a"])
-    g = build_lando(d)
-    check("lando vertices", len(g.vertices), exp["lando"]["vertices"])
-    check("lando edges", len(g.edges), exp["lando"]["edges"])
-    ref = _LANDO_CLASSES[exp["lando"]["class"]]()
-    if not isomorphic(g, ref):
-        problems.append(f"lando graph not isomorphic to {exp['lando']['class']}")
-    j_min, _ = j_bounds(d)
-    check("j_min", j_min, exp["extreme"]["j"])
-    row = extreme_via_lando(d)
-    groups = {str(i): str(grp) for i, grp in sorted(row.groups.items())}
-    check("extreme row", groups, exp["extreme"]["groups"])
-    # The reconstruction provenance must replay exactly.
-    if entry.reconstructed:
-        rebuilt = from_chord_diagram(
-            list(entry.chord_pairs), list(entry.chord_inside)
-        )
-        rebuilt = reorient_for_negative_count(rebuilt, exp["negative"])
-        if rebuilt.to_pd() != entry.pd:
-            problems.append("chord-diagram reconstruction does not replay")
-    return problems
-
-
 # --------------------------------------------------------------------------
 # thick families
 # --------------------------------------------------------------------------
@@ -362,9 +302,8 @@ def join_power_table(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = SimplicialComplex.from_faces(
-        range(1, 6),
-        [(), (1,), (2,), (3,), (4,), (5,), (1, 2), (2, 3), (3, 4), (4, 1)],
+    x = SimplicialComplex.from_maximal(
+        range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (5,)]
     )
     j = x
     for _ in range(n - 1):

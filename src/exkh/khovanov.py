@@ -139,16 +139,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def min_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
-
-    def max_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPoly)

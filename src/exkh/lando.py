@@ -17,6 +17,11 @@ included),
 refines the count of extreme Kauffman bracket coefficients.  It satisfies
 I(G) = I(G - v) - I(G - N[v]) for any vertex v, multiplies over connected
 components, and vanishes whenever G has an isolated vertex.
+
+Graphs compare by equality: the same vertex tuple and the same edge set.
+Lando graph vertices are crossing indices in crossing order, so two
+diagrams numbered alike have equal Lando graphs exactly when the same
+chords are admissible and interleave alike.
 """
 
 from __future__ import annotations
@@ -63,23 +68,12 @@ class Graph:
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
-    def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
-
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
         keep_set = set(keep)
         return Graph(
             tuple(v for v in self.vertices if v in keep_set),
             frozenset(e for e in self.edges if e <= keep_set),
         )
-
-    def complement(self) -> "Graph":
-        edges = frozenset(
-            frozenset((u, v))
-            for u, v in itertools.combinations(self.vertices, 2)
-            if frozenset((u, v)) not in self.edges
-        )
-        return Graph(self.vertices, edges)
 
     def connected_components(self) -> tuple[tuple[Vertex, ...], ...]:
         adj = self.adjacency
@@ -276,63 +270,6 @@ def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
     return (len(side0), len(side1))
 
 
-def find_isomorphism(g: Graph, h: Graph) -> dict[Vertex, Vertex] | None:
-    """A graph isomorphism g -> h found by backtracking, or None.
-
-    Meant for the small graphs that arise here (a few dozen vertices).
-    """
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-
-    def signature(graph: Graph) -> dict[Vertex, tuple]:
-        deg = {v: graph.degree(v) for v in graph.vertices}
-        return {
-            v: (deg[v], tuple(sorted(deg[w] for w in graph.adjacency[v])))
-            for v in graph.vertices
-        }
-
-    sig_g, sig_h = signature(g), signature(h)
-    if sorted(sig_g.values()) != sorted(sig_h.values()):
-        return None
-    order = sorted(g.vertices, key=lambda v: sig_g[v], reverse=True)
-    adj_g, adj_h = g.adjacency, h.adjacency
-
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in h.vertices:
-            if w in used or sig_h[w] != sig_g[v]:
-                continue
-            ok = True
-            for u in adj_g[v]:
-                if u in mapping and mapping[u] not in adj_h[w]:
-                    ok = False
-                    break
-            if ok:
-                for u in g.vertices:
-                    if u in mapping and u not in adj_g[v] and mapping[u] in adj_h[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
-def isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None
-
-
 def cycle_graph(n: int) -> Graph:
     if n <= 2:
         return path_graph(n)
@@ -341,12 +278,6 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph.build(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite_graph(r: int, s: int) -> Graph:
-    verts = [("u", i) for i in range(r)] + [("w", j) for j in range(s)]
-    edges = [(("u", i), ("w", j)) for i in range(r) for j in range(s)]
-    return Graph.build(verts, edges)
 
 
 def two_hexagons_shared_vertex() -> Graph:

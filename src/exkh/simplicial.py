@@ -514,36 +514,8 @@ class SimplicialComplex:
         return _closed_family(ground, admits, cap, "face enumeration")
 
     @staticmethod
-    def from_faces(ground: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
-        """Build from an explicit full face list, verifying closure.
-
-        The enumerator grows the listed faces and checks their facets; a
-        listed face it does not reach lacks a subset.
-        """
-        ground = tuple(ground)
-        pos = {v: k for k, v in enumerate(ground)}
-        listed = {_mask(pos, f) for f in faces}
-        if not listed:
-            return SimplicialComplex.void(ground)
-        x = _closed_family(
-            ground, lambda f, k: f | 1 << k in listed, len(listed) + 1, "face list"
-        )
-        unreached = listed.difference(*x.levels) if 0 in listed else listed
-        if unreached:
-            raise NotAComplex(f"face {_vertices(ground, min(unreached))} lacks a subset")
-        return x
-
-    @staticmethod
     def void(ground: Iterable = ()) -> "SimplicialComplex":
         return SimplicialComplex(_ground(ground), (), ())
-
-    @staticmethod
-    def empty(ground: Iterable = ()) -> "SimplicialComplex":
-        return _closed_family(ground, lambda f, k: False, 1, "face enumeration")
-
-    @staticmethod
-    def full_simplex(ground: Iterable, cap: int = DEFAULT_FACE_CAP) -> "SimplicialComplex":
-        return _closed_family(ground, lambda f, k: True, cap, "face enumeration")
 
     # ---- basic queries ----
 
@@ -555,10 +527,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.levels
-
-    @property
-    def is_empty_complex(self) -> bool:
-        return self.levels == ((0,),)
 
     @property
     def dimension(self) -> int | None:
@@ -753,23 +721,17 @@ def join(
 ) -> SimplicialComplex:
     """Simplicial join; vertices are tagged (0, v) and (1, w).
 
-    A face of the join is a face of x beside a face of y, the y part's bits
-    shifted past x's ground.  Faces grow by ascending position, so a face
-    grown by a vertex of x has no vertex of y yet.
+    A face of the join is a face of x beside a face of y, so its maximal
+    faces are the unions of a maximal face of x with one of y.
     """
     ground = tuple((0, v) for v in x.ground) + tuple((1, w) for w in y.ground)
     if x.is_void or y.is_void:
         return SimplicialComplex.void(ground)
-    n = len(x.ground)
-    xs = set(itertools.chain(*x.levels))
-    ys = set(itertools.chain(*y.levels))
-
-    def admits(f: int, k: int) -> bool:
-        if k < n:
-            return f | 1 << k in xs
-        return f >> n | 1 << (k - n) in ys
-
-    return _closed_family(ground, admits, cap, "face enumeration")
+    tagged_x = [[(0, v) for v in _vertices(x.ground, f)] for f in x.tops]
+    tagged_y = [[(1, w) for w in _vertices(y.ground, g)] for g in y.tops]
+    return SimplicialComplex.from_maximal(
+        ground, [f + g for f in tagged_x for g in tagged_y], cap
+    )
 
 
 def join_homology(

@@ -19,6 +19,12 @@ both from outside.  The j_min states
 (``s_min_states``), the whole Y_D (``y_complex``), the bipartite graph of
 a complex and the suspension are oracles built from package pieces, for
 the tests that compare them with the routes.
+
+Some oracles answer questions the package itself never asks: graph
+isomorphism by backtracking, the group at (1 - n, j_min) read off the
+Lando graph's shape (``krs_criterion``), a row's groups from its lowest
+degree, and the check of each catalog entry against its pinned
+invariants, which replays the chord-diagram reconstruction.
 """
 
 import itertools
@@ -31,16 +37,24 @@ import pytest
 
 from exkh.diagram import A, B, Diagram, State
 from exkh.errors import CapExceeded
-from exkh.extreme import _dual_parts
-from exkh.families import random_diagrams
-from exkh.khovanov import DEFAULT_CROSSING_CAP
-from exkh.lando import Graph, build_lando
+from exkh.extreme import _dual_parts, extreme_via_lando
+from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
+from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds
+from exkh.lando import (
+    Graph,
+    build_lando,
+    cycle_graph,
+    is_complete_bipartite,
+    two_hexagons_shared_vertex,
+)
 from exkh.simplicial import (
     DEFAULT_FACE_CAP,
+    AbelianGroup,
     SimplicialComplex,
     independence_complex,
     join,
     jonsson_dual,
+    parse_ring,
 )
 
 CORPUS_SEED = 20260814
@@ -277,6 +291,166 @@ def bipartite_from_complex(x: SimplicialComplex) -> Graph:
         if v not in f
     ]
     return Graph.build(vertices, edges)
+
+
+# --------------------------------------------------------------------------
+# graph, row and catalog oracles
+# --------------------------------------------------------------------------
+
+
+def degree(g: Graph, v) -> int:
+    return len(g.adjacency[v])
+
+
+def find_isomorphism(g: Graph, h: Graph) -> dict | None:
+    """A graph isomorphism g -> h found by backtracking, or None.
+
+    Meant for the small graphs that arise here (a few dozen vertices).
+    """
+    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return None
+
+    def signature(graph: Graph) -> dict:
+        deg = {v: degree(graph, v) for v in graph.vertices}
+        return {
+            v: (deg[v], tuple(sorted(deg[w] for w in graph.adjacency[v])))
+            for v in graph.vertices
+        }
+
+    sig_g, sig_h = signature(g), signature(h)
+    if sorted(sig_g.values()) != sorted(sig_h.values()):
+        return None
+    order = sorted(g.vertices, key=lambda v: sig_g[v], reverse=True)
+    adj_g, adj_h = g.adjacency, h.adjacency
+
+    mapping: dict = {}
+    used: set = set()
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in h.vertices:
+            if w in used or sig_h[w] != sig_g[v]:
+                continue
+            ok = True
+            for u in adj_g[v]:
+                if u in mapping and mapping[u] not in adj_h[w]:
+                    ok = False
+                    break
+            if ok:
+                for u in g.vertices:
+                    if u in mapping and u not in adj_g[v] and mapping[u] in adj_h[w]:
+                        ok = False
+                        break
+            if ok:
+                mapping[v] = w
+                used.add(w)
+                if extend(k + 1):
+                    return True
+                del mapping[v]
+                used.discard(w)
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    return find_isomorphism(g, h) is not None
+
+
+def complete_bipartite_graph(r: int, s: int) -> Graph:
+    verts = [("u", i) for i in range(r)] + [("w", j) for j in range(s)]
+    edges = [(("u", i), ("w", j)) for i in range(r) for j in range(s)]
+    return Graph.build(verts, edges)
+
+
+def krs_criterion(d: Diagram, ring: str = "Z") -> AbelianGroup:
+    """The group at (1 - n, j_min), read off the Lando graph's shape.
+
+    It is one copy of the coefficient ring when the Lando graph is a
+    complete bipartite graph K_{r,s} (r, s >= 1) and trivial otherwise;
+    this is the degree where H~^0(X_D) sits, and the independence complex
+    of a graph is disconnected exactly in the complete bipartite case,
+    when it is a disjoint union of two simplices.
+    """
+    parse_ring(ring)
+    g = build_lando(d)
+    if is_complete_bipartite(g) is not None:
+        return AbelianGroup(1)
+    return AbelianGroup(0)
+
+
+def ranks_from_lowest(groups: dict[int, AbelianGroup]) -> tuple[AbelianGroup, ...]:
+    """A row's group sequence starting at its lowest nonzero i.
+
+    Reorienting components shifts the whole row in i; comparing these
+    sequences factors that shift out.
+    """
+    if not groups:
+        return ()
+    lo = min(groups)
+    hi = max(groups)
+    return tuple(groups.get(i, AbelianGroup(0)) for i in range(lo, hi + 1))
+
+
+def reorient_for_negative_count(d: Diagram, target: int) -> Diagram:
+    """Reverse a subset of components to hit a given negative-crossing count.
+
+    Subsets are tried in increasing size and lexicographic order, so the
+    answer is deterministic; ValueError if no orientation works.
+    """
+    mu = d.component_count
+    for size in range(mu + 1):
+        for subset in itertools.combinations(range(mu), size):
+            out = d
+            for comp in subset:
+                out = out.reverse_component(comp)
+            if out.negative_count == target:
+                return out
+    raise ValueError(f"no orientation of the diagram has {target} negative crossings")
+
+
+_LANDO_CLASSES = {
+    "hexagon": lambda: cycle_graph(6),
+    "two_hexagons_shared_vertex": two_hexagons_shared_vertex,
+}
+
+
+def validate_catalog_entry(entry: CatalogEntry) -> list[str]:
+    """Recompute every pinned invariant of an entry; list the mismatches."""
+    problems = []
+    d = entry.diagram()
+    exp = entry.expected
+
+    def check(label, got, want):
+        if got != want:
+            problems.append(f"{label}: computed {got!r}, pinned {want!r}")
+
+    check("crossings", d.crossing_count, exp["crossings"])
+    check("negative", d.negative_count, exp["negative"])
+    check("components", d.component_count, exp["components"])
+    check("s_a", len(d._resolve_bits(0)), exp["s_a"])
+    g = build_lando(d)
+    check("lando vertices", len(g.vertices), exp["lando"]["vertices"])
+    check("lando edges", len(g.edges), exp["lando"]["edges"])
+    ref = _LANDO_CLASSES[exp["lando"]["class"]]()
+    if not isomorphic(g, ref):
+        problems.append(f"lando graph not isomorphic to {exp['lando']['class']}")
+    j_min, _ = j_bounds(d)
+    check("j_min", j_min, exp["extreme"]["j"])
+    row = extreme_via_lando(d)
+    groups = {str(i): str(grp) for i, grp in sorted(row.groups.items())}
+    check("extreme row", groups, exp["extreme"]["groups"])
+    # The reconstruction provenance must replay exactly.
+    if entry.reconstructed:
+        rebuilt = from_chord_diagram(
+            list(entry.chord_pairs), list(entry.chord_inside)
+        )
+        rebuilt = reorient_for_negative_count(rebuilt, exp["negative"])
+        if rebuilt.to_pd() != entry.pd:
+            problems.append("chord-diagram reconstruction does not replay")
+    return problems
 
 
 # --------------------------------------------------------------------------

@@ -169,10 +169,10 @@ def test_routes_enumerate_each_complex_once_and_never_from_a_face_list(
 ):
     # the builders attach their face masks, and coboundary_complex reads them
     def no_face_list(*args, **kwargs):
-        raise AssertionError("from_faces called on a route")
+        raise AssertionError("from_maximal called on a route")
 
     monkeypatch.setattr(
-        simplicial.SimplicialComplex, "from_faces", staticmethod(no_face_list)
+        simplicial.SimplicialComplex, "from_maximal", staticmethod(no_face_list)
     )
     enumerated, built = [], []
 

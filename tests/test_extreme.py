@@ -1,5 +1,11 @@
 import pytest
-from conftest import enumerate_enhanced, s_min_states, y_complex
+from conftest import (
+    enumerate_enhanced,
+    krs_criterion,
+    ranks_from_lowest,
+    s_min_states,
+    y_complex,
+)
 
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded, EmptyPartW
@@ -10,7 +16,6 @@ from exkh.extreme import (
     extreme_via_brute,
     extreme_via_dual,
     extreme_via_lando,
-    krs_criterion,
     lando_cohomology,
 )
 from exkh.khovanov import j_bounds, khovanov_cohomology
@@ -186,9 +191,9 @@ def test_ranks_from_lowest():
     row = ExtremeRow(
         j=0, groups={2: Z(1), 4: Z(3)}, provenance="lando", n=0, shift=-1
     )
-    assert row.ranks_from_lowest() == (Z(1), Z(0), Z(3))
+    assert ranks_from_lowest(row.groups) == (Z(1), Z(0), Z(3))
     empty = ExtremeRow(j=0, groups={}, provenance="lando", n=0, shift=-1)
-    assert empty.ranks_from_lowest() == ()
+    assert ranks_from_lowest(empty.groups) == ()
 
 
 def test_unknown_method_rejected():

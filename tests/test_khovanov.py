@@ -66,7 +66,6 @@ def test_poly_arithmetic():
     assert (p ** 3).coeffs == (p * p * p).coeffs
     assert p.shift(2).coeffs == {4: 1, 0: -1}
     assert p.coefficient(2) == 1 and p.coefficient(5) == 0
-    assert p.min_degree() == -2 and p.max_degree() == 2
 
 
 def test_poly_guards():
@@ -74,8 +73,6 @@ def test_poly_guards():
         LaurentPoly({1: 1}) + LaurentPoly({1: 1}, var="q")
     with pytest.raises(ValueError):
         LaurentPoly({1: 1}) ** -1
-    with pytest.raises(ValueError):
-        LaurentPoly().min_degree()
 
 
 def test_poly_str():

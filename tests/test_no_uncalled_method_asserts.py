@@ -1,4 +1,4 @@
-"""No test asserts an uncalled method as a truth value.
+"""No test asserts an uncalled method as a truth value, or a bool as None.
 
 ``assert g.is_bipartite`` reads a bound method, which is always true, so
 the assertion checks nothing.  This scans every ``assert`` under
@@ -8,6 +8,12 @@ package, in a bare truth position: the whole test, the operand of
 they are exempt, and so is a name that some class also declares as a
 field (``ExtremeRow.shift`` against ``LaurentPoly.shift``), since the
 attribute's owner cannot be told from the syntax.
+
+A call to a function annotated ``-> bool`` never returns None, so
+``assert isomorphic(g, h) is not None`` always passes as well.  The second
+check rejects ``assert f(...) is None`` and ``assert f(...) is not None``
+in the same truth positions when some function or method named ``f`` in
+the package or in ``tests/conftest.py`` is annotated ``-> bool``.
 """
 
 import ast
@@ -16,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "exkh").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+CONFTEST = ROOT / "tests" / "conftest.py"
 PROPERTIES = {"property", "cached_property"}
 
 
@@ -101,4 +108,80 @@ def test_the_check_sees_an_uncalled_method():
     assert methods == {"ok"}
     assert uncalled_method_asserts(tests, methods) == [
         "line 1: ok", "line 2: ok", "line 3: ok"
+    ]
+
+
+def bool_functions(sources: list[str]) -> set[str]:
+    """Names of the functions and methods in ``sources`` annotated ``-> bool``."""
+    return {
+        node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and isinstance(node.returns, (ast.Name, ast.Constant))
+        and getattr(node.returns, "id", getattr(node.returns, "value", None)) == "bool"
+    }
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """``f`` for a call ``f(...)`` or ``x.f(...)``, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def bool_compared_with_none(source: str, functions: set[str]) -> list[str]:
+    """``line N: name`` for each assert in ``source`` testing a bool call
+    with ``is None`` or ``is not None``."""
+    hits = sorted(
+        (node.lineno, _called_name(operand.left))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        for operand in _truth_operands(node.test)
+        if isinstance(operand, ast.Compare)
+        and len(operand.ops) == 1
+        and isinstance(operand.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(operand.comparators[0], ast.Constant)
+        and operand.comparators[0].value is None
+        and _called_name(operand.left) in functions
+    )
+    return [f"line {line}: {name}" for line, name in hits]
+
+
+def test_no_assert_compares_a_bool_call_with_none():
+    functions = bool_functions(
+        [p.read_text(encoding="utf-8") for p in [*PACKAGE, CONFTEST]]
+    )
+    assert {"isomorphic", "is_planar"} <= functions
+    found = {
+        path.name: hits
+        for path in TESTS
+        if (hits := bool_compared_with_none(path.read_text(encoding="utf-8"), functions))
+    }
+    assert found == {}
+
+
+def test_the_check_sees_a_bool_compared_with_none():
+    package = (
+        "from __future__ import annotations\n"
+        "def same(g, h) -> bool: return g == h\n"
+        "def find(g, h) -> dict | None: return None\n"
+        "class G:\n"
+        "    def ok(self) -> 'bool': return False\n"
+        "    @property\n"
+        "    def empty(self) -> bool: return True\n"
+    )
+    tests = (
+        "assert same(g, h) is not None\n"
+        "assert g.ok() is None\n"
+        "assert x and not same(g, h) is None\n"
+        "assert find(g, h) is not None\n"
+        "assert same(g, h) == True\n"
+        "assert same is not None and g.empty is not None\n"
+        "assert same(g, h)\n"
+    )
+    functions = bool_functions([package])
+    assert functions == {"same", "ok", "empty"}
+    assert bool_compared_with_none(tests, functions) == [
+        "line 1: same", "line 2: ok", "line 3: same"
     ]

@@ -8,6 +8,7 @@ from conftest import (
     faces_by_product,
     independent_sets_by_enumeration,
     invariant_factors_by_minors,
+    isomorphic,
     maximal_by_enumeration,
     random_complex,
     random_graph,
@@ -16,7 +17,7 @@ from conftest import (
 )
 from exkh import simplicial
 from exkh.errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
-from exkh.lando import Graph, cycle_graph, isomorphic, two_hexagons_shared_vertex
+from exkh.lando import Graph, cycle_graph, two_hexagons_shared_vertex
 from exkh.simplicial import (
     AbelianGroup,
     ChainComplex,
@@ -168,14 +169,9 @@ def test_parse_ring():
 # --------------------------------------------------------------------------
 
 
-def test_from_faces_rejects_non_complex():
-    with pytest.raises(NotAComplex):
-        SimplicialComplex.from_faces((1, 2), [(1, 2)])  # missing subsets
-
-
 def test_from_faces_rebuilds_every_corpus_complex(complex_corpus):
     for x in complex_corpus:
-        assert SimplicialComplex.from_faces(x.ground, x.faces()) == x
+        assert SimplicialComplex.from_maximal(x.ground, x.maximal) == x
 
 
 def test_independence_complex_matches_subset_enumeration():
@@ -218,9 +214,9 @@ def test_jonsson_builders_match_subset_enumeration():
 
 def test_void_vs_empty():
     v = SimplicialComplex.void((1, 2))
-    e = SimplicialComplex.empty((1, 2))
-    assert v.is_void and not v.is_empty_complex
-    assert e.is_empty_complex and not e.is_void
+    e = SimplicialComplex.from_maximal((1, 2), [()])
+    assert v.is_void
+    assert not e.is_void
     assert v.f_vector() == (0,)
     assert e.f_vector() == (1,)
     assert v.dimension is None
@@ -230,10 +226,10 @@ def test_void_vs_empty():
 
 
 def test_faces_and_cap():
-    f = SimplicialComplex.full_simplex(range(5))
+    f = SimplicialComplex.from_maximal(range(5), [range(5)])
     assert len(f.faces()) == 32
     with pytest.raises(CapExceeded):
-        SimplicialComplex.full_simplex(range(5), cap=10)
+        SimplicialComplex.from_maximal(range(5), [range(5)], cap=10)
 
 
 def test_hexagon_coboundaries_match_frozen_matrices():
@@ -290,7 +286,7 @@ def test_projective_plane_torsion():
 def test_homology_of_spheres():
     for n in range(1, 5):
         # boundary of the (n+1)-simplex is an n-sphere
-        full = SimplicialComplex.full_simplex(range(n + 2))
+        full = SimplicialComplex.from_maximal(range(n + 2), [range(n + 2)])
         sphere = SimplicialComplex.from_maximal(
             range(n + 2),
             [f for f in full.faces() if len(f) == n + 1],
@@ -329,9 +325,8 @@ def test_cohomology_rings_disagree_only_by_torsion():
 
 
 def square_plus_point() -> SimplicialComplex:
-    return SimplicialComplex.from_faces(
-        range(1, 6),
-        [(), (1,), (2,), (3,), (4,), (5,), (1, 2), (2, 3), (3, 4), (4, 1)],
+    return SimplicialComplex.from_maximal(
+        range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (5,)]
     )
 
 
@@ -356,7 +351,7 @@ def test_alexander_dual_is_involution(complex_corpus):
 
 
 def test_alexander_dual_extremes():
-    full = SimplicialComplex.full_simplex((1, 2, 3))
+    full = SimplicialComplex.from_maximal((1, 2, 3), [(1, 2, 3)])
     assert alexander_dual(full).is_void
     assert alexander_dual(SimplicialComplex.void((1, 2, 3))).maximal == full.maximal
 
@@ -396,7 +391,7 @@ def test_join_with_void_is_void():
 
 def test_join_with_empty_is_identity_up_to_tags():
     x = square_plus_point()
-    j = join(x, SimplicialComplex.empty())
+    j = join(x, SimplicialComplex.from_maximal((), [()]))
     assert len(j.faces()) == len(x.faces())
 
 
@@ -589,8 +584,6 @@ def test_json_round_trip():
     [
         (lambda: SimplicialComplex.from_maximal((1, 1, 2), [(1, 2)]), "duplicate"),
         (lambda: SimplicialComplex.from_maximal((1, 2), [(1, 3)]), "not inside"),
-        (lambda: SimplicialComplex.from_faces((1, 1, 2), [(), (1,), (2,)]), "duplicate"),
-        (lambda: SimplicialComplex.from_faces((1, 2), [(), (3,)]), "not inside"),
         (
             lambda: SimplicialComplex.from_json('{"ground": [1, 1, 2], "maximal_faces": [[2]]}'),
             "duplicate",
@@ -599,11 +592,10 @@ def test_json_round_trip():
             lambda: SimplicialComplex.from_json('{"ground": [1, 2], "maximal_faces": [[3]]}'),
             "not inside",
         ),
-        (lambda: SimplicialComplex.full_simplex((1, 1, 2)), "duplicate"),
+        (lambda: SimplicialComplex.from_maximal((1, 1, 2), [(1, 1, 2)]), "duplicate"),
     ],
     ids=[
         "from_maximal-repeat", "from_maximal-outside",
-        "from_faces-repeat", "from_faces-outside",
         "from_json-repeat", "from_json-outside",
         "full_simplex-repeat",
     ],

@@ -45,13 +45,14 @@ kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
 a unit in the shortest row that still holds one, taken from a heap keyed by
 row length, at the unit whose column is sparsest.  Over F_p every nonzero
 entry is a unit, so the kernel alone gives the rank.  Over Z the few rows
-left without a unit form a small dense core, which gcd pivoting takes to
-Smith normal form.  A complex is reduced degree by degree, lowest first,
-and each unit pivot of d_{i-1} cancels its row's basis element from the
-source of d_i as well: by Gaussian elimination on the complex (Bar-Natan,
-"Fast Khovanov homology computations", Lemma 4.2) the rest of d_i is
-unchanged, so those columns are dropped before d_i is reduced.  Only unit
-pivots are cancelled, so this is exact over Z.
+left without a unit form a small dense core, which least-entry pivoting
+diagonalises; only ``AbelianGroup.from_orders`` makes divisibility chains.
+A complex is reduced degree by degree, lowest first, and each unit pivot
+of d_{i-1} cancels its row's basis element from the source of d_i as
+well: by Gaussian elimination on the complex (Bar-Natan, "Fast Khovanov
+homology computations", Lemma 4.2) the rest of d_i is unchanged, so those
+columns are dropped before d_i is reduced.  Only unit pivots are
+cancelled, so this is exact over Z.
 """
 
 from __future__ import annotations
@@ -94,17 +95,20 @@ class AbelianGroup:
     def from_orders(rank: int, orders: Iterable[int]) -> "AbelianGroup":
         """Normalise a direct sum of cyclic groups of the given orders.
 
-        The Smith normal form of the diagonal matrix of orders is the
-        divisibility chain; order 0 is a free summand, order 1 is nothing.
+        Order 0 is a free summand, order 1 is nothing, and an order counts
+        by its absolute value.  Z/a + Z/b ~= Z/gcd(a,b) + Z/lcm(a,b), so
+        merging each order into the chain from the left keeps it divisible.
         """
-        orders = list(orders)
-        diagonal = [[0] * len(orders) for _ in orders]
-        for i, n in enumerate(orders):
-            diagonal[i][i] = n
-        chain = _snf_dense(diagonal)
-        return AbelianGroup(
-            rank + len(orders) - len(chain), tuple(t for t in chain if t > 1)
-        )
+        chain: list[int] = []
+        for n in map(abs, orders):
+            if n == 0:
+                rank += 1
+            elif n > 1:
+                for k, t in enumerate(chain):
+                    g = gcd(t, n)
+                    chain[k], n = g, t // g * n
+                chain.append(n)
+        return AbelianGroup(rank, tuple(t for t in chain if t > 1))
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup.from_orders(
@@ -150,91 +154,43 @@ def tor_group(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
 
 
 def _snf_dense(m: list[list[int]]) -> list[int]:
-    """Diagonal entries of an integer SNF, an ascending divisibility chain.
+    """The invariant factors of a dense integer matrix, which is consumed.
 
-    Each pivot is made to divide the whole remaining submatrix before the
-    next one is taken, so no factoring or pairwise repair is needed after.
+    The pivot is an entry of least absolute value.  Alone in its row and
+    column it is a diagonal entry, whose row and column go; otherwise row
+    and column operations reduce its column and row by floor division, and
+    any remainder is a smaller entry.  ``AbelianGroup.from_orders`` chains
+    the diagonal: ascending, ones first, one factor per unit of rank.
     """
     if not m or not m[0]:
         return []
-    rows, cols = len(m), len(m[0])
-    out = []
-    t = 0
+    diagonal = []
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            row = m[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
+        nonzero = [
+            (abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v
+        ]
+        if not nonzero:
             break
-        i, j = pivot
-        m[t], m[i] = m[i], m[t]
-        if j != t:
+        _, i, j = min(nonzero)
+        if sum(r == i or c == j for _, r, c in nonzero) == 1:
+            diagonal.append(m.pop(i)[j])
             for row in m:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            # Clear the pivot column, shrinking the pivot on any remainder.
-            restart = False
-            for i in range(t + 1, rows):
-                v = m[i][t]
-                if not v:
-                    continue
-                q = v // m[t][t]
-                if q:
-                    piv_row = m[t]
-                    row = m[i]
-                    for j in range(t, cols):
-                        row[j] -= q * piv_row[j]
-                if m[i][t]:
-                    m[t], m[i] = m[i], m[t]
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                v = m[t][j]
-                if not v:
-                    continue
-                q = v // m[t][t]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[t]
-                if m[t][j]:
-                    for row in m:
-                        row[t], row[j] = row[j], row[t]
-                    restart = True
-                    break
-            if restart:
-                continue
-            # Pivot now alone in its row and column; enforce divisibility.
-            piv = m[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                row = m[i]
-                for j in range(t + 1, cols):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, cols):
-                m[t][j] += m[offender][j]
-        out.append(abs(m[t][t]))
-        t += 1
-        if t == rows or t == cols:
-            break
-    return out
+                del row[j]
+            continue
+        piv_row = m[i]
+        piv = piv_row[j]
+        for row in m:
+            q = row[j] // piv
+            if q and row is not piv_row:
+                for c, v in enumerate(piv_row):
+                    row[c] -= q * v
+        for c, v in enumerate(piv_row):
+            q = v // piv
+            if q and c != j:
+                for row in m:
+                    row[c] -= q * row[j]
+    torsion = AbelianGroup.from_orders(0, diagonal).torsion
+    return [1] * (len(diagonal) - len(torsion)) + list(torsion)
 
 
 def _eliminate(
@@ -490,8 +446,10 @@ class SimplicialComplex:
     ) -> "SimplicialComplex":
         """Every subset of the given faces, enumerated under ``cap``.
 
-        A face grows while it lies inside a given face; ``within`` holds the
-        given faces over each face grown so far, as a bitmask.
+        A face grows while it lies inside a given face.  ``within`` holds,
+        as bitmasks, the given faces over each face of the size being grown
+        and over each of the next size; faces come one size at a time, so a
+        face missing from the first dict means the next size has begun.
         """
         ground = tuple(ground)
         pos = {v: k for k, v in enumerate(ground)}
@@ -503,12 +461,14 @@ class SimplicialComplex:
             sum(1 << j for j, m in enumerate(given) if m >> k & 1)
             for k in range(len(ground))
         ]
-        within = {0: (1 << len(given)) - 1}
+        within = [{0: (1 << len(given)) - 1}, {}]
 
         def admits(f: int, k: int) -> bool:
-            w = within[f] & holders[k]
+            if f not in within[0]:
+                within[:] = within[1], {}
+            w = within[0][f] & holders[k]
             if w:
-                within[f | 1 << k] = w
+                within[1][f | 1 << k] = w
             return w != 0
 
         return _closed_family(ground, admits, cap, "face enumeration")

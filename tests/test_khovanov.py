@@ -218,6 +218,31 @@ def test_trefoil_table_over_f2():
     }
 
 
+def test_field_tables_follow_universal_coefficients(corpus12):
+    # For a complex of free modules H^i(C; F_p) = H^i(C) (x) F_p plus
+    # Tor(H^{i+1}(C), F_p): each torsion order divisible by p in degree i or
+    # i+1 adds one to the rank.  The mod-p reduction path never makes the
+    # integer chain, so this checks each against the other.
+    torsion_cells = 0
+    for d in [d for d in corpus12 if d.crossing_count <= 7]:
+        over_z = khovanov_cohomology(d, "Z")
+        torsion_cells += sum(bool(g.torsion) for g in over_z.entries.values())
+        for p in (2, 3):
+            over_p = khovanov_cohomology(d, f"F{p}")
+
+            def divisible(i, j):
+                return sum(t % p == 0 for t in over_z.group(i, j).torsion)
+
+            cells = set(over_p.entries) | set(over_z.entries)
+            cells |= {(i - 1, j) for i, j in over_z.entries}
+            for i, j in cells:
+                g = over_p.group(i, j)
+                assert not g.torsion
+                want = over_z.group(i, j).rank + divisible(i, j) + divisible(i + 1, j)
+                assert g.rank == want, (d.to_pd(), p, i, j)
+    assert torsion_cells > 0
+
+
 def test_figure_eight_table():
     table = khovanov_cohomology(parse_pd(FIG8), "Z")
     assert dict(table.entries) == FIG8_TABLE

@@ -65,6 +65,27 @@ def test_group_normalisation():
     assert Z(0).is_trivial and not Z(0, (2,)).is_trivial
 
 
+def test_from_orders_against_minor_gcds():
+    # The chain of a direct sum of cyclic groups is the Smith form of the
+    # diagonal matrix of their orders.
+    rng = random.Random(43)
+    for _ in range(150):
+        orders = [
+            rng.choice((0, 1, 2, 2, 3, 3, 4, 6, 8, 9, 12, 25))
+            for _ in range(rng.randrange(6))
+        ]
+        if orders:
+            orders[rng.randrange(len(orders))] *= -1
+        rank = rng.randrange(3)
+        diagonal = [
+            [n if a == b else 0 for b in range(len(orders))]
+            for a, n in enumerate(orders)
+        ]
+        factors = invariant_factors_by_minors(diagonal)
+        want = Z(rank + len(orders) - len(factors), tuple(f for f in factors if f > 1))
+        assert Z.from_orders(rank, orders) == want, (rank, orders)
+
+
 def test_group_torsion_chain_validated():
     with pytest.raises(ValueError):
         Z(0, (4, 2))
@@ -393,6 +414,36 @@ def test_join_with_empty_is_identity_up_to_tags():
     x = square_plus_point()
     j = join(x, SimplicialComplex.from_maximal((), [()]))
     assert len(j.faces()) == len(x.faces())
+
+
+def test_from_maximal_keeps_the_masks_of_two_face_sizes_only(monkeypatch):
+    # admits keeps a mask of given faces per face it grows; the masks of a
+    # size must go once the enumeration has moved past it.
+    honest = simplicial._closed_family
+    counts = []
+
+    def held_sizes(admits):
+        sizes = set()
+        for cell in admits.__closure__:
+            value = cell.cell_contents
+            for held in value if isinstance(value, list) else [value]:
+                if isinstance(held, dict):
+                    sizes.update(f.bit_count() for f in held)
+        return len(sizes)
+
+    def watching(ground, admits, cap, stage):
+        def admits_and_look(f, k):
+            ok = admits(f, k)
+            counts.append(held_sizes(admits))
+            return ok
+
+        return honest(ground, admits_and_look, cap, stage)
+
+    x = square_plus_point()
+    monkeypatch.setattr(simplicial, "_closed_family", watching)
+    j = join(join(x, x), x)
+    assert sum(j.f_vector()) == sum(x.f_vector()) ** 3
+    assert max(counts) <= 2
 
 
 def test_suspension_shifts_homology(complex_corpus):

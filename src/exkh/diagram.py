@@ -301,8 +301,9 @@ class Diagram:
         """Circles of the state whose B-labelled crossings are the set bits.
 
         This is the package's one circle tracer: every loop that compares
-        circles gets them from here.  Loops that only count circles read
-        ``_circle_counts``, or its tally ``_count_histogram``, instead.
+        circles gets them from here, the growth of the brute rows included.
+        Loops that only count circles read the tally ``_count_histogram``,
+        which traces nothing, instead.
         """
         cache = self.__dict__.setdefault("_resolution_cache", {})
         hit = cache.get(bits)
@@ -345,87 +346,53 @@ class Diagram:
         return result
 
     @cached_property
-    def _walk(self) -> tuple[bytearray, dict[tuple[int, int], int]]:
-        """Circle counts of every smoothing, and their tally, from one walk.
-
-        The first result is read as ``_circle_counts``, the second as
-        ``_count_histogram``.  One Gray-code walk fills all 2^c entries.
-        Each step flips one crossing x and walks only the circle through
-        port a of x in the new smoothing, giving its ports a fresh label.
-        If x's two joins had two labels before, two circles merged.
-        Otherwise one circle either split (the walk missed x's other join)
-        or kept its ports (the walk passed both joins, which happens only
-        in virtual diagrams).  A smoothing has at most 2c circles, so with
-        the free loops left out an entry fits a byte at any c the array can
-        be built for.  Callers check the crossing cap first.
-
-        The same walk tracks the B-count, one up or down per step, and
-        counts the smoothings per (B-count, circle count) pair, for the
-        loops that need only how many smoothings share a pair, not which
-        ones.
-        """
-        n_ports = 4 * len(self.crossings)
-        partner = [self._arc_partner[p] for p in range(n_ports)]
-        join = [1] * len(self.crossings)  # port p is joined to p ^ join[p >> 2]
-        label = [-1] * n_ports
-        m = 0
-        for start in range(n_ports):
-            if label[start] >= 0:
-                continue
-            p = start
-            while True:
-                q = p ^ join[p >> 2]
-                label[p] = label[q] = m
-                p = partner[q]
-                if p == start:
-                    break
-            m += 1
-        counts = bytearray(1 << len(self.crossings))
-        counts[0] = m
-        stride = 2 * len(self.crossings) + 1  # circle counts run 0 .. 2c
-        tally = [0] * (stride * (len(self.crossings) + 1))
-        tally[m] = 1
-        bits = 0
-        b = 0  # B-count of bits
-        fresh = m
-        for k in range(1, len(counts)):
-            x = (k & -k).bit_length() - 1
-            bits ^= 1 << x
-            join[x] ^= 2
-            b += 1 if join[x] == 3 else -1
-            s = 4 * x
-            # Slots a and c never share a join, so they name x's two joins.
-            merge = label[s] != label[s | 2]
-            fresh += 1
-            p = s
-            while True:
-                q = p ^ join[p >> 2]
-                label[p] = label[q] = fresh
-                p = partner[q]
-                if p == s:
-                    break
-            if merge:
-                m -= 1
-            elif label[s | 2] != fresh:
-                m += 1
-            counts[bits] = m
-            tally[b * stride + m] += 1
-        histogram = {divmod(key, stride): n for key, n in enumerate(tally) if n}
-        return counts, histogram
-
-    @property
-    def _circle_counts(self) -> bytearray:
-        """Circle count of every smoothing, free loops left out, by B-bits."""
-        return self._walk[0]
-
-    @property
     def _count_histogram(self) -> dict[tuple[int, int], int]:
         """(B-count, circle count) -> how many smoothings have them.
 
-        Circle counts leave the free loops out, as in ``_circle_counts``;
-        only pairs that occur are keys.
+        Free loops are left out of the counts; only pairs that occur are
+        keys.  A frontier scan (Bar-Natan's local scanning, at the level of
+        the Jones polynomial) traces nothing: it places the crossings one
+        by one, each next one sharing the most arcs with those placed.  A
+        state is the pairing of the open ends of the paths placed so far,
+        and counts its smoothings as ``{b * (2c + 1) + m: count}``, m the
+        circles closed.  Placing a crossing's A or B joins takes a pairing
+        to one pairing and closes as many circles for all its smoothings.
         """
-        return self._walk[1]
+        c = len(self.crossings)
+        partner = self._arc_partner
+        stride = 2 * c + 1  # circle counts run 0 .. 2c
+        # Kauffman's A joins slots a-b and c-d, B joins a-d and b-c
+        smoothings = ((((0, 1), (2, 3)), 0), (((0, 3), (1, 2)), stride))
+        states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+        todo = set(range(c))
+        shared = [0] * c  # arcs from each crossing to the placed ones
+        for _ in range(c):
+            x = max(todo, key=lambda y: (shared[y], -y))
+            todo.remove(x)
+            for u in range(4 * x, 4 * x + 4):
+                shared[partner[u] >> 2] += 1
+            after: dict[tuple, dict[int, int]] = {}
+            for pairing, tally in states.items():
+                ends = dict(pairing)
+                for u in range(4 * x, 4 * x + 4):
+                    if u not in ends:  # an arc to x itself or to an unplaced crossing
+                        ends[u], ends[partner[u]] = partner[u], u
+                for joins, shift in smoothings:
+                    pairs = dict(ends)
+                    closed = 0
+                    for s, t in joins:  # join the paths ending at x's slots s and t
+                        a, b = pairs.pop(4 * x + s), pairs.pop(4 * x + t)
+                        if a == 4 * x + t:
+                            closed += 1
+                        else:
+                            pairs[a], pairs[b] = b, a
+                    into = after.setdefault(tuple(sorted(pairs.items())), {})
+                    for k, n in tally.items():
+                        k += shift + closed
+                        into[k] = into.get(k, 0) + n
+            states = after
+        (tally,) = states.values()
+        return {divmod(k, stride): n for k, n in tally.items()}
 
     # ----- diagram surgeries --------------------------------------------------
 

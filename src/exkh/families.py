@@ -382,8 +382,11 @@ def random_diagrams(
 
     With ``multi_component`` every diagram has at least two components that
     carry crossings, which is what knotification needs.  That takes at least
-    two crossings, so ``max_crossings`` below 2 raises ValueError.
+    two crossings, so ``max_crossings`` below 2 raises ValueError, as
+    does a negative ``count``.
     """
+    if count < 0:
+        raise ValueError(f"a corpus cannot hold {count} diagrams")
     if multi_component and max_crossings < 2:
         raise ValueError("two crossing components need max_crossings >= 2")
     rng = random.Random(seed)

@@ -21,31 +21,24 @@ counts the B-labelled crossings of s strictly after the changed one in
 crossing order.  Cohomology of the resulting complex, row by row in j, is
 the Khovanov cohomology of the diagram.
 
-One pass over the 2^c smoothings builds every j-row at once: an enhanced
-state is keyed as the integer pair (B-bits, mask of minus-signed circles),
-with bit k of the mask the sign of circle k in the order
-``Diagram._resolve_bits`` lists them; each (smoothing, A-crossing) pair is
-traced once for all rows, and the maps are emitted as the sparse rows the
-reduction kernel takes, never as dense matrices.  Every caller, the
-complex of one row included, sees the states in that one keying.  The
-pass builds the rows of one window [lo, hi] of j: the full table's
-[j_min, j_max], or [j, j] for one row.  One filter over the count array
-keeps the smoothings with i - m <= hi - w, m the circle count, as only
-they hold a state with j <= hi; a flip raises i by one and moves m by at
-most one, so they form a family closed under subsets, and none is left
-below j_min.
+One pass builds every j-row of a window [lo, hi] of j at once (the full
+table's [j_min, j_max], or [j, j] for one row).  An enhanced state is
+keyed as the integer pair (B-bits, mask of minus-signed circles), bit k
+of the mask the sign of circle k as ``Diagram._resolve_bits`` lists
+them; each (smoothing, A-crossing) pair is traced once for all rows, and
+the maps come out as the sparse rows the reduction kernel takes.  Only
+the smoothings with i - m <= hi - w, m circles, hold a state with
+j <= hi; they form a family closed under subsets, grown from the all-A
+smoothing.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
-end-to-end check.  Circles come from one tracer and counts from one
-Gray-code walk over the smoothings: the complex compares circles through
-``Diagram._resolve_bits`` and reads circle counts from
-``Diagram._circle_counts``; the bracket and the j-range scan read only the
-walk's tally of smoothings per (B-count, circle count) pair,
-``Diagram._count_histogram``.  The independent check on all three is the
-union-find circle count among the test suite's oracles
-(``tests/conftest.py``).
+end-to-end check.  They and the j-range scan read only
+``Diagram._count_histogram``, a frontier scan's tally of smoothings per
+(B-count, circle count) pair that traces no smoothing; the complex reads
+circles from the one tracer.  The test suite checks both against a
+union-find circle count (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -211,6 +204,37 @@ def _move(d: Diagram, bits: int, x: int) -> tuple:
     return gone[0], gone[-1], triples, outs
 
 
+def _grown_family(d: Diagram, limit: int) -> dict[int, int]:
+    """B-bits -> circle count m (free loops in) of the smoothings with
+    b - m <= limit, b the B-count; the all-A smoothing must be one.
+
+    A flip raises b by one and moves m by at most one, so the family is
+    closed under subsets.  It grows from the all-A smoothing, flipping only
+    crossings above the highest B-bit.  At slack limit - (b - m) below 2 a
+    child needs m to stay or rise: a merge (chord ends on two circles) is
+    skipped untraced, and a count-preserving flip of a virtual diagram is
+    dropped at slack 0.
+    """
+    c = d.crossing_count
+    root = d._resolve_bits(0)
+    family = {0: len(root)}
+    grow = [(0, root)]
+    while grow:
+        bits, circles = grow.pop()
+        slack = limit - bits.bit_count() + len(circles)
+        if slack < 2:
+            circle_of = {e: k for k, circle in enumerate(circles) for e in circle}
+        for x in range(bits.bit_length(), c):
+            if slack < 2 and circle_of[x, 0] != circle_of[x, 1]:
+                continue  # a merge
+            child = bits | 1 << x
+            traced = d._resolve_bits(child)
+            if len(traced) - len(circles) >= 1 - slack:
+                family[child] = len(traced)
+                grow.append((child, traced))
+    return family
+
+
 def _j_rows(
     d: Diagram, only_j: int | None = None, max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> dict[int, ChainComplex]:
@@ -224,12 +248,11 @@ def _j_rows(
     are sparse, as ChainComplex holds them, and each row is checked to
     square to zero.
 
-    One filter over the count array picks the smoothings: those with
-    i - m <= hi - w, hi the top of the window, since an enhancement of m
-    circles has j >= w + i - m.  A flip from A to B raises i by one and
-    changes m by at most one, so they are closed under subsets, come in bit
-    order, and are none at all below j_min.  Each one numbers the states of
-    its minus counts k that land in the window into their (j, i) bases,
+    The smoothings, grown by ``_grown_family`` and taken in bit order, are
+    those with i - m <= hi - w, as an enhancement of m circles has
+    j >= w + i - m; a window below j_min, read off the tally, traces none.
+    Each one numbers the states of its minus counts k that land in the
+    window into their (j, i) bases,
     then pulls its incoming differential from the smoothings one
     B-crossing lower, which are numbered already: every (smoothing,
     A-crossing) pair is traced by ``_move`` once, for all rows at once, and
@@ -239,16 +262,15 @@ def _j_rows(
     c = d.crossing_count
     w = d.writhe
     n = d.negative_count
-    loops = d.free_loops
-    counts = d._circle_counts
     lo, hi = j_bounds(d) if only_j is None else (only_j, only_j)
-    limit = hi - w + n + loops  # on B-count minus counts[bits]
-    smoothings = [b for b in range(1 << c) if b.bit_count() - counts[b] <= limit]
+    if hi < w - n + min(b - m for b, m in d._count_histogram) - d.free_loops:
+        return {}  # below j_min
+    family = _grown_family(d, hi - w + n)
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
     numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)
-    for bits in smoothings:
-        m = counts[bits] + loops
+    for bits in sorted(family):
+        m = family[bits]
         i = bits.bit_count() - n
         top = w + i + m  # j of the all-plus enhancement
         here: dict[int, tuple[int, dict]] = {}
@@ -299,10 +321,10 @@ def khovanov_complex(
     ``_j_rows`` with the window [j, j]: basis elements are its
     (B-bits, mask of minus-signed circles) pairs, over the smoothings in
     bit order, and within one smoothing over its minus-signed circle sets
-    in lexicographic order.  The one filter over the count array keeps the
-    smoothings with i - m <= j - w, m the circle count; for j = j_min that
-    is exactly the smoothings holding a j_min state.  A row that holds no
-    state is the empty complex.
+    in lexicographic order.  The grown family holds the smoothings with
+    i - m <= j - w, m the circle count; for j = j_min that is exactly the
+    smoothings holding a j_min state.  A row that holds no state is the
+    empty complex.
     """
     return _j_rows(d, j, max_crossings).get(j, ChainComplex(bases={}, rows={}))
 
@@ -397,8 +419,8 @@ def scanned_j_range(
 
     Per smoothing the extremes of j are w + i -+ (circle count), so the
     scan takes them over the (B-count, circle count) pairs of
-    ``Diagram._count_histogram``, which the Gray-code walk over every
-    smoothing tallies, and touches no sign vectors; it checks the closed
+    ``Diagram._count_histogram``, which a frontier scan tallies without
+    tracing a smoothing, and touches no sign vectors; it checks the closed
     formulas of j_bounds, which trace circles.  The test suite checks the
     tally against an independent union-find count.
     """
@@ -447,7 +469,8 @@ def kauffman_bracket(
 
     Each smoothing contributes A^sigma (-A^2 - A^-2)^(circles - 1); the
     empty diagram brackets to 1.  The smoothings come counted per
-    (B-count, circle count) pair from ``Diagram._count_histogram``; they
+    (B-count, circle count) pair from ``Diagram._count_histogram``, the
+    frontier scan's tally, so none is traced or visited one by one; they
     are grouped by circle count into one polynomial in A each, and each
     power of the loop value is formed once, by multiplying the last one.
     The test suite checks the sum against a per-state one over an

@@ -152,8 +152,12 @@ def build_lando(source: Diagram | ResolvedState) -> Graph:
     The circles come straight from the circle tracer (``_resolve_bits(0)``)
     or from ``source.circles``.  Crossing ci is a vertex when its chord
     endpoints ``(ci, 0)`` and ``(ci, 1)`` lie on one circle; vertices come
-    in crossing order.  Free loops carry no chord.
+    in crossing order.  Free loops carry no chord.  A diagram keeps its
+    graph, as the lando and dual routes and the bracket check each ask for
+    it; a ``ResolvedState`` is built afresh.
     """
+    if isinstance(source, Diagram) and "_lando" in source.__dict__:
+        return source.__dict__["_lando"]
     circles = source._resolve_bits(0) if isinstance(source, Diagram) else source.circles
     ends: dict[int, list[tuple[int, int]]] = {}
     for k, circle in enumerate(circles):
@@ -175,7 +179,10 @@ def build_lando(source: Diagram | ResolvedState) -> Graph:
             continue
         if (lo_u < lo_v < hi_u) != (lo_u < hi_v < hi_u):
             edges.append((u, v))
-    return Graph.build(vertices, edges)
+    g = Graph.build(vertices, edges)
+    if isinstance(source, Diagram):
+        source.__dict__["_lando"] = g
+    return g
 
 
 def independence_number(g: Graph, cap: int = 1 << 22) -> int:

@@ -13,9 +13,9 @@ enumeration, and the differential entry between two states (``adjacent``)
 read off the local merge and split rules.  It keys states by labels and
 sign tuples, where the package keys them as (B-bits, minus mask) integer
 pairs; ``enhanced`` converts one to the other.  It reads circles through
-the package's one tracer, ``Diagram._resolve_bits``, and circle counts
-from ``Diagram._circle_counts``; ``circle_count_by_union_find`` checks
-both from outside.  The j_min states
+the package's one tracer, ``Diagram._resolve_bits``, and counts them from
+the same tracer; ``circle_count_by_union_find`` checks it, and the
+frontier tally ``Diagram._count_histogram``, from outside.  The j_min states
 (``s_min_states``), the whole Y_D (``y_complex``), the bipartite graph of
 a complex and the suspension are oracles built from package pieces, for
 the tests that compare them with the routes.
@@ -512,10 +512,11 @@ def enumerate_enhanced(
     n = d.negative_count
     loops = d.free_loops
     out: dict[tuple[int, int], list[EnhancedState]] = {}
-    for bits, m in enumerate(d._circle_counts):
+    for bits in range(1 << c):
+        m = len(d._resolve_bits(bits))
         state = State(tuple(B if (bits >> k) & 1 else A for k in range(c)))
         i = bits.bit_count() - n
-        for signs in itertools.product((1, -1), repeat=m + loops):
+        for signs in itertools.product((1, -1), repeat=m):
             es = EnhancedState(state, signs)
             j = w + i + sum(signs)
             out.setdefault((i, j), []).append(es)

@@ -1,13 +1,14 @@
-"""The circle count array, Diagram._circle_counts, and its tally.
+"""Circle counts: the tracer per smoothing, the frontier tally in sum.
 
-One Gray-code walk fills the circle count of every smoothing, and tallies
-the smoothings per (B-count, circle count) pair in
-Diagram._count_histogram.  These tests pin both against the tracer and
-the union-find oracle where the walk meets count-preserving flips and many
-free loops (the catalog and ``corpus12`` counts are checked in
-``test_diagram``), check that the array is built only behind the crossing
-cap, and record that the loops which only count circles no longer trace
-them.
+Diagram._resolve_bits traces the circles of one smoothing, and
+Diagram._count_histogram tallies the smoothings per (B-count, circle
+count) pair by a frontier scan that traces none.  These tests pin both
+against the union-find oracle where flips keep the count, where many free
+loops ride along, and on kinks, split unions and multi-component links
+(the catalog and ``corpus12`` counts are checked in ``test_diagram``).
+They check that the tally is built only behind the crossing cap, that the
+loops which only count circles trace none, and which smoothings the
+brute rows grow.
 """
 
 import gc
@@ -23,6 +24,8 @@ from exkh.extreme import extreme_via_brute
 from exkh.families import split_union, thick_family
 from exkh.khovanov import (
     DEFAULT_CROSSING_CAP,
+    _grown_family,
+    _j_rows,
     j_bounds,
     kauffman_bracket,
     khovanov_cohomology,
@@ -31,6 +34,8 @@ from exkh.khovanov import (
 )
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+HOPF = "X(4,2,1,3) X(2,4,3,1)"
+KINKS = ("X(1,1,2,2)", "X(2,1,1,2)")  # the two one-crossing unknots
 
 
 def _fresh(d: Diagram) -> Diagram:
@@ -39,18 +44,12 @@ def _fresh(d: Diagram) -> Diagram:
 
 
 def _assert_counts_match(d: Diagram) -> None:
-    # the tally is read first, from a fresh diagram: its walk fills both
-    fresh = _fresh(d)
-    histogram = fresh._count_histogram
-    counts = d._circle_counts
-    assert fresh._circle_counts == counts
-    assert len(counts) == 1 << d.crossing_count
+    # the tally is read from a fresh diagram, so no trace can have fed it
+    histogram = _fresh(d)._count_histogram
     tally = Counter()
-    for bits, m in enumerate(counts):
-        m += d.free_loops
+    for bits in range(1 << d.crossing_count):
         found = circle_count_by_union_find(d, bits)
-        assert m == found, (d.to_pd(), bits)
-        assert m == len(d._resolve_bits(bits)), (d.to_pd(), bits)
+        assert len(d._resolve_bits(bits)) == found, (d.to_pd(), bits)
         tally[bits.bit_count(), found - d.free_loops] += 1
     assert histogram == dict(tally), d.to_pd()
 
@@ -58,11 +57,11 @@ def _assert_counts_match(d: Diagram) -> None:
 def test_counts_match_on_a_diagram_with_count_preserving_flips():
     d = thick_family(1)
     assert d.crossing_count == 15
-    counts = d._circle_counts
     # Flips that keep the count occur only in virtual diagrams; this one
-    # has them, so the walk's third case is exercised.
+    # has them, so the counts are checked where a flip neither splits nor
+    # merges.
     assert any(
-        counts[bits] == counts[bits ^ 1 << x]
+        len(d._resolve_bits(bits)) == len(d._resolve_bits(bits ^ 1 << x))
         for bits in range(0, 1 << 15, 97)
         for x in range(15)
     )
@@ -72,15 +71,30 @@ def test_counts_match_on_a_diagram_with_count_preserving_flips():
 def test_free_loops_stay_out_of_the_array():
     d = parse_pd(TREFOIL + " U" * 300)
     assert d.free_loops == 300
-    assert max(d._circle_counts) <= 2 * d.crossing_count
+    assert max(m for _, m in d._count_histogram) <= 2 * d.crossing_count
     _assert_counts_match(d)
 
 
 def test_crossingless_diagram_has_one_empty_smoothing():
     d = Diagram.unknot(3)
-    assert d._circle_counts == bytearray([0])
     assert d._count_histogram == {(0, 0): 1}
+    _assert_counts_match(d)
     assert scanned_j_range(d) == (-3, 3)
+
+
+def test_frontier_tally_matches_union_find(corpus_multi):
+    # thick_family(1), the trefoil with 300 loops and unknot(3) are above
+    kinks = [parse_pd(k) for k in KINKS]
+    diagrams = [
+        *kinks,
+        parse_pd(HOPF),
+        split_union(kinks[0], parse_pd(TREFOIL)),
+        split_union(split_union(parse_pd(HOPF), kinks[1]), Diagram.unknot(2)),
+        split_union(*kinks),
+        *corpus_multi,
+    ]
+    for d in diagrams:
+        _assert_counts_match(d)
 
 
 def test_histogram_matches_union_find_on_a_split_union_and_large_closures(corpus12):
@@ -95,7 +109,7 @@ def test_j_bounds_reaches_past_the_cap_without_the_array():
     d = thick_family(3)
     assert d.crossing_count == 49 > DEFAULT_CROSSING_CAP
     j_bounds(d)
-    assert "_walk" not in d.__dict__
+    assert "_count_histogram" not in d.__dict__
 
 
 @pytest.mark.parametrize(
@@ -109,10 +123,11 @@ def test_j_bounds_reaches_past_the_cap_without_the_array():
     ],
 )
 def test_count_loops_check_the_cap_before_building_the_array(count_loop):
-    d = thick_family(2)
+    d = _fresh(thick_family(2))
     with pytest.raises(CapExceeded):
         count_loop(d)
-    assert "_walk" not in d.__dict__
+    assert "_count_histogram" not in d.__dict__
+    assert "_resolution_cache" not in d.__dict__
 
 
 def _recording(monkeypatch):
@@ -169,3 +184,39 @@ def test_bracket_and_scan_leave_the_diagram_small():
         tracemalloc.stop()
     assert not bracket.is_zero and span[0] < span[1]
     assert held < 1 << 20
+
+
+def test_growth_on_a_virtual_diagram_takes_the_smoothings_of_its_row(monkeypatch):
+    d = thick_family(1)
+    assert not d.is_planar
+    c, w, n = d.crossing_count, d.writhe, d.negative_count
+    m = [circle_count_by_union_find(d, bits) for bits in range(1 << c)]
+    j_min = j_bounds(d)[0]
+    for j in range(j_min, j_min + 7):
+        # A smoothing holds a state at j when j lies in w + i -+ m with
+        # the parity of w + i + m.
+        holding = {
+            bits
+            for bits in range(1 << c)
+            if abs(j - w - bits.bit_count() + n) <= m[bits]
+            and (j - w - bits.bit_count() + n - m[bits]) % 2 == 0
+        }
+        limit = j - w + n
+        member = {bits for bits in range(1 << c) if bits.bit_count() - m[bits] <= limit}
+        fresh = _fresh(d)
+        traced = _recording(monkeypatch)
+        family = _grown_family(fresh, limit)
+        monkeypatch.undo()
+        assert family == {bits: m[bits] for bits in member}, j
+        assert {bits for bits in family if bits in holding} == holding, j
+        # A trace outside the family is a count-preserving flip of its
+        # parent (the flip of the highest B-bit), never a merge.
+        for bits in set(traced) - member:
+            parent = bits ^ 1 << (bits.bit_length() - 1)
+            assert parent in member and m[bits] == m[parent], (j, bits)
+        if j < j_min + 4:  # higher rows of this virtual diagram do not square to zero
+            rows = _j_rows(fresh, j)
+            smoothings = {
+                bits for basis in rows[j].bases.values() for bits, _ in basis
+            } if rows else set()
+            assert smoothings == holding, j

@@ -319,6 +319,13 @@ def test_verify_small_corpus(capsys):
     assert "verified 5 diagrams" in out
 
 
+def test_verify_refuses_a_negative_count(capsys):
+    code, out, err = run(["verify", "--count", "-1"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "-1" in err
+    assert out == ""
+
+
 def test_verify_cap_applies_to_catalog_entries(capsys):
     # a cap below the catalog's eleven-crossing entry stops the brute route
     code, _, err = run(["verify", "--count", "1", "--max-crossings", "6"], capsys)

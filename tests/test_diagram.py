@@ -212,12 +212,10 @@ def test_tracer_counts_circles_like_union_find(corpus12):
     diagrams = [e.diagram() for e in load_catalog().values()]
     diagrams += [d for d in corpus12 if d.crossing_count <= 10]
     for d in diagrams:
-        counts = d._circle_counts
         tally = Counter()
         for bits in range(1 << d.crossing_count):
             m = circle_count_by_union_find(d, bits)
             assert len(d._resolve_bits(bits)) == m, (d.to_pd(), bits)
-            assert counts[bits] + d.free_loops == m, (d.to_pd(), bits)
             tally[bits.bit_count(), m - d.free_loops] += 1
         assert d._count_histogram == dict(tally), d.to_pd()
 

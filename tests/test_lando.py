@@ -12,6 +12,7 @@ from conftest import (
 )
 from exkh.diagram import Diagram, ResolvedState, parse_pd
 from exkh.errors import CapExceeded
+from exkh.extreme import extreme_via_dual, extreme_via_lando
 from exkh.families import catalog_diagram
 from exkh.lando import (
     Graph,
@@ -125,6 +126,27 @@ def test_lando_reads_only_the_all_a_circles(monkeypatch):
     assert made == []
     assert traced == [0]
     assert set(d.__dict__["_resolution_cache"]) == {0}
+
+
+def test_a_diagram_builds_its_lando_graph_once(monkeypatch):
+    built = []
+    real = Graph.build
+
+    def recording(vertices, edges):
+        built.append(vertices)
+        return real(vertices, edges)
+
+    # build_lando is the only caller of Graph.build on these three paths
+    monkeypatch.setattr(Graph, "build", staticmethod(recording))
+    d = parse_pd(catalog_diagram("eleven_crossing").to_pd())
+    independence_number(build_lando(d))
+    extreme_via_lando(d)
+    extreme_via_dual(d)
+    assert len(built) == 1
+    # a resolution is not a diagram, and keeps nothing
+    rs = d.resolve(d.all_a_state())
+    assert build_lando(rs) == build_lando(rs) == build_lando(d)
+    assert len(built) == 3
 
 
 def test_lando_of_a_diagram_equals_lando_of_its_all_a_resolution(corpus12):

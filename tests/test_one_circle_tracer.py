@@ -1,10 +1,14 @@
-"""One tracer for circles, one count array for counts.
+"""One tracer for circles, one tally for counts.
 
-Diagram._resolve_bits is the only producer of canonical circles, and
-Diagram._circle_counts the only source of circle counts for the loops that
-need nothing else.  Both live in the diagram module; a second tracer
-elsewhere would need the port pairing ``_arc_partner``, so only the
-diagram module may read it.
+Diagram._resolve_bits is the only producer of canonical circles.  The
+complex's moves, the Lando graph and the brute rows' growth read circles
+from it; the growth needs them, since it asks whether a chord's two ends
+lie on one circle.  The loops that need only how many smoothings have
+each circle count read the frontier tally Diagram._count_histogram, so no
+state loop in the package traces a smoothing only to take the length of
+its circles.  Both live in the diagram module; a second tracer, or a
+second scan, elsewhere would need the port pairing ``_arc_partner``, so
+only the diagram module may read it.
 """
 
 import ast

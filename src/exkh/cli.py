@@ -78,7 +78,11 @@ def _env(name: str, fallback):
         ) from None
 
 
-def _common(sub: argparse.ArgumentParser, diagram_input: bool = True) -> None:
+def _common(
+    sub: argparse.ArgumentParser,
+    diagram_input: bool = True,
+    formats: tuple[str, ...] = ("text", "json"),  # those it renders
+) -> None:
     sub.add_argument(
         "--ring",
         default=_env("RING", "Z"),
@@ -98,10 +102,13 @@ def _common(sub: argparse.ArgumentParser, diagram_input: bool = True) -> None:
     )
     sub.add_argument(
         "--format",
-        choices=("text", "json", "dot"),
+        choices=formats,
         default=_env("FORMAT", "text"),
         dest="fmt",
     )
+    # argparse checks choices only on the command line, so main checks
+    # an EXKH_FORMAT default against these
+    sub.set_defaults(formats=formats)
     if diagram_input:
         sub.add_argument(
             "input",
@@ -491,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_resolve)
 
     p = subs.add_parser("lando", help="Lando graph and its independence number")
-    _common(p)
+    _common(p, formats=("text", "json", "dot"))
     p.set_defaults(fn=_cmd_lando)
 
     p = subs.add_parser(
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_families)
 
     p = subs.add_parser("verify", help="replay the invariant suite on a corpus")
-    _common(p, diagram_input=False)
+    _common(p, diagram_input=False, formats=("text",))
     p.add_argument("inputs", nargs="*", help="diagrams; default is catalog + random corpus")
     p.add_argument("--count", type=int, default=25, help="random corpus size")
     p.add_argument("--seed", type=int, default=_env("SEED", 0))
@@ -550,6 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.fmt not in args.formats:
+            raise ExkhError(
+                f"EXKH_FORMAT={args.fmt!r} is not a format of {args.command}; "
+                f"it renders {', '.join(args.formats)}"
+            )
         parse_ring(args.ring)
         if args.max_crossings <= 0 or args.max_faces <= 0:
             print("caps must be positive", file=sys.stderr)

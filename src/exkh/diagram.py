@@ -286,37 +286,23 @@ class Diagram:
             raise ValueError("state length does not match crossing count")
         return ResolvedState(state=state, circles=self._resolve_bits(state.bits))
 
-    @cached_property
-    def _endpoints(self) -> tuple[Endpoint, ...]:
-        """The 2c chord endpoints, ``(ci, half)`` at index 2*ci + half.
-
-        Every resolution reuses these tuples, so the resolution cache holds
-        one endpoint object per chord end however many states it keeps.
-        """
-        return tuple(
-            (ci, half) for ci in range(len(self.crossings)) for half in (0, 1)
-        )
-
     def _resolve_bits(self, bits: int) -> tuple[tuple[Endpoint, ...], ...]:
         """Circles of the state whose B-labelled crossings are the set bits.
 
-        This is the package's one circle tracer: every loop that compares
-        circles gets them from here, the growth of the brute rows included.
-        Loops that only count circles read the tally ``_count_histogram``,
-        which traces nothing, instead.
+        This is the package's one circle tracer, a plain function of
+        ``bits`` that keeps nothing: ``resolve``, the Lando graph and the
+        all-A and all-B counts of ``j_bounds`` read circles from here, and
+        the growth of the brute rows traces each smoothing it keeps once,
+        reducing the circles to a chord-end map.  Loops that only count
+        circles read the tally ``_count_histogram``, which traces nothing.
         """
-        cache = self.__dict__.setdefault("_resolution_cache", {})
-        hit = cache.get(bits)
-        if hit is not None:
-            return hit
         arc_partner = self._arc_partner
-        endpoints = self._endpoints
         n_ports = 4 * len(self.crossings)
         # Smoothing: in the A-smoothing ports pair as slot^1 (joins 01 and
         # 23), in the B-smoothing as slot^3 (joins 03 and 12).  The join
         # through slot a is half 0 of the crossing's chord, so an A-join
-        # through port p is endpoint p >> 1 and a B-join adds the parity
-        # of the slot's two bits to 2*ci.
+        # through port p has half (p >> 1) & 1, and a B-join the parity of
+        # the slot's two bits.
         seen = [False] * n_ports
         circles = []
         for start in range(n_ports):
@@ -328,10 +314,10 @@ class Diagram:
                 seen[p] = True
                 if (bits >> (p >> 2)) & 1:
                     q = p ^ 3
-                    joins.append(endpoints[((p >> 1) & ~1) | ((p ^ (p >> 1)) & 1)])
+                    joins.append((p >> 2, (p ^ (p >> 1)) & 1))
                 else:
                     q = p ^ 1
-                    joins.append(endpoints[p >> 1])
+                    joins.append((p >> 2, (p >> 1) & 1))
                 seen[q] = True
                 p = arc_partner[q]
                 if p == start:
@@ -341,9 +327,14 @@ class Diagram:
         for k in range(self.free_loops):
             circles.append(((-(k + 1), 0),))
         circles.sort(key=lambda c: c[0])
-        result = tuple(circles)
-        cache[bits] = result
-        return result
+        return tuple(circles)
+
+    @cached_property
+    def _extreme_circle_counts(self) -> tuple[int, int]:
+        """Circle counts, free loops in, of the all-A and all-B smoothings,
+        which ``j_bounds`` reads: two traces per diagram, not per call."""
+        all_b = (1 << len(self.crossings)) - 1
+        return len(self._resolve_bits(0)), len(self._resolve_bits(all_b))
 
     @cached_property
     def _count_histogram(self) -> dict[tuple[int, int], int]:

@@ -25,19 +25,22 @@ One pass builds every j-row of a window [lo, hi] of j at once (the full
 table's [j_min, j_max], or [j, j] for one row).  An enhanced state is
 keyed as the integer pair (B-bits, mask of minus-signed circles), bit k
 of the mask the sign of circle k as ``Diagram._resolve_bits`` lists
-them; each (smoothing, A-crossing) pair is traced once for all rows, and
-the maps come out as the sparse rows the reduction kernel takes.  Only
-the smoothings with i - m <= hi - w, m circles, hold a state with
-j <= hi; they form a family closed under subsets, grown from the all-A
-smoothing.
+them.  Only the smoothings with i - m <= hi - w, m circles, hold a state
+with j <= hi; they form a family closed under subsets, grown from the
+all-A smoothing.  The growth traces each once and keeps where its
+circles hold the chord ends.  A cube edge needs only where the flipped
+crossing's two chord ends sit (Bar-Natan's local form), so each
+(smoothing, A-crossing) pair is read once for all rows, and the maps come
+out as the sparse rows the reduction kernel takes.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
 end-to-end check.  They and the j-range scan read only
 ``Diagram._count_histogram``, a frontier scan's tally of smoothings per
-(B-count, circle count) pair that traces no smoothing; the complex reads
-circles from the one tracer.  The test suite checks both against a
+(B-count, circle count) pair that traces no smoothing; the complex's
+growth reads circles from the one tracer, and ``j_bounds`` reads the
+all-A and all-B circle counts.  The test suite checks both against a
 union-find circle count (``tests/conftest.py``).
 """
 
@@ -169,44 +172,37 @@ class LaurentPoly:
 # --------------------------------------------------------------------------
 
 
-def _move(d: Diagram, bits: int, x: int) -> tuple:
-    """How relabelling A-crossing x of smoothing ``bits`` to B moves circles.
+def _move(source_where: list[int], target_where: list[int], x: int) -> tuple:
+    """How relabelling A-crossing x of a smoothing to B moves its circles.
 
-    Returns (g0, g1, triples, outs).  g0 and g1 are the positions of the
-    circles that leave the resolution (equal for a split).  Each
-    (select, up, down) triple carries the signs of the kept circles that
-    move by one distance: ``((mask & select) << up) >> down``.  ``outs[g]``
-    lists the minus bits of the entering circles, g holding the leaving
-    circles' minus bits (g0 as bit 0, g1 as bit 1), by the local rules of
-    the module docstring.  Raises NotAComplex unless two circles merge or
-    one splits.
+    The chord-end maps of the smoothing and of its flip at x hold, at
+    2*ci + half, the position of the circle holding chord end (ci, half).
+    Only the circles through x's two ends change; the kept ones are the
+    same tuples on both sides and sort by least endpoint, so they keep
+    their order.  Returns (leaving, entering, outs): a source mask maps by
+    dropping its bits at ``leaving`` (highest first) and opening zero bits
+    at ``entering`` (lowest first); ``outs[g]`` lists the entering
+    circles' minus bits, g the leaving circles' minus bits (the lower as
+    bit 0), by the local rules of the module docstring.  Raises
+    NotAComplex unless two circles merge or one splits.
     """
-    target = {circ: k for k, circ in enumerate(d._resolve_bits(bits | 1 << x))}
-    gone = []
-    shifts: dict[int, int] = {}
-    for k, circ in enumerate(d._resolve_bits(bits)):
-        kt = target.pop(circ, None)
-        if kt is None:
-            gone.append(k)
-        else:
-            shifts[kt - k] = shifts.get(kt - k, 0) | 1 << k
-    new = [1 << k for k in sorted(target.values())]
-    if len(gone) == 2 and len(new) == 1:
-        outs = ((0,), (new[0],), (new[0],), ())
-    elif len(gone) == 1 and len(new) == 2:
-        outs = ((new[1], new[0]), (), (), (new[0] | new[1],))
-    else:
-        raise NotAComplex(
-            f"relabelling crossing {x} changed {len(gone)} circles "
-            f"into {len(new)}"
-        )
-    triples = [(sel, max(dk, 0), max(-dk, 0)) for dk, sel in shifts.items()]
-    return gone[0], gone[-1], triples, outs
+    s0, s1 = sorted(source_where[2 * x : 2 * x + 2])
+    t0, t1 = sorted(target_where[2 * x : 2 * x + 2])
+    if s0 != s1 and t0 == t1:  # a merge
+        return (s1, s0), (t0,), ((0,), (1 << t0,), (1 << t0,), ())
+    if s0 == s1 and t0 != t1:  # a split
+        return (s0,), (t0, t1), ((1 << t1, 1 << t0), (), (), (1 << t0 | 1 << t1,))
+    raise NotAComplex(
+        f"relabelling crossing {x} changed {2 - (s0 == s1)} circles "
+        f"into {2 - (t0 == t1)}"
+    )
 
 
-def _grown_family(d: Diagram, limit: int) -> dict[int, int]:
-    """B-bits -> circle count m (free loops in) of the smoothings with
-    b - m <= limit, b the B-count; the all-A smoothing must be one.
+def _grown_family(d: Diagram, limit: int) -> dict[int, tuple[int, list[int]]]:
+    """B-bits -> (m, where) for the smoothings with b - m <= limit, b the
+    B-count and m the circle count (free loops in), each traced once; the
+    all-A smoothing must be one.  ``where`` is the chord-end map ``_move``
+    reads; free loops sort first and hold no end.
 
     A flip raises b by one and moves m by at most one, so the family is
     closed under subsets.  It grows from the all-A smoothing, flipping only
@@ -216,22 +212,30 @@ def _grown_family(d: Diagram, limit: int) -> dict[int, int]:
     dropped at slack 0.
     """
     c = d.crossing_count
-    root = d._resolve_bits(0)
-    family = {0: len(root)}
-    grow = [(0, root)]
+    loops = d.free_loops
+
+    def trace(bits: int) -> tuple[int, list[int]]:
+        circles = d._resolve_bits(bits)
+        where = [0] * (2 * c)
+        for k in range(loops, len(circles)):
+            for ci, half in circles[k]:
+                where[2 * ci + half] = k
+        return len(circles), where
+
+    family = {0: trace(0)}
+    grow = [0]
     while grow:
-        bits, circles = grow.pop()
-        slack = limit - bits.bit_count() + len(circles)
-        if slack < 2:
-            circle_of = {e: k for k, circle in enumerate(circles) for e in circle}
+        bits = grow.pop()
+        m, where = family[bits]
+        slack = limit - bits.bit_count() + m
         for x in range(bits.bit_length(), c):
-            if slack < 2 and circle_of[x, 0] != circle_of[x, 1]:
+            if slack < 2 and where[2 * x] != where[2 * x + 1]:
                 continue  # a merge
             child = bits | 1 << x
-            traced = d._resolve_bits(child)
-            if len(traced) - len(circles) >= 1 - slack:
-                family[child] = len(traced)
-                grow.append((child, traced))
+            traced = trace(child)
+            if traced[0] - m >= 1 - slack:
+                family[child] = traced
+                grow.append(child)
     return family
 
 
@@ -250,27 +254,28 @@ def _j_rows(
 
     The smoothings, grown by ``_grown_family`` and taken in bit order, are
     those with i - m <= hi - w, as an enhancement of m circles has
-    j >= w + i - m; a window below j_min, read off the tally, traces none.
-    Each one numbers the states of its minus counts k that land in the
-    window into their (j, i) bases,
-    then pulls its incoming differential from the smoothings one
-    B-crossing lower, which are numbered already: every (smoothing,
-    A-crossing) pair is traced by ``_move`` once, for all rows at once, and
-    maps source masks to target masks by bit operations.
+    j >= w + i - m; a window below j_min of ``j_bounds`` grows none.  Each
+    one numbers the states of its minus counts k that land in the window
+    into their (j, i) bases, then pulls its incoming differential from the
+    smoothings one B-crossing lower, which are numbered already: every
+    (smoothing, A-crossing) pair is read by ``_move`` once, for all rows,
+    from the two chord-end maps, and maps source masks to target masks by
+    bit operations.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
     w = d.writhe
     n = d.negative_count
-    lo, hi = j_bounds(d) if only_j is None else (only_j, only_j)
-    if hi < w - n + min(b - m for b, m in d._count_histogram) - d.free_loops:
-        return {}  # below j_min
+    j_min, j_max = j_bounds(d)
+    lo, hi = (j_min, j_max) if only_j is None else (only_j, only_j)
+    if hi < j_min:
+        return {}
     family = _grown_family(d, hi - w + n)
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
     numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)
     for bits in sorted(family):
-        m = family[bits]
+        m, where = family[bits]
         i = bits.bit_count() - n
         top = w + i + m  # j of the all-plus enhancement
         here: dict[int, tuple[int, dict]] = {}
@@ -294,11 +299,14 @@ def _j_rows(
             source = bits ^ 1 << x
             if numbered[source]:
                 incidence = -1 if after % 2 else 1
-                g0, g1, triples, outs = _move(d, source, x)
+                leaving, entering, outs = _move(family[source][1], where, x)
+                g0, g1 = leaving[-1], leaving[0]
                 for mask, (col, _) in numbered[source].items():
-                    kept = 0
-                    for sel, up, down in triples:
-                        kept |= ((mask & sel) << up) >> down
+                    kept = mask
+                    for p in leaving:
+                        kept = (kept & ((1 << p) - 1)) | (kept >> (p + 1) << p)
+                    for p in entering:
+                        kept = (kept & ((1 << p) - 1)) | (kept >> p << (p + 1))
                     for extra in outs[((mask >> g0) & 1) | ((mask >> g1) & 1) << 1]:
                         here[kept | extra][1][col] = incidence
             after += 1
@@ -402,14 +410,12 @@ def j_bounds(d: Diagram) -> tuple[int, int]:
 
     j_min is realised exactly by the all-A state with all-negative circles,
     j_max by the all-B state with all-positive ones; in between rows may or
-    may not survive to cohomology.
+    may not survive to cohomology.  The two circle counts are traced once
+    per diagram (``Diagram._extreme_circle_counts``).
     """
     c = d.crossing_count
-    n = d.negative_count
-    p = d.positive_count
-    s_a = len(d._resolve_bits(0))
-    s_b = len(d._resolve_bits((1 << c) - 1))
-    return c - 3 * n - s_a, -c + 3 * p + s_b
+    s_a, s_b = d._extreme_circle_counts
+    return c - 3 * d.negative_count - s_a, -c + 3 * d.positive_count + s_b
 
 
 def scanned_j_range(

@@ -333,16 +333,6 @@ class ChainComplex:
             out[d] = tuple(dense)
         return out
 
-    def check(self) -> None:
-        """Verify shapes and that consecutive maps compose to zero."""
-        for d, rows in self.rows.items():
-            if len(rows) != self.dim(d + 1):
-                raise NotAComplex(f"row count at degree {d}")
-            width = self.dim(d)
-            if any(not 0 <= k < width for r in rows for k in r):
-                raise NotAComplex(f"column outside the basis at degree {d}")
-        check_square_zero(self.rows)
-
 
 def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
     """Raise NotAComplex unless consecutive maps compose to zero.

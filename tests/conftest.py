@@ -36,7 +36,7 @@ from math import comb, gcd
 import pytest
 
 from exkh.diagram import A, B, Diagram, State
-from exkh.errors import CapExceeded
+from exkh.errors import CapExceeded, NotAComplex
 from exkh.extreme import _dual_parts, extreme_via_lando
 from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
 from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds
@@ -50,7 +50,9 @@ from exkh.lando import (
 from exkh.simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
+    ChainComplex,
     SimplicialComplex,
+    check_square_zero,
     independence_complex,
     join,
     jonsson_dual,
@@ -214,6 +216,19 @@ def faces_by_product(x: SimplicialComplex, y: SimplicialComplex) -> set:
         for a in fx
         for b in fy
     }
+
+
+def check_complex(cc: ChainComplex) -> None:
+    """Raise NotAComplex unless each map of ``cc`` has one row per basis
+    element of the degree above, columns inside the basis of its own
+    degree, and the next map composes with it to zero."""
+    for d, rows in cc.rows.items():
+        if len(rows) != cc.dim(d + 1):
+            raise NotAComplex(f"row count at degree {d}")
+        width = cc.dim(d)
+        if any(not 0 <= k < width for r in rows for k in r):
+            raise NotAComplex(f"column outside the basis at degree {d}")
+    check_square_zero(cc.rows)
 
 
 def circle_count_by_union_find(d, bits: int) -> int:

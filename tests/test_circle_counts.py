@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 from conftest import circle_count_by_union_find, enumerate_enhanced
 
+from exkh import khovanov
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_brute
@@ -127,7 +128,7 @@ def test_count_loops_check_the_cap_before_building_the_array(count_loop):
     with pytest.raises(CapExceeded):
         count_loop(d)
     assert "_count_histogram" not in d.__dict__
-    assert "_resolution_cache" not in d.__dict__
+    assert "_extreme_circle_counts" not in d.__dict__
 
 
 def _recording(monkeypatch):
@@ -168,6 +169,28 @@ def test_brute_row_traces_only_its_own_smoothings(monkeypatch, corpus12):
     # j_bounds also reads the all-B smoothing, for j_max.
     assert set(traced) - {(1 << c) - 1} <= row
     assert len(row) < (1 << c) // 4
+    # j_min comes from j_bounds, so the brute route builds no tally
+    assert "_count_histogram" not in d.__dict__
+
+
+def test_cohomology_traces_each_smoothing_once_outside_j_bounds(monkeypatch, corpus12):
+    traced = _recording(monkeypatch)
+    bounds = khovanov.j_bounds
+
+    def untraced_bounds(d):
+        start = len(traced)
+        try:
+            return bounds(d)
+        finally:
+            del traced[start:]
+
+    monkeypatch.setattr(khovanov, "j_bounds", untraced_bounds)
+    small = [d for d in corpus12 if d.crossing_count <= 8][::5]
+    for d in [*small, parse_pd(TREFOIL + " U U"), split_union(*map(parse_pd, KINKS))]:
+        traced.clear()
+        khovanov_cohomology(_fresh(d), "F2")
+        # the full table's window holds every smoothing
+        assert sorted(traced) == list(range(1 << d.crossing_count)), d.to_pd()
 
 
 def test_bracket_and_scan_leave_the_diagram_small():
@@ -207,7 +230,9 @@ def test_growth_on_a_virtual_diagram_takes_the_smoothings_of_its_row(monkeypatch
         traced = _recording(monkeypatch)
         family = _grown_family(fresh, limit)
         monkeypatch.undo()
-        assert family == {bits: m[bits] for bits in member}, j
+        assert {bits: v[0] for bits, v in family.items()} == {
+            bits: m[bits] for bits in member
+        }, j
         assert {bits for bits in family if bits in holding} == holding, j
         # A trace outside the family is a count-preserving flip of its
         # parent (the flip of the highest B-bit), never a merge.

@@ -549,3 +549,36 @@ def test_bad_env_value_is_exit_one(capsys, monkeypatch):
     code, _, err = run(["parse", "hexagon_link"], capsys)
     assert code == 1
     assert "EXKH_MAX_CROSSINGS" in err
+
+
+def test_out_of_range_env_format_is_exit_one(capsys, monkeypatch):
+    monkeypatch.setenv("EXKH_FORMAT", "xml")
+    code, out, err = run(["parse", TREFOIL], capsys)
+    assert (code, out) == (1, "")
+    assert "EXKH_FORMAT" in err
+
+
+def test_env_format_dot_only_on_lando(capsys, monkeypatch):
+    monkeypatch.setenv("EXKH_FORMAT", "dot")
+    code, out, _ = run(["lando", "eleven_crossing"], capsys)
+    assert code == 0 and out.startswith("graph lando {")
+    code, out, err = run(["parse", TREFOIL], capsys)
+    assert (code, out) == (1, "")
+    assert "EXKH_FORMAT" in err
+
+
+@pytest.mark.parametrize("command", ["complex", "jones", "khovanov"])
+def test_dot_format_is_refused_where_no_graph_is_drawn(capsys, command):
+    code, out, err = run([command, TREFOIL, "--format", "dot"], capsys)
+    assert (code, out) == (1, "")
+    assert "invalid choice" in err
+
+
+def test_verify_renders_text_only(capsys, monkeypatch):
+    code, out, err = run(["verify", "--count", "1", "--format", "json"], capsys)
+    assert (code, out) == (1, "")
+    assert "invalid choice" in err
+    monkeypatch.setenv("EXKH_FORMAT", "json")
+    code, out, err = run(["verify", "--count", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert "EXKH_FORMAT" in err

@@ -202,12 +202,6 @@ def test_round_trip_on_corpus(corpus12):
         assert again.signs == back.signs
 
 
-def test_resolution_cache_reuses_tuples(corpus12):
-    d = corpus12[0]
-    first = d._resolve_bits(0)
-    assert d._resolve_bits(0) is first
-
-
 def test_tracer_counts_circles_like_union_find(corpus12):
     diagrams = [e.diagram() for e in load_catalog().values()]
     diagrams += [d for d in corpus12 if d.crossing_count <= 10]

@@ -6,6 +6,7 @@ from conftest import (
     EnhancedState,
     adjacent,
     bracket_by_state_sum,
+    check_complex,
     enhanced,
     enumerate_enhanced,
     state_i,
@@ -174,7 +175,7 @@ def test_incidence_signs_square_to_zero_on_corpus(corpus12):
         j_min, j_max = j_bounds(d)
         mid = j_min + 2 * ((j_max - j_min) // 4)
         cc = khovanov_complex(d, mid)
-        cc.check()
+        check_complex(cc)
 
 
 def test_complex_entries_equal_the_reference_differential(corpus12):

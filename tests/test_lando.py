@@ -125,7 +125,6 @@ def test_lando_reads_only_the_all_a_circles(monkeypatch):
     assert len(g.vertices) == 11 and len(g.edges) == 12
     assert made == []
     assert traced == [0]
-    assert set(d.__dict__["_resolution_cache"]) == {0}
 
 
 def test_a_diagram_builds_its_lando_graph_once(monkeypatch):

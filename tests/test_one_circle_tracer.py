@@ -1,9 +1,12 @@
 """One tracer for circles, one tally for counts.
 
-Diagram._resolve_bits is the only producer of canonical circles.  The
-complex's moves, the Lando graph and the brute rows' growth read circles
-from it; the growth needs them, since it asks whether a chord's two ends
-lie on one circle.  The loops that need only how many smoothings have
+Diagram._resolve_bits is the only producer of canonical circles, and it
+keeps no cache.  The Lando graph, j_bounds and the brute rows' growth read
+circles from it.  The growth traces each smoothing it keeps once and
+keeps its chord-end map, the position of the circle holding each chord
+end; it asks whether a chord's two ends lie on one circle, and the
+complex's moves read from two such maps which circles merge or split,
+tracing nothing.  The loops that need only how many smoothings have
 each circle count read the frontier tally Diagram._count_histogram, so no
 state loop in the package traces a smoothing only to take the length of
 its circles.  Both live in the diagram module; a second tracer, or a

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from conftest import (
     adjacent,
+    check_complex,
     circle_count_by_union_find,
     enhanced,
     enumerate_enhanced,
@@ -75,7 +76,7 @@ def catalog_diagrams() -> list[Diagram]:
 
 def assert_matches_per_map(cc: ChainComplex, label) -> dict[int, AbelianGroup]:
     """Check every ring; return the integral groups."""
-    cc.check()
+    check_complex(cc)
     want = per_map_cohomology(cc)
     for ring in RINGS:
         assert cohomology(cc, ring) == want[ring], (label, ring)
@@ -182,7 +183,7 @@ def test_single_pass_rows_equal_the_reference_differential(corpus12, monkeypatch
             len(v) for v in by_degree.values()
         )
         for cc in built:
-            cc.check()
+            check_complex(cc)
             states = {i: [enhanced(d, *s) for s in b] for i, b in cc.bases.items()}
             j = state_j(d, next(iter(states.values()))[0])
             for i, basis in cc.bases.items():
@@ -246,9 +247,11 @@ def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):
     calls = []
     real = khovanov._move
 
-    def recording(d, bits, x):
-        calls.append((bits, x))
-        return real(d, bits, x)
+    def recording(source_where, target_where, x):
+        # the growth keeps one chord-end map per smoothing, alive for the
+        # whole pass, so the two maps' identities and x name the cube edge
+        calls.append((id(source_where), id(target_where), x))
+        return real(source_where, target_where, x)
 
     monkeypatch.setattr(khovanov, "_move", recording)
     for d in (dd for dd in corpus12 if 1 <= dd.crossing_count <= 7):

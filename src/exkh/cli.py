@@ -425,9 +425,10 @@ def _verify_one(d: Diagram, label: str, args) -> int:
 
     g = build_lando(d)
     bracket = kauffman_bracket(d, args.max_crossings)
-    top = c + 2 * len(d._resolve_bits(0)) - 2
+    s_a = d._extreme_circle_counts[0]  # all-A circles, free loops in
+    top = c + 2 * s_a - 2
     coeff = bracket.coefficient(top)
-    want = (-1) ** (len(d._resolve_bits(0)) - 1) * independence_number(g)
+    want = (-1) ** (s_a - 1) * independence_number(g)
     check(coeff == want, "bracket-vs-I(G)",
           "extreme bracket coefficient != signed I(G)")
 

@@ -33,6 +33,14 @@ crossing's two chord ends sit (Bar-Natan's local form), so each
 (smoothing, A-crossing) pair is read once for all rows, and the maps come
 out as the sparse rows the reduction kernel takes.
 
+``khovanov_cohomology`` keeps one slot: the last diagram whose full table
+it built, with that build's rows.  A table asked for again on an equal
+diagram (over another ring, say) reduces those rows without building
+them, and a table for any other diagram empties the slot before its own
+build, so at most one diagram's rows are ever held.  Only the full table
+reads the slot: one row (``khovanov_complex``, the brute extreme row) is
+always built afresh, so it stays an independent check on the full build.
+
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
 characteristic of the cohomology table with the bracket is a strong
@@ -66,6 +74,10 @@ DEFAULT_CROSSING_CAP = 16
 def _check_crossing_cap(d: Diagram, cap: int) -> None:
     if d.crossing_count > cap:
         raise CapExceeded("crossing count", cap)
+
+
+# (diagram, its full-window rows) of the last full table built, or None
+_table_slot: tuple[Diagram, dict[int, ChainComplex]] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -448,13 +460,23 @@ def khovanov_cohomology(
     """The full cohomology table.
 
     One pass (``_j_rows``) builds every j-row's sparse complex, and each
-    row is then reduced on its own.
+    row is then reduced on its own.  The rows of the last diagram built
+    stay in a one-slot memo, keyed by diagram equality, so the same
+    diagram's table over another ring reduces them without building
+    again; any other diagram empties the slot before its build.  The
+    crossing cap is checked on every call, memo or not.  ``cohomology``
+    copies the rows it reduces, which keeps the held rows intact.
     """
+    global _table_slot
     _check_crossing_cap(d, max_crossings)
     parse_ring(ring)
     j_min, j_max = j_bounds(d)
+    slot = _table_slot  # read once: the rows reduced are d's own
+    if slot is None or slot[0] != d:
+        slot = _table_slot = None  # never hold two tables' rows at once
+        slot = _table_slot = (d, _j_rows(d, None, max_crossings))
     entries: dict[tuple[int, int], AbelianGroup] = {}
-    for j, cc in _j_rows(d, None, max_crossings).items():
+    for j, cc in slot[1].items():
         for i, g in cohomology(cc, ring).items():
             if not g.is_trivial:
                 entries[(i, j)] = g

@@ -362,6 +362,10 @@ def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     that leaves the rank and the invariant factors of d_i unchanged.  Over
     Q and F_p every group is a vector space; integral torsion shows up
     there as lost rank, which the ranks already carry.
+
+    ``_eliminate`` consumes the rows it is given, so every row is copied
+    first, even where no column is dropped: ``cc`` is left as it was, and
+    the rows ``khovanov_cohomology`` holds for the next ring stay intact.
     """
     kind, p = parse_ring(ring)
     ranks: dict[int, int] = {}

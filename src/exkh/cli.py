@@ -564,9 +564,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"it renders {', '.join(args.formats)}"
             )
         parse_ring(args.ring)
-        if args.max_crossings <= 0 or args.max_faces <= 0:
-            print("caps must be positive", file=sys.stderr)
-            return 1
+        for flag, cap in (
+            ("--max-crossings", args.max_crossings),
+            ("--max-faces", args.max_faces),
+        ):
+            if cap <= 0:
+                raise ExkhError(f"caps must be positive: {flag} {cap}")
         return args.fn(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

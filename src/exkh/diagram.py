@@ -292,42 +292,53 @@ class Diagram:
         This is the package's one circle tracer, a plain function of
         ``bits`` that keeps nothing: ``resolve``, the Lando graph and the
         all-A and all-B counts of ``j_bounds`` read circles from here, and
-        the growth of the brute rows traces each smoothing it keeps once,
-        reducing the circles to a chord-end map.  Loops that only count
-        circles read the tally ``_count_histogram``, which traces nothing.
+        the growth of the brute rows traces its root, the all-A smoothing,
+        here and reduces the circles to a chord-end map.  Loops that only
+        count circles read the tally ``_count_histogram``, which traces
+        nothing.
         """
-        arc_partner = self._arc_partner
         n_ports = 4 * len(self.crossings)
-        # Smoothing: in the A-smoothing ports pair as slot^1 (joins 01 and
-        # 23), in the B-smoothing as slot^3 (joins 03 and 12).  The join
-        # through slot a is half 0 of the crossing's chord, so an A-join
-        # through port p has half (p >> 1) & 1, and a B-join the parity of
-        # the slot's two bits.
         seen = [False] * n_ports
         circles = []
         for start in range(n_ports):
-            if seen[start]:
-                continue
-            joins: list[Endpoint] = []
-            p = start
-            while True:
-                seen[p] = True
-                if (bits >> (p >> 2)) & 1:
-                    q = p ^ 3
-                    joins.append((p >> 2, (p ^ (p >> 1)) & 1))
-                else:
-                    q = p ^ 1
-                    joins.append((p >> 2, (p >> 1) & 1))
-                seen[q] = True
-                p = arc_partner[q]
-                if p == start:
-                    break
-            k = joins.index(min(joins))
-            circles.append(tuple(joins[k:] + joins[:k]))
+            if not seen[start]:
+                ends = self._circle_ends(bits, start, seen)
+                k = ends.index(min(ends))
+                circles.append(tuple((e >> 1, e & 1) for e in ends[k:] + ends[:k]))
         for k in range(self.free_loops):
             circles.append(((-(k + 1), 0),))
         circles.sort(key=lambda c: c[0])
         return tuple(circles)
+
+    def _circle_ends(self, bits: int, start: int, seen: list[bool]) -> list[int]:
+        """The chord ends, as 2 * ci + half, met in order on the circle of
+        smoothing ``bits`` that leaves port ``start``; marks its ports in
+        ``seen``.
+
+        This is the one loop that follows ports: ``_resolve_bits`` walks
+        every circle with it, and the growth of the brute rows walks the
+        one new circle of a split.
+        """
+        arc_partner = self._arc_partner
+        # Smoothing: in the A-smoothing ports pair as slot^1 (joins 01 and
+        # 23), in the B-smoothing as slot^3 (joins 03 and 12).  The join
+        # through slot a is half 0 of the crossing's chord, so an A-join
+        # through port p is chord end p >> 1, and a B-join has the parity
+        # of the slot's two bits as its half.
+        ends = []
+        p = start
+        while True:
+            seen[p] = True
+            if (bits >> (p >> 2)) & 1:
+                q = p ^ 3
+                ends.append((p >> 1 & ~1) | ((p ^ p >> 1) & 1))
+            else:
+                q = p ^ 1
+                ends.append(p >> 1)
+            seen[q] = True
+            p = arc_partner[q]
+            if p == start:
+                return ends
 
     @cached_property
     def _extreme_circle_counts(self) -> tuple[int, int]:

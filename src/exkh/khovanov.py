@@ -27,11 +27,14 @@ keyed as the integer pair (B-bits, mask of minus-signed circles), bit k
 of the mask the sign of circle k as ``Diagram._resolve_bits`` lists
 them.  Only the smoothings with i - m <= hi - w, m circles, hold a state
 with j <= hi; they form a family closed under subsets, grown from the
-all-A smoothing.  The growth traces each once and keeps where its
-circles hold the chord ends.  A cube edge needs only where the flipped
-crossing's two chord ends sit (Bar-Natan's local form), so each
-(smoothing, A-crossing) pair is read once for all rows, and the maps come
-out as the sparse rows the reduction kernel takes.
+all-A smoothing.  The growth traces only that root and keeps, for each
+smoothing, where its circles hold the chord ends.  A flip changes only
+the circles through one crossing (Bar-Natan's local form), so each child
+is made from its parent by surgery: a merge renames two positions and
+walks nothing, and a split walks only its one new circle.  A cube edge
+likewise needs only where the flipped crossing's two chord ends sit, so
+each (smoothing, A-crossing) pair is read once for all rows, and the maps
+come out as the sparse rows the reduction kernel takes.
 
 ``khovanov_cohomology`` keeps one slot: the last diagram whose full table
 it built, with that build's rows.  A table asked for again on an equal
@@ -47,9 +50,10 @@ characteristic of the cohomology table with the bracket is a strong
 end-to-end check.  They and the j-range scan read only
 ``Diagram._count_histogram``, a frontier scan's tally of smoothings per
 (B-count, circle count) pair that traces no smoothing; the complex's
-growth reads circles from the one tracer, and ``j_bounds`` reads the
-all-A and all-B circle counts.  The test suite checks both against a
-union-find circle count (``tests/conftest.py``).
+growth reads its root's circles from the one tracer, and its splits walk
+through the tracer's one port-following loop, ``Diagram._circle_ends``;
+``j_bounds`` reads the all-A and all-B circle counts.  The test suite
+checks both against a union-find circle count (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -210,31 +214,73 @@ def _move(source_where: list[int], target_where: list[int], x: int) -> tuple:
     )
 
 
+def _flip(
+    d: Diagram, child: int, x: int, m: int, where: list[int]
+) -> tuple[int, list[int]]:
+    """(m, where) of smoothing ``child`` from those of its parent
+    ``child ^ 1 << x``, where x is A, by surgery at x.
+
+    Circles sort by their least chord end, so a flip moves positions only
+    around the circles through x's two ends; every position is renamed
+    through one table, ``moved``.  A merge of the circles at positions
+    k0 < k1 walks nothing: k1 becomes k0 and every position above k1 drops
+    by one.  Otherwise the child's circle through (x, 0) is walked from
+    port 4x.  If it meets (x, 1), the flip keeps the count (a virtual
+    diagram) and every position.  If not, the old circle split: the part
+    holding its least chord end keeps its position, and the other part,
+    whose least chord end is ``least``, goes just above the circles whose
+    least end is lower, to ``max(where[:least]) + 1``; positions from there
+    up rise by one.  The list returned is always new.
+    """
+    k0, k1 = where[2 * x], where[2 * x + 1]
+    if k0 != k1:  # a merge
+        k0, k1 = min(k0, k1), max(k0, k1)
+        moved = [*range(k1), k0, *range(k1, m - 1)]
+        return m - 1, list(map(moved.__getitem__, where))
+    walked = set(d._circle_ends(child, 4 * x, [False] * (4 * d.crossing_count)))
+    if 2 * x + 1 in walked:  # the count stays
+        return m, list(where)
+    least = where.index(k0)
+    keep = least in walked  # the walked part keeps the old least end
+    if keep:
+        while least in walked:
+            least = where.index(k0, least + 1)
+    else:
+        least = min(walked)
+    t = max(where[:least]) + 1
+    moved = [*range(t), *range(t + 1, m + 1)]
+    if keep:
+        moved[k0] = t
+    out = list(map(moved.__getitem__, where))
+    for e in walked:
+        out[e] = k0 if keep else t
+    return m + 1, out
+
+
 def _grown_family(d: Diagram, limit: int) -> dict[int, tuple[int, list[int]]]:
     """B-bits -> (m, where) for the smoothings with b - m <= limit, b the
-    B-count and m the circle count (free loops in), each traced once; the
-    all-A smoothing must be one.  ``where`` is the chord-end map ``_move``
-    reads; free loops sort first and hold no end.
+    B-count and m the circle count (free loops in); the all-A smoothing
+    must be one.  ``where`` is the chord-end map ``_move`` reads; free
+    loops sort first and hold no end.  Each smoothing keeps a list of its
+    own.
 
     A flip raises b by one and moves m by at most one, so the family is
-    closed under subsets.  It grows from the all-A smoothing, flipping only
-    crossings above the highest B-bit.  At slack limit - (b - m) below 2 a
-    child needs m to stay or rise: a merge (chord ends on two circles) is
-    skipped untraced, and a count-preserving flip of a virtual diagram is
-    dropped at slack 0.
+    closed under subsets.  It grows from the all-A smoothing, the one
+    smoothing traced in full, flipping only crossings above the highest
+    B-bit; every other smoothing is made once, by ``_flip`` from its
+    parent's map (Bar-Natan's local form: a flip changes only the circles
+    through one crossing).  At slack limit - (b - m) below 2 a child needs
+    m to stay or rise: a merge (chord ends on two circles) is skipped
+    unmade, and a count-preserving flip of a virtual diagram is dropped at
+    slack 0.
     """
     c = d.crossing_count
-    loops = d.free_loops
-
-    def trace(bits: int) -> tuple[int, list[int]]:
-        circles = d._resolve_bits(bits)
-        where = [0] * (2 * c)
-        for k in range(loops, len(circles)):
-            for ci, half in circles[k]:
-                where[2 * ci + half] = k
-        return len(circles), where
-
-    family = {0: trace(0)}
+    circles = d._resolve_bits(0)
+    root = [0] * (2 * c)
+    for k in range(d.free_loops, len(circles)):
+        for ci, half in circles[k]:
+            root[2 * ci + half] = k
+    family = {0: (len(circles), root)}
     grow = [0]
     while grow:
         bits = grow.pop()
@@ -244,9 +290,9 @@ def _grown_family(d: Diagram, limit: int) -> dict[int, tuple[int, list[int]]]:
             if slack < 2 and where[2 * x] != where[2 * x + 1]:
                 continue  # a merge
             child = bits | 1 << x
-            traced = trace(child)
-            if traced[0] - m >= 1 - slack:
-                family[child] = traced
+            made = _flip(d, child, x, m, where)
+            if made[0] - m >= 1 - slack:
+                family[child] = made
                 grow.append(child)
     return family
 
@@ -266,7 +312,10 @@ def _j_rows(
 
     The smoothings, grown by ``_grown_family`` and taken in bit order, are
     those with i - m <= hi - w, as an enhancement of m circles has
-    j >= w + i - m; a window below j_min of ``j_bounds`` grows none.  Each
+    j >= w + i - m; a window below j_min of ``j_bounds`` grows none.  Only
+    the all-A smoothing is traced; every other one is made from its parent
+    by ``_flip``, which moves the positions of the circles through one
+    crossing and walks at most one new circle.  Each
     one numbers the states of its minus counts k that land in the window
     into their (j, i) bases, then pulls its incoming differential from the
     smoothings one B-crossing lower, which are numbered already: every

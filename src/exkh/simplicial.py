@@ -42,11 +42,12 @@ ranks while torsion shifts one degree, as usual.
 
 Integer linear algebra is exact and goes through one sparse elimination
 kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
-a unit in the shortest row that still holds one, taken from a heap keyed by
-row length, at the unit whose column is sparsest.  Over F_p every nonzero
-entry is a unit, so the kernel alone gives the rank.  Over Z the few rows
-left without a unit form a small dense core, which least-entry pivoting
-diagonalises; only ``AbelianGroup.from_orders`` makes divisibility chains.
+a unit in a short row, taken from a heap keyed lazily by row length, at the
+unit whose column is sparsest, and a row holding a lone unit clears its
+column by deletion alone.  Over F_p every nonzero entry is a unit, so the
+kernel alone gives the rank.  Over Z the few rows left without a unit form
+a small dense core, which least-entry pivoting diagonalises; only
+``AbelianGroup.from_orders`` makes divisibility chains.
 A complex is reduced degree by degree, lowest first, and each unit pivot
 of d_{i-1} cancels its row's basis element from the source of d_i as
 well: by Gaussian elimination on the complex (Bar-Natan, "Fast Khovanov
@@ -199,13 +200,20 @@ def _eliminate(
     """Pivot on units of a sparse matrix until none is left.
 
     ``rows`` holds the nonzero entries of each row as ``{col: value}``,
-    reduced mod ``p`` when a prime is given; they are consumed.  The pivot
-    is always taken in the shortest live row that holds a unit, at the unit
-    whose column has the fewest entries.  Rows wait in a heap keyed by
-    length and go back in only when a pivot modifies them.  Returns the
-    indices of the pivot rows, one per unit pivot, and the dense residual
-    with no unit entry left; over F_p every nonzero residue is a unit, so
-    that residual is empty.
+    reduced mod ``p`` when a prime is given; they are consumed.  Rows wait
+    in a heap keyed by their length when they were pushed, and the pivot is
+    taken in the row popped, at its unit whose column has the fewest
+    entries.  Keys are lazy: a row that shrank under earlier pivots keeps
+    its old key, so the pivot row is short but not always the shortest.  A
+    pivot row with a single unit entry clears its column by deleting that
+    entry from every other row, with no multiply and no reduction mod p.
+
+    A row goes back on the heap only when it drops to one entry, when it is
+    popped with a key shorter than its length (it grew by fill), or when a
+    pivot changes it after it was set aside for holding no unit.  Returns
+    the indices of the pivot rows, one per unit pivot, and the dense
+    residual with no unit entry left; over F_p every nonzero residue is a
+    unit, so that residual is empty.
     """
     live = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
@@ -214,21 +222,47 @@ def _eliminate(
             cols.setdefault(j, set()).add(i)
     heap = [(len(r), i) for i, r in live.items()]
     heapq.heapify(heap)
+    aside: set[int] = set()  # rows popped without a unit and unchanged since
     pivots = []
     while heap:
-        length, i = heapq.heappop(heap)
+        key, i = heapq.heappop(heap)
         piv_row = live.get(i)
-        if piv_row is None or len(piv_row) != length:
+        if piv_row is None or i in aside:
+            continue
+        if key < len(piv_row):
+            heapq.heappush(heap, (len(piv_row), i))
+            continue
+        if len(piv_row) == 1:
+            ((j, v),) = piv_row.items()
+            if p is None and v not in (1, -1):
+                aside.add(i)  # it comes back if a pivot changes it
+                continue
+            # a lone unit clears its column
+            del live[i]
+            pivots.append(i)
+            col = cols.pop(j)
+            col.discard(i)
+            for ii in col:
+                row = live[ii]
+                del row[j]
+                if not row:
+                    del live[ii]
+                    aside.discard(ii)
+                elif len(row) == 1 or ii in aside:
+                    aside.discard(ii)
+                    heapq.heappush(heap, (len(row), ii))
             continue
         unit_cols = [jj for jj, vv in piv_row.items() if p is not None or vv in (1, -1)]
         if not unit_cols:
-            continue  # no unit yet; it comes back if a pivot changes it
+            aside.add(i)
+            continue
+        del live[i]
+        pivots.append(i)
+        for jj in piv_row:
+            cols[jj].discard(i)
         j = min(unit_cols, key=lambda jj: len(cols[jj]))
         v = piv_row[j]
         inv = v if p is None else pow(v, -1, p)
-        del live[i]
-        for jj in piv_row:
-            cols[jj].discard(i)
         for ii in cols.pop(j):
             row = live[ii]
             q = row[j] * inv
@@ -244,11 +278,12 @@ def _eliminate(
                     del row[jj]
                     if jj != j:
                         cols[jj].discard(ii)
-            if row:
-                heapq.heappush(heap, (len(row), ii))
-            else:
+            if not row:
                 del live[ii]
-        pivots.append(i)
+                aside.discard(ii)
+            elif len(row) == 1 or ii in aside:
+                aside.discard(ii)
+                heapq.heappush(heap, (len(row), ii))
     live_cols = sorted({j for r in live.values() for j in r})
     dense = [[r.get(j, 0) for j in live_cols] for _, r in sorted(live.items())]
     return pivots, dense

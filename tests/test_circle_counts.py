@@ -22,7 +22,7 @@ from exkh import khovanov
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_brute
-from exkh.families import split_union, thick_family
+from exkh.families import load_catalog, split_union, thick_family
 from exkh.khovanov import (
     DEFAULT_CROSSING_CAP,
     _grown_family,
@@ -173,26 +173,83 @@ def test_brute_row_traces_only_its_own_smoothings(monkeypatch, corpus12):
     assert "_count_histogram" not in d.__dict__
 
 
+def _recording_flips(monkeypatch, made: list[int]) -> None:
+    """Patch the growth's surgery so that every smoothing it makes from
+    its parent records its bits."""
+    flip = khovanov._flip
+
+    def recording(d, child, x, m, where):
+        made.append(child)
+        return flip(d, child, x, m, where)
+
+    monkeypatch.setattr(khovanov, "_flip", recording)
+
+
 def test_cohomology_traces_each_smoothing_once_outside_j_bounds(monkeypatch, corpus12):
-    traced = _recording(monkeypatch)
+    # The growth traces its root, the all-A smoothing, and makes every
+    # other smoothing once, by surgery on the parent it flips from.
+    made = _recording(monkeypatch)
+    _recording_flips(monkeypatch, made)
     bounds = khovanov.j_bounds
 
     def untraced_bounds(d):
-        start = len(traced)
+        start = len(made)
         try:
             return bounds(d)
         finally:
-            del traced[start:]
+            del made[start:]
 
     monkeypatch.setattr(khovanov, "j_bounds", untraced_bounds)
     small = [d for d in corpus12 if d.crossing_count <= 8][::5]
     for d in [*small, parse_pd(TREFOIL + " U U"), split_union(*map(parse_pd, KINKS))]:
-        traced.clear()
+        made.clear()
         # an equal diagram's rows, left by an earlier table, would be reused
         monkeypatch.setattr(khovanov, "_table_slot", None)
         khovanov_cohomology(_fresh(d), "F2")
+        assert made[0] == 0, d.to_pd()  # the one full trace
         # the full table's window holds every smoothing
-        assert sorted(traced) == list(range(1 << d.crossing_count)), d.to_pd()
+        assert sorted(made) == list(range(1 << d.crossing_count)), d.to_pd()
+
+
+def _traced_map(d: Diagram, bits: int) -> tuple[int, list[int]]:
+    """(m, where) of one smoothing, read off a full trace of its circles."""
+    circles = d._resolve_bits(bits)
+    where = [0] * (2 * d.crossing_count)
+    for k in range(d.free_loops, len(circles)):
+        for ci, half in circles[k]:
+            where[2 * ci + half] = k
+    return len(circles), where
+
+
+def test_growth_by_surgery_matches_a_full_trace(corpus12):
+    # Every (m, where) the growth makes by merges, splits and
+    # count-preserving flips must be what tracing the smoothing gives.
+    kinks = [parse_pd(k) for k in KINKS]
+    diagrams = [
+        *(entry.diagram() for entry in load_catalog().values()),
+        *(d for d in corpus12 if d.crossing_count <= 8),
+        parse_pd(TREFOIL + " U U"),
+        split_union(*kinks),
+        parse_pd(TREFOIL).mirror(),
+        thick_family(1),  # virtual: some flips keep the count
+    ]
+    for d in diagrams:
+        c, w, n = d.crossing_count, d.writhe, d.negative_count
+        j_min = j_bounds(d)[0]
+        for j in range(j_min - 2, j_min + 7):
+            limit = j - w + n
+            family = _grown_family(_fresh(d), limit)
+            for bits, made in family.items():
+                assert made == _traced_map(d, bits), (d.to_pd(), j, bits)
+            if c <= 8:
+                # below j_min no smoothing is in the window, and the growth
+                # keeps just its root
+                member = {
+                    bits
+                    for bits in range(1 << c)
+                    if bits.bit_count() - len(d._resolve_bits(bits)) <= limit
+                } or {0}
+                assert set(family) == member, (d.to_pd(), j)
 
 
 def test_bracket_and_scan_leave_the_diagram_small():
@@ -229,16 +286,18 @@ def test_growth_on_a_virtual_diagram_takes_the_smoothings_of_its_row(monkeypatch
         limit = j - w + n
         member = {bits for bits in range(1 << c) if bits.bit_count() - m[bits] <= limit}
         fresh = _fresh(d)
-        traced = _recording(monkeypatch)
+        made = _recording(monkeypatch)
+        _recording_flips(monkeypatch, made)
         family = _grown_family(fresh, limit)
         monkeypatch.undo()
         assert {bits: v[0] for bits, v in family.items()} == {
             bits: m[bits] for bits in member
         }, j
         assert {bits for bits in family if bits in holding} == holding, j
-        # A trace outside the family is a count-preserving flip of its
-        # parent (the flip of the highest B-bit), never a merge.
-        for bits in set(traced) - member:
+        # A smoothing made outside the family is a count-preserving flip
+        # of its parent (the flip of the highest B-bit), never a merge.
+        assert made.count(0) == 1 and len(set(made)) == len(made), j
+        for bits in set(made) - member:
             parent = bits ^ 1 << (bits.bit_length() - 1)
             assert parent in member and m[bits] == m[parent], (j, bits)
         if j < j_min + 4:  # higher rows of this virtual diagram do not square to zero

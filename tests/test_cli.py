@@ -522,6 +522,10 @@ def test_nonpositive_cap_rejected(capsys):
     code, _, err = run(["parse", TREFOIL, "--max-crossings", "0"], capsys)
     assert code == 1
     assert "caps must be positive" in err
+    assert err.strip() == "error: caps must be positive: --max-crossings 0"
+    code, out, err = run(["extreme", TREFOIL, "--max-faces", "-3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: caps must be positive: --max-faces -3"
 
 
 def test_usage_error_is_exit_one(capsys):

@@ -1,17 +1,19 @@
 """One tracer for circles, one tally for counts.
 
 Diagram._resolve_bits is the only producer of canonical circles, and it
-keeps no cache.  The Lando graph, j_bounds and the brute rows' growth read
-circles from it.  The growth traces each smoothing it keeps once and
-keeps its chord-end map, the position of the circle holding each chord
-end; it asks whether a chord's two ends lie on one circle, and the
-complex's moves read from two such maps which circles merge or split,
-tracing nothing.  The loops that need only how many smoothings have
-each circle count read the frontier tally Diagram._count_histogram, so no
-state loop in the package traces a smoothing only to take the length of
-its circles.  Both live in the diagram module; a second tracer, or a
-second scan, elsewhere would need the port pairing ``_arc_partner``, so
-only the diagram module may read it.
+keeps no cache.  The Lando graph, j_bounds and the root of the brute rows'
+growth, the all-A smoothing, read circles from it.  There is one loop
+that follows ports around a circle, Diagram._circle_ends: the tracer
+walks every circle with it, and the growth walks with it only the one new
+circle of a split, making every other smoothing from its parent's
+chord-end map (the position of the circle holding each chord end) by
+surgery at the flipped crossing.  The complex's moves read from two such
+maps which circles merge or split, tracing nothing.  The loops that need
+only how many smoothings have each circle count read the frontier tally
+Diagram._count_histogram, so no state loop in the package traces a
+smoothing only to take the length of its circles.  Both live in the
+diagram module; a second tracer, or a second scan, elsewhere would need
+the port pairing ``_arc_partner``, so only the diagram module may read it.
 """
 
 import ast
@@ -61,3 +63,29 @@ def test_state_loops_count_circles_from_the_array():
                 if _is_len_of_trace(node)
             )
     assert offenders == set()
+
+
+def _callers(attr: str) -> list[str]:
+    """module:function for every call of a method named ``attr`` in src."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found.extend(
+                    f"{path.stem}:{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr
+                )
+    return sorted(found)
+
+
+def test_one_port_walking_loop_and_one_traced_root():
+    # the tracer and the growth's splits share the walk, and the growth
+    # traces only its root
+    assert _callers("_circle_ends") == ["diagram:_resolve_bits", "khovanov:_flip"]
+    assert [c for c in _callers("_resolve_bits") if c.startswith("khovanov:")] == [
+        "khovanov:_grown_family"
+    ]

@@ -25,6 +25,7 @@ from exkh.simplicial import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
     _closed_family,
+    _eliminate,
     _snf_dense,
     alexander_dual,
     coboundary_complex,
@@ -165,6 +166,53 @@ def test_sparse_elimination_matches_dense_smith_form():
         torsion = AbelianGroup.from_orders(0, core).torsion
         want = (1,) * (len(core) - len(torsion)) + torsion
         assert smith_normal_form(m) == (want, len(core))
+
+
+def _sparse_rows(m, p=None):
+    """The kernel's {col: value} rows of a dense matrix, reduced mod p."""
+    if p is not None:
+        m = [[v % p for v in r] for r in m]
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
+
+
+def test_elimination_kernel_against_minor_gcds():
+    # Entries outside +-1 leave rows with no unit until a pivot changes
+    # them, and lone unit pivots clear their columns; whatever the pivot
+    # order, the pivots and the residual core must give the invariant
+    # factors of the whole matrix, and no unit may be left behind.
+    rng = random.Random(22)
+    for _ in range(200):
+        rows = rng.randrange(1, 6)
+        cols = rng.randrange(1, 7)
+        density = rng.choice((0.2, 0.35, 0.5))
+        m = [
+            [
+                rng.choice((1, -1, 2, -2, 3, 4, 6)) if rng.random() < density else 0
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        want = invariant_factors_by_minors(m)
+        pivots, residual = _eliminate(_sparse_rows(m))
+        assert not any(v in (1, -1) for r in residual for v in r), m
+        assert len(set(pivots)) == len(pivots)
+        assert (1,) * len(pivots) + tuple(_snf_dense(residual)) == want, m
+        for p in (2, 3):
+            pivots, residual = _eliminate(_sparse_rows(m, p), p)
+            assert residual == [], (m, p)
+            assert len(pivots) == sum(f % p != 0 for f in want), (m, p)
+
+
+def test_elimination_brings_back_a_row_a_pivot_gives_a_unit():
+    # [2, 3] is popped before [1, 1, 1] and set aside, having no unit; the
+    # pivot at column 0 turns it into [0, 1, -2], whose unit must still be
+    # pivoted on, though the row neither drops to one entry nor grows.
+    m = [[2, 3, 0], [1, 1, 1], [0, 0, 2]]
+    pivots, residual = _eliminate(_sparse_rows(m))
+    assert sorted(pivots) == [0, 1]
+    assert residual == [[2]]
+    assert (1,) * len(pivots) + tuple(_snf_dense(residual)) == (1, 1, 2)
+    assert invariant_factors_by_minors(m) == (1, 1, 2)
 
 
 def test_integer_rank_and_mod_p():

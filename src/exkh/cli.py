@@ -7,6 +7,11 @@ and ``jones`` print full invariants, ``families`` emits the shipped and
 generated example diagrams, and ``verify`` replays the cross-checks on a
 corpus.
 
+Each subcommand takes only the options its handler reads.  An option
+left off the command line takes its ``EXKH_*`` variable (``EXKH_RING``,
+``EXKH_MAX_CROSSINGS``, ...), else its default; only the subcommand being
+run reads its variables, and a bad value names the flag or the variable.
+
 Exit codes: 0 success, 2 a cap was exceeded, 3 two routes to an extreme row
 disagree (which a proven theorem forbids, so it means a bug), 1 anything
 else.  ``verify`` runs every check on every diagram before it exits with
@@ -66,16 +71,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str, fallback):
-    raw = os.environ.get(f"EXKH_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return type(fallback)(raw)
-    except ValueError:
+# dest -> (the variable read when the flag is left off, the value if it is unset)
+_DEFAULTS = {
+    "ring": ("EXKH_RING", "Z"),
+    "max_crossings": ("EXKH_MAX_CROSSINGS", DEFAULT_CROSSING_CAP),
+    "max_faces": ("EXKH_MAX_FACES", DEFAULT_FACE_CAP),
+    "fmt": ("EXKH_FORMAT", "text"),
+    "seed": ("EXKH_SEED", 0),
+}
+
+_HELP = {
+    "--ring": "coefficient ring: Z, Q or Fp for a prime p (default Z)",
+    "--max-crossings": "refuse state enumeration beyond this many crossings",
+    "--max-faces": "refuse simplicial complexes beyond this many faces",
+}
+
+
+def _settle(args) -> None:
+    """Fill in and check the options of the subcommand being run, reading
+    only their variables.  A bad value names where it came from:
+    ``--max-faces -3`` or ``EXKH_MAX_FACES=0``."""
+    for dest, (var, fallback) in _DEFAULTS.items():
+        if dest not in vars(args):
+            continue
+        value, raw = getattr(args, dest), None
+        named = f"--{dest.replace('_', '-')} {value}"
+        if value is None:
+            raw = os.environ.get(var)
+            named = f"{var}={raw}"
+            try:
+                value = fallback if raw is None else type(fallback)(raw)
+            except ValueError:
+                raise ExkhError(
+                    f"{var}={raw!r} is not a valid {type(fallback).__name__}"
+                ) from None
+            setattr(args, dest, value)
+        if dest == "ring":
+            try:
+                parse_ring(value)
+            except ValueError as exc:
+                where = "" if raw is None else f"{named}: "
+                raise ExkhError(f"{where}{exc}") from None
+        elif dest.startswith("max_") and value <= 0:
+            raise ExkhError(f"caps must be positive: {named}")
+    # argparse checks choices only on the command line
+    if args.fmt not in args.formats:
         raise ExkhError(
-            f"EXKH_{name}={raw!r} is not a valid {type(fallback).__name__}"
-        ) from None
+            f"EXKH_FORMAT={args.fmt!r} is not a format of {args.command}; "
+            f"it renders {', '.join(args.formats)}"
+        )
+
+
+def _limits(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Give ``sub`` the ring and cap options that its handler reads."""
+    for flag in flags:
+        sub.add_argument(flag, type=None if flag == "--ring" else int, help=_HELP[flag])
 
 
 def _common(
@@ -83,32 +133,8 @@ def _common(
     diagram_input: bool = True,
     formats: tuple[str, ...] = ("text", "json"),  # those it renders
 ) -> None:
-    sub.add_argument(
-        "--ring",
-        default=_env("RING", "Z"),
-        help="coefficient ring: Z, Q or Fp for a prime p (default Z)",
-    )
-    sub.add_argument(
-        "--max-crossings",
-        type=int,
-        default=_env("MAX_CROSSINGS", DEFAULT_CROSSING_CAP),
-        help="refuse state enumeration beyond this many crossings",
-    )
-    sub.add_argument(
-        "--max-faces",
-        type=int,
-        default=_env("MAX_FACES", DEFAULT_FACE_CAP),
-        help="refuse simplicial complexes beyond this many faces",
-    )
-    sub.add_argument(
-        "--format",
-        choices=formats,
-        default=_env("FORMAT", "text"),
-        dest="fmt",
-    )
-    # argparse checks choices only on the command line, so main checks
-    # an EXKH_FORMAT default against these
-    sub.set_defaults(formats=formats)
+    sub.add_argument("--format", choices=formats, dest="fmt")
+    sub.set_defaults(formats=formats)  # for _settle to check EXKH_FORMAT
     if diagram_input:
         sub.add_argument(
             "input",
@@ -184,18 +210,14 @@ def _cmd_parse(args) -> int:
         "free_loops": d.free_loops,
         "hash": pd_hash(d),
     }
-    _emit(
-        payload,
-        args,
-        [
-            d.to_pd(),
-            f"crossings: {d.crossing_count} "
-            f"(+{d.positive_count}, -{d.negative_count}), writhe {d.writhe}",
-            f"components: {d.component_count} "
-            f"({d.free_loops} crossingless)",
-            f"hash: {pd_hash(d)}",
-        ],
-    )
+    lines = [
+        d.to_pd(),
+        f"crossings: {d.crossing_count} "
+        f"(+{d.positive_count}, -{d.negative_count}), writhe {d.writhe}",
+        f"components: {d.component_count} ({d.free_loops} crossingless)",
+        f"hash: {pd_hash(d)}",
+    ]
+    _emit(payload, args, lines)
     return 0
 
 
@@ -232,11 +254,7 @@ def _cmd_lando(args) -> int:
         f"{len(g.vertices)} vertices, {len(g.edges)} edges, I(G)={ig}",
         "vertices: " + " ".join(str(v) for v in g.vertices),
     ]
-    lines += [
-        "edge: " + " -- ".join(sorted(str(x) for x in e)) for e in sorted(
-            g.edges, key=lambda e: sorted(str(x) for x in e)
-        )
-    ]
+    lines += ["edge: " + " -- ".join(e) for e in payload["edges"]]
     lines.append(
         f"complete bipartite: K_{{{kb[0]},{kb[1]}}}" if kb
         else "complete bipartite: no"
@@ -331,19 +349,14 @@ def _cmd_jones(args) -> int:
     v = jones(d, args.max_crossings)
     q = graded_jones(d, args.max_crossings)
     payload = {
-        "kauffman_bracket_A": str(bracket),
-        "jones_A": str(v),
-        "graded_q": str(q),
+        "kauffman_bracket_A": str(bracket), "jones_A": str(v), "graded_q": str(q)
     }
-    _emit(
-        payload,
-        args,
-        [
-            f"kauffman bracket (A): {bracket}",
-            f"jones, writhe-normalised (A): {v}",
-            f"graded euler characteristic (q): {q}",
-        ],
-    )
+    lines = [
+        f"kauffman bracket (A): {bracket}",
+        f"jones, writhe-normalised (A): {v}",
+        f"graded euler characteristic (q): {q}",
+    ]
+    _emit(payload, args, lines)
     return 0
 
 
@@ -352,24 +365,15 @@ def _cmd_families(args) -> int:
     if kind != "list" and arg is None:
         raise ExkhError(f"families {kind} needs an argument")
     if kind == "list":
-        catalog = load_catalog()
-        payload = {name: e.summary for name, e in sorted(catalog.items())}
-        _emit(
-            payload,
-            args,
-            [f"{name}: {e.summary}" for name, e in sorted(catalog.items())],
-        )
+        payload = {name: e.summary for name, e in sorted(load_catalog().items())}
+        _emit(payload, args, [f"{name}: {s}" for name, s in payload.items()])
         return 0
     if kind == "show":
         catalog = load_catalog()
         if arg not in catalog:
             raise ExkhError(f"no catalog entry {arg!r}; the entries are {sorted(catalog)}")
         entry = catalog[arg]
-        payload = {
-            "name": entry.name,
-            "pd": entry.pd,
-            "expected": entry.expected,
-        }
+        payload = {"name": entry.name, "pd": entry.pd, "expected": entry.expected}
         _emit(payload, args, [entry.pd])
         return 0
     if kind == "thick":
@@ -386,17 +390,15 @@ def _cmd_families(args) -> int:
         lines.append(f"binomial pattern: {'OK' if ok else 'MISMATCH'}")
         _emit(payload, args, lines)
         return 0 if ok else 1
-    if kind == "random":
-        out = random_diagrams(
-            int(arg),
-            max_crossings=args.max_crossings,
-            seed=args.seed,
-            multi_component=args.multi_component,
-        )
-        payload = [d.to_pd() for d in out]
-        _emit({"diagrams": payload}, args, payload)
-        return 0
-    raise ExkhError(f"unknown families kind {kind!r}")
+    out = random_diagrams(  # kind == "random", the last of argparse's choices
+        int(arg),
+        max_crossings=args.max_crossings,
+        seed=args.seed,
+        multi_component=args.multi_component,
+    )
+    payload = [d.to_pd() for d in out]
+    _emit({"diagrams": payload}, args, payload)
+    return 0
 
 
 def _verify_one(d: Diagram, label: str, args) -> int:
@@ -506,12 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
         "complex", help="independence complex of the Lando graph"
     )
     _common(p)
+    _limits(p, "--max-faces")
     p.set_defaults(fn=_cmd_complex)
 
     p = subs.add_parser(
         "extreme", help="extreme cohomology row by two independent routes"
     )
     _common(p)
+    _limits(p, "--ring", "--max-crossings", "--max-faces")
     p.add_argument(
         "--side", choices=("min", "max"), default="min",
         help="'max' is the top row, from the mirror's lando route only",
@@ -526,19 +530,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("khovanov", help="full cohomology table")
     _common(p)
+    _limits(p, "--ring", "--max-crossings")
     p.set_defaults(fn=_cmd_khovanov)
 
     p = subs.add_parser("jones", help="bracket and Jones polynomials")
     _common(p)
+    _limits(p, "--max-crossings")
     p.set_defaults(fn=_cmd_jones)
 
     p = subs.add_parser("families", help="catalog and generated examples")
     _common(p, diagram_input=False)
+    _limits(p, "--max-crossings", "--max-faces")
     p.add_argument(
         "kind", choices=("list", "show", "thick", "joins", "random")
     )
     p.add_argument("arg", nargs="?", help="name or numeric argument")
-    p.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--multi-component", action="store_true",
         help="random: only diagrams with two or more crossing components",
@@ -547,9 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="replay the invariant suite on a corpus")
     _common(p, diagram_input=False, formats=("text",))
+    _limits(p, "--ring", "--max-crossings", "--max-faces")
     p.add_argument("inputs", nargs="*", help="diagrams; default is catalog + random corpus")
     p.add_argument("--count", type=int, default=25, help="random corpus size")
-    p.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_verify)
 
     return top
@@ -558,26 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.fmt not in args.formats:
-            raise ExkhError(
-                f"EXKH_FORMAT={args.fmt!r} is not a format of {args.command}; "
-                f"it renders {', '.join(args.formats)}"
-            )
-        parse_ring(args.ring)
-        for flag, cap in (
-            ("--max-crossings", args.max_crossings),
-            ("--max-faces", args.max_faces),
-        ):
-            if cap <= 0:
-                raise ExkhError(f"caps must be positive: {flag} {cap}")
+        _settle(args)
         return args.fn(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except ExkhError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ExkhError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -290,12 +290,10 @@ class Diagram:
         """Circles of the state whose B-labelled crossings are the set bits.
 
         This is the package's one circle tracer, a plain function of
-        ``bits`` that keeps nothing: ``resolve``, the Lando graph and the
-        all-A and all-B counts of ``j_bounds`` read circles from here, and
-        the growth of the brute rows traces its root, the all-A smoothing,
-        here and reduces the circles to a chord-end map.  Loops that only
-        count circles read the tally ``_count_histogram``, which traces
-        nothing.
+        ``bits`` that keeps nothing: ``resolve``, ``_all_a_circles`` and
+        the all-B count of ``j_bounds`` read circles from here.  Loops that
+        only count circles read the tally ``_count_histogram``, which
+        traces nothing.
         """
         n_ports = 4 * len(self.crossings)
         seen = [False] * n_ports
@@ -341,11 +339,17 @@ class Diagram:
                 return ends
 
     @cached_property
+    def _all_a_circles(self) -> tuple[tuple[Endpoint, ...], ...]:
+        """The all-A smoothing's circles, traced once per diagram for the
+        Lando graph, ``j_bounds`` and the root of the brute rows' growth."""
+        return self._resolve_bits(0)
+
+    @cached_property
     def _extreme_circle_counts(self) -> tuple[int, int]:
         """Circle counts, free loops in, of the all-A and all-B smoothings,
-        which ``j_bounds`` reads: two traces per diagram, not per call."""
+        which ``j_bounds`` reads: the all-B one traced once per diagram."""
         all_b = (1 << len(self.crossings)) - 1
-        return len(self._resolve_bits(0)), len(self._resolve_bits(all_b))
+        return len(self._all_a_circles), len(self._resolve_bits(all_b))
 
     @cached_property
     def _count_histogram(self) -> dict[tuple[int, int], int]:

@@ -27,7 +27,7 @@ keyed as the integer pair (B-bits, mask of minus-signed circles), bit k
 of the mask the sign of circle k as ``Diagram._resolve_bits`` lists
 them.  Only the smoothings with i - m <= hi - w, m circles, hold a state
 with j <= hi; they form a family closed under subsets, grown from the
-all-A smoothing.  The growth traces only that root and keeps, for each
+all-A smoothing, which the diagram traces once.  The growth keeps, for each
 smoothing, where its circles hold the chord ends.  A flip changes only
 the circles through one crossing (Bar-Natan's local form), so each child
 is made from its parent by surgery: a merge renames two positions and
@@ -50,8 +50,8 @@ characteristic of the cohomology table with the bracket is a strong
 end-to-end check.  They and the j-range scan read only
 ``Diagram._count_histogram``, a frontier scan's tally of smoothings per
 (B-count, circle count) pair that traces no smoothing; the complex's
-growth reads its root's circles from the one tracer, and its splits walk
-through the tracer's one port-following loop, ``Diagram._circle_ends``;
+growth reads its root from ``Diagram._all_a_circles``, its splits walk
+the tracer's one port-following loop, ``Diagram._circle_ends``, and
 ``j_bounds`` reads the all-A and all-B circle counts.  The test suite
 checks both against a union-find circle count (``tests/conftest.py``).
 """
@@ -275,7 +275,7 @@ def _grown_family(d: Diagram, limit: int) -> dict[int, tuple[int, list[int]]]:
     slack 0.
     """
     c = d.crossing_count
-    circles = d._resolve_bits(0)
+    circles = d._all_a_circles
     root = [0] * (2 * c)
     for k in range(d.free_loops, len(circles)):
         for ci, half in circles[k]:

@@ -149,8 +149,8 @@ class Graph:
 def build_lando(source: Diagram | ResolvedState) -> Graph:
     """Lando graph of a diagram's all-A state, or of a given resolution.
 
-    The circles come straight from the circle tracer (``_resolve_bits(0)``)
-    or from ``source.circles``.  Crossing ci is a vertex when its chord
+    The circles are the diagram's ``_all_a_circles``, traced once per
+    diagram, or ``source.circles``.  Crossing ci is a vertex when its chord
     endpoints ``(ci, 0)`` and ``(ci, 1)`` lie on one circle; vertices come
     in crossing order.  Free loops carry no chord.  A diagram keeps its
     graph, as the lando and dual routes and the bracket check each ask for
@@ -158,7 +158,7 @@ def build_lando(source: Diagram | ResolvedState) -> Graph:
     """
     if isinstance(source, Diagram) and "_lando" in source.__dict__:
         return source.__dict__["_lando"]
-    circles = source._resolve_bits(0) if isinstance(source, Diagram) else source.circles
+    circles = source._all_a_circles if isinstance(source, Diagram) else source.circles
     ends: dict[int, list[tuple[int, int]]] = {}
     for k, circle in enumerate(circles):
         for pos, (ci, _) in enumerate(circle):

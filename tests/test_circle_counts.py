@@ -21,7 +21,7 @@ from conftest import circle_count_by_union_find, enumerate_enhanced
 from exkh import khovanov
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
-from exkh.extreme import extreme_via_brute
+from exkh.extreme import extreme_via_brute, extreme_via_dual, extreme_via_lando
 from exkh.families import load_catalog, split_union, thick_family
 from exkh.khovanov import (
     DEFAULT_CROSSING_CAP,
@@ -33,6 +33,7 @@ from exkh.khovanov import (
     khovanov_complex,
     scanned_j_range,
 )
+from exkh.lando import build_lando
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
@@ -129,6 +130,7 @@ def test_count_loops_check_the_cap_before_building_the_array(count_loop):
         count_loop(d)
     assert "_count_histogram" not in d.__dict__
     assert "_extreme_circle_counts" not in d.__dict__
+    assert "_all_a_circles" not in d.__dict__
 
 
 def _recording(monkeypatch):
@@ -142,6 +144,20 @@ def _recording(monkeypatch):
 
     monkeypatch.setattr(Diagram, "_resolve_bits", recording)
     return traced
+
+
+def test_every_route_reads_one_all_a_trace(monkeypatch):
+    # j_bounds, the Lando graph and the brute row's growth all start from
+    # the all-A smoothing; a diagram traces it once for all of them
+    traced = _recording(monkeypatch)
+    for d in (load_catalog()["hexagon_link"].diagram(), parse_pd(TREFOIL + " U")):
+        d = _fresh(d)
+        traced.clear()
+        j_bounds(d)
+        build_lando(d)
+        rows = [extreme_via_lando(d), extreme_via_dual(d), extreme_via_brute(d)]
+        assert rows[0].groups == rows[1].groups == rows[2].groups
+        assert traced.count(0) == 1, d.to_pd()
 
 
 def test_count_only_loops_trace_no_circles(monkeypatch, corpus12):
@@ -186,29 +202,22 @@ def _recording_flips(monkeypatch, made: list[int]) -> None:
 
 
 def test_cohomology_traces_each_smoothing_once_outside_j_bounds(monkeypatch, corpus12):
-    # The growth traces its root, the all-A smoothing, and makes every
-    # other smoothing once, by surgery on the parent it flips from.
+    # j_bounds traces the all-A smoothing, which the diagram keeps; the
+    # growth takes its root from there and makes every other smoothing
+    # once, by surgery on the parent it flips from.
     made = _recording(monkeypatch)
     _recording_flips(monkeypatch, made)
-    bounds = khovanov.j_bounds
-
-    def untraced_bounds(d):
-        start = len(made)
-        try:
-            return bounds(d)
-        finally:
-            del made[start:]
-
-    monkeypatch.setattr(khovanov, "j_bounds", untraced_bounds)
     small = [d for d in corpus12 if d.crossing_count <= 8][::5]
     for d in [*small, parse_pd(TREFOIL + " U U"), split_union(*map(parse_pd, KINKS))]:
+        d = _fresh(d)
+        j_bounds(d)
+        assert made.count(0) == 1, d.to_pd()
         made.clear()
         # an equal diagram's rows, left by an earlier table, would be reused
         monkeypatch.setattr(khovanov, "_table_slot", None)
-        khovanov_cohomology(_fresh(d), "F2")
-        assert made[0] == 0, d.to_pd()  # the one full trace
-        # the full table's window holds every smoothing
-        assert sorted(made) == list(range(1 << d.crossing_count)), d.to_pd()
+        khovanov_cohomology(d, "F2")
+        # the full table's window holds every smoothing; none is traced again
+        assert sorted(made) == list(range(1, 1 << d.crossing_count)), d.to_pd()
 
 
 def _traced_map(d: Diagram, bits: int) -> tuple[int, list[int]]:

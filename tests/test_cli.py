@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from exkh.cli import main
+import exkh.cli
+from exkh.cli import build_parser, main
 from exkh.families import catalog_diagram, split_union, thick_family
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -61,15 +64,12 @@ def test_lando_text(capsys):
     assert "11 vertices, 12 edges, I(G)=0" in out
 
 
-def test_lando_ignores_the_face_cap(capsys):
-    # the subcommand builds no complex, so --max-faces must not bound I(G)
-    code, plain, _ = run(["lando", "eleven_crossing"], capsys)
-    capped_code, capped, _ = run(
-        ["lando", "eleven_crossing", "--max-faces", "2"], capsys
-    )
-    assert code == capped_code == 0
-    assert "I(G)=0" in capped
-    assert capped == plain
+def test_lando_refuses_the_face_cap(capsys):
+    # the subcommand builds no complex, so it takes no --max-faces
+    code, out, err = run(["lando", "eleven_crossing", "--max-faces", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: exkh")
+    assert "unrecognized arguments: --max-faces 2" in err
 
 
 def test_lando_dot(capsys):
@@ -519,7 +519,7 @@ def test_bad_ring_exit_code(capsys):
 
 
 def test_nonpositive_cap_rejected(capsys):
-    code, _, err = run(["parse", TREFOIL, "--max-crossings", "0"], capsys)
+    code, _, err = run(["khovanov", TREFOIL, "--max-crossings", "0"], capsys)
     assert code == 1
     assert "caps must be positive" in err
     assert err.strip() == "error: caps must be positive: --max-crossings 0"
@@ -550,9 +550,9 @@ def test_env_overrides_ring(capsys, monkeypatch):
 
 def test_bad_env_value_is_exit_one(capsys, monkeypatch):
     monkeypatch.setenv("EXKH_MAX_CROSSINGS", "abc")
-    code, _, err = run(["parse", "hexagon_link"], capsys)
+    code, _, err = run(["khovanov", "hexagon_link"], capsys)
     assert code == 1
-    assert "EXKH_MAX_CROSSINGS" in err
+    assert err.strip() == "error: EXKH_MAX_CROSSINGS='abc' is not a valid int"
 
 
 def test_out_of_range_env_format_is_exit_one(capsys, monkeypatch):
@@ -586,3 +586,142 @@ def test_verify_renders_text_only(capsys, monkeypatch):
     code, out, err = run(["verify", "--count", "1"], capsys)
     assert (code, out) == (1, "")
     assert "EXKH_FORMAT" in err
+
+
+# --------------------------------------------------------------------------
+# each subcommand takes only the options it reads
+# --------------------------------------------------------------------------
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (subs,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subs.choices
+
+
+def _options(sub: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+
+
+LIMITS = {
+    "parse": set(),
+    "resolve": set(),
+    "lando": set(),
+    "complex": {"--max-faces"},
+    "khovanov": {"--ring", "--max-crossings"},
+    "jones": {"--max-crossings"},
+    "families": {"--max-crossings", "--max-faces"},
+    "extreme": {"--ring", "--max-crossings", "--max-faces"},
+    "verify": {"--ring", "--max-crossings", "--max-faces"},
+}
+
+
+def test_ring_and_caps_go_only_to_the_subcommands_that_read_them():
+    subs = _subparsers()
+    assert set(subs) == set(LIMITS)
+    for name, sub in subs.items():
+        flags = {f for a in _options(sub) for f in a.option_strings}
+        assert flags & {"--ring", "--max-crossings", "--max-faces"} == LIMITS[name], name
+    count = sum(1 for sub in subs.values() for a in _options(sub) if a.option_strings)
+    assert count == 35
+
+
+def _args_reads() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """For each function of the cli module: the attributes it reads off
+    ``args``, and the module's functions it calls by name."""
+    tree = ast.parse(Path(exkh.cli.__file__).read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reads, calls = {}, {}
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        reads[name] = {
+            n.attr for n in nodes
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "args" and isinstance(n.ctx, ast.Load)
+        }
+        calls[name] = {
+            n.func.id for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id in funcs
+        }
+    return reads, calls
+
+
+def _read_from(start: str, reads, calls) -> set[str]:
+    seen, todo, out = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            out |= reads[name]
+            todo.extend(calls[name])
+    return out
+
+
+def test_every_option_is_read_by_its_handler_or_main():
+    reads, calls = _args_reads()
+    by_main = _read_from("main", reads, calls)
+    for name, sub in _subparsers().items():
+        handler = sub.get_default("fn").__name__
+        read = _read_from(handler, reads, calls) | by_main
+        unread = [a.dest for a in _options(sub) if a.dest not in read]
+        assert unread == [], f"{name}: {handler} never reads {unread}"
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"EXKH_SEED": "abc"}, ["parse", TREFOIL]),
+        ({"EXKH_RING": "F4"}, ["parse", TREFOIL]),
+        ({"EXKH_MAX_FACES": "0"}, ["jones", TREFOIL]),
+        ({"EXKH_MAX_CROSSINGS": "0"}, ["lando", "eleven_crossing"]),
+    ],
+    ids=["seed-parse", "ring-parse", "faces-jones", "crossings-lando"],
+)
+def test_variables_of_options_a_subcommand_lacks_are_not_read(
+    capsys, monkeypatch, env, argv
+):
+    code, plain, _ = run(argv, capsys)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run(argv, capsys) == (code, plain, "")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jones", TREFOIL, "--ring", "F7"],
+        ["parse", TREFOIL, "--max-crossings", "5"],
+        ["complex", TREFOIL, "--ring", "F2"],
+        ["khovanov", TREFOIL, "--max-faces", "5"],
+        ["families", "list", "--ring", "F2"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_a_cap_from_the_environment_names_its_variable(capsys, monkeypatch):
+    monkeypatch.setenv("EXKH_MAX_FACES", "0")
+    code, out, err = run(["extreme", TREFOIL], capsys)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: caps must be positive: EXKH_MAX_FACES=0"
+    # a flag overrides the variable, and its own bad value names the flag
+    code, out, err = run(["extreme", TREFOIL, "--max-faces", "-3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: caps must be positive: --max-faces -3"
+    code, out, _ = run(["extreme", TREFOIL, "--max-faces", "5"], capsys)
+    assert code == 0 and "agreement: OK" in out
+
+
+def test_a_ring_from_the_environment_names_its_variable(capsys, monkeypatch):
+    monkeypatch.setenv("EXKH_RING", "F4")
+    code, out, err = run(["khovanov", TREFOIL], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: EXKH_RING=F4: ")
+    assert "unknown coefficient ring 'F4'" in err

@@ -2,7 +2,8 @@
 
 Diagram._resolve_bits is the only producer of canonical circles, and it
 keeps no cache.  The Lando graph, j_bounds and the root of the brute rows'
-growth, the all-A smoothing, read circles from it.  There is one loop
+growth read the all-A smoothing's circles from Diagram._all_a_circles,
+which traces them once per diagram.  There is one loop
 that follows ports around a circle, Diagram._circle_ends: the tracer
 walks every circle with it, and the growth walks with it only the one new
 circle of a split, making every other smoothing from its parent's
@@ -84,8 +85,6 @@ def _callers(attr: str) -> list[str]:
 
 def test_one_port_walking_loop_and_one_traced_root():
     # the tracer and the growth's splits share the walk, and the growth
-    # traces only its root
+    # reads its root from the diagram's one all-A trace
     assert _callers("_circle_ends") == ["diagram:_resolve_bits", "khovanov:_flip"]
-    assert [c for c in _callers("_resolve_bits") if c.startswith("khovanov:")] == [
-        "khovanov:_grown_family"
-    ]
+    assert [c for c in _callers("_resolve_bits") if c.startswith("khovanov:")] == []

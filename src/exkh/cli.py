@@ -7,7 +7,9 @@ and ``jones`` print full invariants, ``families`` emits the shipped and
 generated example diagrams, and ``verify`` replays the cross-checks on a
 corpus.
 
-Each subcommand takes only the options its handler reads.  An option
+Each subcommand takes only the options its handler reads; ``families``
+has one subcommand per kind, so only ``random`` takes ``--max-crossings``
+and ``--seed``, and only ``joins`` takes ``--max-faces``.  An option
 left off the command line takes its ``EXKH_*`` variable (``EXKH_RING``,
 ``EXKH_MAX_CROSSINGS``, ...), else its default; only the subcommand being
 run reads its variables, and a bad value names the flag or the variable.
@@ -361,13 +363,14 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    kind, arg = args.kind, args.arg
-    if kind != "list" and arg is None:
-        raise ExkhError(f"families {kind} needs an argument")
+    kind = args.kind
     if kind == "list":
         payload = {name: e.summary for name, e in sorted(load_catalog().items())}
         _emit(payload, args, [f"{name}: {s}" for name, s in payload.items()])
         return 0
+    arg = args.arg
+    if arg is None:
+        raise ExkhError(f"families {kind} needs an argument")
     if kind == "show":
         catalog = load_catalog()
         if arg not in catalog:
@@ -539,18 +542,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_jones)
 
     p = subs.add_parser("families", help="catalog and generated examples")
-    _common(p, diagram_input=False)
-    _limits(p, "--max-crossings", "--max-faces")
-    p.add_argument(
-        "kind", choices=("list", "show", "thick", "joins", "random")
-    )
-    p.add_argument("arg", nargs="?", help="name or numeric argument")
-    p.add_argument("--seed", type=int)
-    p.add_argument(
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, help_, arg_help in (
+        ("list", "the catalog entries", None),
+        ("show", "one catalog entry", "the entry's name"),
+        ("thick", "the one-component diagram with n + 1 extreme groups", "n"),
+        ("joins", "homology of the n-fold join of the square plus a point", "n"),
+        ("random", "reproducible braid closures", "how many"),
+    ):
+        k = kinds.add_parser(kind, help=help_)
+        _common(k, diagram_input=False)
+        k.set_defaults(fn=_cmd_families)
+        if arg_help:
+            k.add_argument("arg", nargs="?", help=arg_help)
+    _limits(kinds.choices["joins"], "--max-faces")
+    k = kinds.choices["random"]
+    _limits(k, "--max-crossings")
+    k.add_argument("--seed", type=int)
+    k.add_argument(
         "--multi-component", action="store_true",
-        help="random: only diagrams with two or more crossing components",
+        help="only diagrams with two or more crossing components",
     )
-    p.set_defaults(fn=_cmd_families)
 
     p = subs.add_parser("verify", help="replay the invariant suite on a corpus")
     _common(p, diagram_input=False, formats=("text",))

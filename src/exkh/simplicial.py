@@ -53,7 +53,10 @@ of d_{i-1} cancels its row's basis element from the source of d_i as
 well: by Gaussian elimination on the complex (Bar-Natan, "Fast Khovanov
 homology computations", Lemma 4.2) the rest of d_i is unchanged, so those
 columns are dropped before d_i is reduced.  Only unit pivots are
-cancelled, so this is exact over Z.
+cancelled, so this is exact over Z.  A complex is so reduced once, over
+Z, whatever the ring: a unit of Z is a unit mod every p, so the groups
+over Q and F_p are read off the same unit pivots and the small residual
+they leave (``unit_reduction``, ``groups_over``).
 """
 
 from __future__ import annotations
@@ -388,46 +391,84 @@ def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
                 raise NotAComplex(f"maps do not square to zero{where} at degree {d}")
 
 
-def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Cohomology groups of a cochain complex, degree by degree.
+@dataclass(frozen=True)
+class UnitReduction:
+    """A cochain complex after its unit pivots over Z, for any ring.
 
-    The maps are reduced in ascending degree by the sparse kernel.  A
-    degree-i basis element whose row held a unit pivot of d_{i-1} is
-    cancelled, so its column is dropped from d_i before d_i is reduced;
-    that leaves the rank and the invariant factors of d_i unchanged.  Over
-    Q and F_p every group is a vector space; integral torsion shows up
-    there as lost rank, which the ranks already carry.
-
-    ``_eliminate`` consumes the rows it is given, so every row is copied
-    first, even where no column is dropped: ``cc`` is left as it was, and
-    the rows ``khovanov_cohomology`` holds for the next ring stay intact.
+    ``dims[d]`` is the rank of degree d.  ``maps[d]`` holds, for the map
+    leaving degree d, its count of unit pivots and the dense residual the
+    kernel left without a unit, as tuples, which no ring's finish consumes.
     """
-    kind, p = parse_ring(ring)
-    ranks: dict[int, int] = {}
-    torsion: dict[int, tuple[int, ...]] = {}
+
+    dims: dict[int, int]
+    maps: dict[int, tuple[int, tuple[tuple[int, ...], ...]]]
+
+
+def unit_reduction(cc: ChainComplex) -> UnitReduction:
+    """Pivot on the units over Z of every map of ``cc``, lowest degree first.
+
+    A degree-i basis element whose row held a unit pivot of d_{i-1} is
+    cancelled, so its column is dropped from d_i before d_i is reduced.
+    ``_eliminate`` consumes the rows it is given, so every row is copied
+    first, even where no column is dropped: ``cc`` is left as it was.
+    """
+    maps = {}
     cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
     for d in sorted(cc.rows):
         drop = cancelled.pop(d, ())
-        if p is None:
-            rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
-        else:
-            rows = [
-                {k: v % p for k, v in r.items() if v % p and k not in drop}
-                for r in cc.rows[d]
-            ]
-        pivots, residual = _eliminate(rows, p)
+        rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
+        pivots, residual = _eliminate(rows)
         cancelled[d + 1] = set(pivots)
-        factors = _snf_dense(residual)
-        ranks[d] = len(pivots) + len(factors)
-        if kind == "Z":
-            torsion[d] = tuple(t for t in factors if t > 1)
+        maps[d] = (len(pivots), tuple(map(tuple, residual)))
+    return UnitReduction({d: cc.dim(d) for d in cc.degrees}, maps)
+
+
+def groups_over(reduced: UnitReduction, ring: str = "Z") -> dict[int, AbelianGroup]:
+    """The cohomology groups over ``ring`` of a ``unit_reduction``, which
+    is left as it was; ``cohomology`` says why the ranks hold."""
+    kind, p = parse_ring(ring)
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for d, (pivots, residual) in reduced.maps.items():
+        if p is None:
+            factors = _snf_dense([list(r) for r in residual])
+            ranks[d] = pivots + len(factors)
+            if kind == "Z":
+                torsion[d] = tuple(t for t in factors if t > 1)
+        else:
+            ranks[d] = pivots + rank_mod_p(residual, p)
     return {
         d: AbelianGroup(
-            cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0),
-            torsion.get(d - 1, ()),
+            n - ranks.get(d, 0) - ranks.get(d - 1, 0), torsion.get(d - 1, ())
         )
-        for d in cc.degrees
+        for d, n in reduced.dims.items()
     }
+
+
+def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
+    """Cohomology groups of a cochain complex over Z, Q or F_p.
+
+    Every ring takes one path: ``unit_reduction`` pivots on the units over
+    Z, and ``groups_over`` reads the ring's groups off what is left.  Over
+    Z the residual's invariant factors are the torsion, and a map's rank
+    is its unit pivots plus its factors; over Q the rank is the same.
+    Over F_p the rank is the unit pivots plus the rank mod p of the
+    residual.  A unit of Z stays a unit mod p, and each row operation of
+    the kernel, adding a multiple of a pivot row to another row, stays
+    invertible mod p; so mod p too each pivot row holds a unit in a column
+    where the rows pivoted after it and the residual are zero, and each
+    adds one to the rank.
+    The column drop keeps F_p ranks for the same reason: on their pivot
+    columns the pivot rows of d_{i-1} form a triangular block with a unit
+    diagonal, so the image of d_{i-1}, which d_i kills, takes every value
+    on the cancelled basis elements, over Z and mod p alike, and dropping
+    their columns leaves the image of d_i as it was.  Integral torsion
+    shows up over Q and F_p as lost rank, which the ranks already carry.
+    A caller wanting several rings keeps the reduction and finishes it
+    once per ring.
+    """
+    parse_ring(ring)  # a bad ring fails before any reduction
+    return groups_over(unit_reduction(cc), ring)
 
 
 def shift_torsion(

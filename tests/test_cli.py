@@ -593,11 +593,18 @@ def test_verify_renders_text_only(capsys, monkeypatch):
 # --------------------------------------------------------------------------
 
 
+def _nested(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs[0].choices if subs else {}
+
+
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    (subs,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    return subs.choices
+    """The parser of every command that runs, ``families`` one per kind."""
+    out = {}
+    for name, sub in _nested(build_parser()).items():
+        kinds = _nested(sub)
+        out.update({f"{name} {k}": leaf for k, leaf in kinds.items()} or {name: sub})
+    return out
 
 
 def _options(sub: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -611,7 +618,11 @@ LIMITS = {
     "complex": {"--max-faces"},
     "khovanov": {"--ring", "--max-crossings"},
     "jones": {"--max-crossings"},
-    "families": {"--max-crossings", "--max-faces"},
+    "families list": set(),
+    "families show": set(),
+    "families thick": set(),
+    "families joins": {"--max-faces"},
+    "families random": {"--max-crossings"},
     "extreme": {"--ring", "--max-crossings", "--max-faces"},
     "verify": {"--ring", "--max-crossings", "--max-faces"},
 }
@@ -624,7 +635,7 @@ def test_ring_and_caps_go_only_to_the_subcommands_that_read_them():
         flags = {f for a in _options(sub) for f in a.option_strings}
         assert flags & {"--ring", "--max-crossings", "--max-faces"} == LIMITS[name], name
     count = sum(1 for sub in subs.values() for a in _options(sub) if a.option_strings)
-    assert count == 35
+    assert count == 39
 
 
 def _args_reads() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
@@ -676,8 +687,15 @@ def test_every_option_is_read_by_its_handler_or_main():
         ({"EXKH_RING": "F4"}, ["parse", TREFOIL]),
         ({"EXKH_MAX_FACES": "0"}, ["jones", TREFOIL]),
         ({"EXKH_MAX_CROSSINGS": "0"}, ["lando", "eleven_crossing"]),
+        ({"EXKH_MAX_FACES": "0"}, ["families", "list"]),
+        ({"EXKH_MAX_CROSSINGS": "0", "EXKH_SEED": "x"}, ["families", "thick", "1"]),
+        ({"EXKH_MAX_CROSSINGS": "0"}, ["families", "joins", "2"]),
+        ({"EXKH_MAX_FACES": "0"}, ["families", "random", "2", "--max-crossings", "5"]),
     ],
-    ids=["seed-parse", "ring-parse", "faces-jones", "crossings-lando"],
+    ids=[
+        "seed-parse", "ring-parse", "faces-jones", "crossings-lando", "faces-families-list",
+        "crossings-families-thick", "crossings-families-joins", "faces-families-random",
+    ],
 )
 def test_variables_of_options_a_subcommand_lacks_are_not_read(
     capsys, monkeypatch, env, argv
@@ -697,6 +715,9 @@ def test_variables_of_options_a_subcommand_lacks_are_not_read(
         ["complex", TREFOIL, "--ring", "F2"],
         ["khovanov", TREFOIL, "--max-faces", "5"],
         ["families", "list", "--ring", "F2"],
+        ["families", "thick", "1", "--max-crossings", "3"],
+        ["families", "random", "2", "--max-faces", "5"],
+        ["families", "joins", "2", "--seed", "5"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )

@@ -1,8 +1,11 @@
 """Sparse rows end to end, one pass per diagram, and cancellation across degrees.
 
-``cohomology`` reduces a complex lowest degree first and drops from d_i the
-columns that were unit pivot rows of d_{i-1}.  These tests hold it to the
-per-map formula computed independently from the dense view, hold the
+``cohomology`` reduces a complex by its unit pivots over Z, lowest degree
+first, dropping from d_i the columns that were unit pivot rows of d_{i-1},
+and reads every ring's groups off the residual.  These tests hold it over
+Z, Q, F2, F3 and F5 to the per-map formula computed independently from the
+dense view (``rank_mod_p`` map by map for F_p), pin residuals that keep
+Z/2, Z/3 and Z/4 torsion, hold the
 one-pass Khovanov builder to the reference differential ``adjacent``, count
 its circle traces, check that one row traces only the smoothings that can
 hold its states, and run the cycle C_24, whose dense coboundaries did not
@@ -41,9 +44,10 @@ from exkh.simplicial import (
     parse_ring,
     rank_mod_p,
     smith_normal_form,
+    unit_reduction,
 )
 
-RINGS = ("Z", "Q", "F2", "F3")
+RINGS = ("Z", "Q", "F2", "F3", "F5")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -56,7 +60,7 @@ def per_map_cohomology(cc: ChainComplex) -> dict[str, dict[int, AbelianGroup]]:
         factors, ranks["Z"][d] = smith_normal_form(m)
         ranks["Q"][d] = ranks["Z"][d]
         torsion[d] = tuple(t for t in factors if t > 1)
-        for ring in ("F2", "F3"):
+        for ring in RINGS[2:]:
             ranks[ring][d] = rank_mod_p(m, parse_ring(ring)[1])
     return {
         ring: {
@@ -141,6 +145,39 @@ def test_non_unit_pivot_rows_are_not_cancelled():
     }
 
 
+def _one_map(matrix) -> ChainComplex:
+    """Z^cols --matrix--> Z^rows --0--> Z, the matrix given by its rows."""
+    rows, cols = len(matrix), len(matrix[0])
+    return ChainComplex(
+        bases={0: tuple(range(cols)), 1: tuple(range(rows)), 2: ("top",)},
+        rows={
+            0: tuple({k: v for k, v in enumerate(r) if v} for r in matrix),
+            1: ({},),
+        },
+    )
+
+
+def test_non_unit_residuals_give_each_prime_its_own_rank():
+    # each map keeps a residual without a unit; H^1 over F_p has one unit
+    # of rank per invariant factor that p divides, so F2, F3 and F5 differ
+    cases = {
+        "Z -3-> Z": ([[3]], 0, ((3,),), (3,)),
+        "Z -6-> Z": ([[6]], 0, ((6,),), (6,)),
+        "Z -4-> Z": ([[4]], 0, ((4,),), (4,)),
+        "a unit, then 2 and 3": (
+            [[1, 1, 0], [1, 3, 0], [0, 0, 3]], 1, ((2, 0), (0, 3)), (6,)
+        ),
+    }
+    for label, (matrix, units, residual, torsion) in cases.items():
+        cc = _one_map(matrix)
+        assert unit_reduction(cc).maps[0] == (units, residual), label
+        assert_matches_per_map(cc, label)
+        assert cohomology(cc, "Z")[1] == AbelianGroup(0, torsion), label
+        for p in (2, 3, 5):
+            lost = sum(t % p == 0 for t in torsion)
+            assert cohomology(cc, f"F{p}")[1] == AbelianGroup(lost), (label, p)
+
+
 def test_cancellation_does_not_cross_a_gap_in_degrees():
     # the pivot row of d_0 indexes degree 1, not the source of d_3
     cc = ChainComplex(
@@ -168,15 +205,18 @@ def test_unit_pivots_cancel_the_next_maps_columns():
 
 def test_single_pass_rows_equal_the_reference_differential(corpus12, monkeypatch):
     built = []
+    real = khovanov._j_rows
 
-    def recording(cc, ring="Z"):
-        built.append(cc)
-        return cohomology(cc, ring)
+    def recording(d, only_j=None, max_crossings=khovanov.DEFAULT_CROSSING_CAP):
+        rows = real(d, only_j, max_crossings)
+        built.extend(rows.values())
+        return rows
 
-    monkeypatch.setattr(khovanov, "cohomology", recording)
+    monkeypatch.setattr(khovanov, "_j_rows", recording)
     diagrams = catalog_diagrams() + list(corpus12)
     for d in (dd for dd in diagrams if dd.crossing_count <= 5):
         built.clear()
+        monkeypatch.setattr(khovanov, "_table_slot", None)  # so the rows are built
         khovanov_cohomology(d, "Z")
         by_degree = enumerate_enhanced(d)
         assert sum(cc.dim(i) for cc in built for i in cc.bases) == sum(

@@ -66,7 +66,14 @@ AGREEMENT_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reserves exit code 2 for usage errors; we need it for caps."""
+    """argparse reserves exit code 2 for usage errors; we need it for caps.
+    A subcommand reports the arguments it leaves over under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -369,8 +376,6 @@ def _cmd_families(args) -> int:
         _emit(payload, args, [f"{name}: {s}" for name, s in payload.items()])
         return 0
     arg = args.arg
-    if arg is None:
-        raise ExkhError(f"families {kind} needs an argument")
     if kind == "show":
         catalog = load_catalog()
         if arg not in catalog:
@@ -380,21 +385,20 @@ def _cmd_families(args) -> int:
         _emit(payload, args, [entry.pd])
         return 0
     if kind == "thick":
-        d = thick_family(int(arg))
+        d = thick_family(arg)
         _emit({"pd": d.to_pd()}, args, [d.to_pd()])
         return 0
     if kind == "joins":
-        n = int(arg)
-        table = join_power_table(n, args.max_faces)
+        table = join_power_table(arg, args.max_faces)
         payload = {str(k): str(g) for k, g in sorted(table.items())}
         lines = [f"H~_{k} = {g}" for k, g in sorted(table.items())]
-        want = binomial_row(n)
+        want = binomial_row(arg)
         ok = table == {k: g for k, g in want.items() if not g.is_trivial}
         lines.append(f"binomial pattern: {'OK' if ok else 'MISMATCH'}")
         _emit(payload, args, lines)
         return 0 if ok else 1
     out = random_diagrams(  # kind == "random", the last of argparse's choices
-        int(arg),
+        arg,
         max_crossings=args.max_crossings,
         seed=args.seed,
         multi_component=args.multi_component,
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         _common(k, diagram_input=False)
         k.set_defaults(fn=_cmd_families)
         if arg_help:
-            k.add_argument("arg", nargs="?", help=arg_help)
+            k.add_argument("arg", type=None if kind == "show" else int, help=arg_help)
     _limits(kinds.choices["joins"], "--max-faces")
     k = kinds.choices["random"]
     _limits(k, "--max-crossings")

@@ -37,14 +37,13 @@ each (smoothing, A-crossing) pair is read once for all rows, and the maps
 come out as the sparse rows the reduction kernel takes.
 
 ``khovanov_cohomology`` keeps one slot: the last diagram whose full table
-it built, with each row's ``unit_reduction`` over Z, which serves every
-ring; the rows themselves are not kept.  A table asked for again on an
-equal diagram (over another ring, say) only reads its groups off those
-reductions' small residuals, and a table for any other diagram empties
-the slot before its own build, so at most one diagram's reductions are
-ever held.  Only the full table reads the slot: one row
-(``khovanov_complex``, the brute extreme row) is always built afresh, so
-it stays an independent check on the full build.
+it built, with each row's groups over Z, from which every ring's groups
+follow; the rows themselves are not kept.  A table asked for again on an
+equal diagram (over another ring, say) reduces nothing, and a table for
+any other diagram empties the slot before its own build, so at most one
+diagram's groups are ever held.  Only the full table reads the slot: one
+row (``khovanov_complex``, the brute extreme row) is always built afresh,
+so it stays an independent check on the full build.
 
 The Kauffman bracket and Jones polynomial live here too, computed by a
 state sum that never builds enhanced states; agreement of the graded Euler
@@ -69,11 +68,10 @@ from .errors import CapExceeded, NotAComplex
 from .simplicial import (
     AbelianGroup,
     ChainComplex,
-    UnitReduction,
     check_square_zero,
-    groups_over,
+    cohomology,
+    over_ring,
     parse_ring,
-    unit_reduction,
 )
 
 DEFAULT_CROSSING_CAP = 16
@@ -84,8 +82,8 @@ def _check_crossing_cap(d: Diagram, cap: int) -> None:
         raise CapExceeded("crossing count", cap)
 
 
-# (diagram, j -> its row's reduction) of the last full table built, or None
-_table_slot: tuple[Diagram, dict[int, UnitReduction]] | None = None
+# (diagram, j -> its row's groups over Z) of the last full table built, or None
+_table_slot: tuple[Diagram, dict[int, dict[int, AbelianGroup]]] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -513,27 +511,26 @@ def khovanov_cohomology(
     """The full cohomology table.
 
     One pass (``_j_rows``) builds every j-row's sparse complex, and each
-    row is then reduced on its own by its unit pivots over Z
-    (``unit_reduction``), whatever the ring; the groups over ``ring`` are
-    read off what that leaves (``groups_over``).  The reductions of the
-    last diagram built stay in a one-slot memo, keyed by diagram
-    equality, and its rows are dropped, so the same diagram's table over
-    another ring neither builds nor reduces again; any other diagram
-    empties the slot before its build.  The crossing cap is checked on
-    every call, memo or not.
+    row's ``cohomology`` over Z is taken on its own; the groups over
+    ``ring`` follow from those (``over_ring``).  The groups over Z of the
+    last diagram built stay in a one-slot memo, keyed by diagram equality,
+    and its rows are dropped, so the same diagram's table over another
+    ring neither builds nor reduces again; any other diagram empties the
+    slot before its build.  The crossing cap is checked on every call,
+    memo or not.
     """
     global _table_slot
     _check_crossing_cap(d, max_crossings)
     parse_ring(ring)
     j_min, j_max = j_bounds(d)
-    slot = _table_slot  # read once: the reductions read are d's own
+    slot = _table_slot  # read once: the groups read are d's own
     if slot is None or slot[0] != d:
         slot = _table_slot = None  # never hold two tables at once
         rows = _j_rows(d, None, max_crossings).items()
-        slot = _table_slot = (d, {j: unit_reduction(cc) for j, cc in rows})
+        slot = _table_slot = (d, {j: cohomology(cc) for j, cc in rows})
     entries: dict[tuple[int, int], AbelianGroup] = {}
-    for j, reduced in slot[1].items():
-        for i, g in groups_over(reduced, ring).items():
+    for j, groups in slot[1].items():
+        for i, g in over_ring(groups, ring).items():
             if not g.is_trivial:
                 entries[(i, j)] = g
     return CohomologyTable(

@@ -41,22 +41,20 @@ Boundaries are the transposes, whence homology and cohomology share free
 ranks while torsion shifts one degree, as usual.
 
 Integer linear algebra is exact and goes through one sparse elimination
-kernel, over Z or over F_p.  Rows are kept as {column: value}; the pivot is
-a unit in a short row, taken from a heap keyed lazily by row length, at the
-unit whose column is sparsest, and a row holding a lone unit clears its
-column by deletion alone.  Over F_p every nonzero entry is a unit, so the
-kernel alone gives the rank.  Over Z the few rows left without a unit form
-a small dense core, which least-entry pivoting diagonalises; only
+kernel, over Z.  Rows are kept as {column: value}; the pivot is a unit in
+a short row, taken from a heap keyed lazily by row length, at the unit
+whose column is sparsest, and a row holding a lone unit clears its column
+by deletion alone.  The few rows left without a unit form a small dense
+core, which least-entry pivoting diagonalises; only
 ``AbelianGroup.from_orders`` makes divisibility chains.
 A complex is reduced degree by degree, lowest first, and each unit pivot
 of d_{i-1} cancels its row's basis element from the source of d_i as
 well: by Gaussian elimination on the complex (Bar-Natan, "Fast Khovanov
 homology computations", Lemma 4.2) the rest of d_i is unchanged, so those
 columns are dropped before d_i is reduced.  Only unit pivots are
-cancelled, so this is exact over Z.  A complex is so reduced once, over
-Z, whatever the ring: a unit of Z is a unit mod every p, so the groups
-over Q and F_p are read off the same unit pivots and the small residual
-they leave (``unit_reduction``, ``groups_over``).
+cancelled, so this is exact over Z.  The groups over Q and F_p are not
+reduced for: a complex of free modules has them fixed by its groups over
+Z, by the universal coefficient theorem (``over_ring``).
 """
 
 from __future__ import annotations
@@ -197,26 +195,23 @@ def _snf_dense(m: list[list[int]]) -> list[int]:
     return [1] * (len(diagonal) - len(torsion)) + list(torsion)
 
 
-def _eliminate(
-    rows: list[dict[int, int]], p: int | None = None
-) -> tuple[list[int], list[list[int]]]:
-    """Pivot on units of a sparse matrix until none is left.
+def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
+    """Pivot on the units of a sparse integer matrix until none is left.
 
-    ``rows`` holds the nonzero entries of each row as ``{col: value}``,
-    reduced mod ``p`` when a prime is given; they are consumed.  Rows wait
-    in a heap keyed by their length when they were pushed, and the pivot is
-    taken in the row popped, at its unit whose column has the fewest
-    entries.  Keys are lazy: a row that shrank under earlier pivots keeps
-    its old key, so the pivot row is short but not always the shortest.  A
-    pivot row with a single unit entry clears its column by deleting that
-    entry from every other row, with no multiply and no reduction mod p.
+    ``rows`` holds the nonzero entries of each row as ``{col: value}``;
+    they are consumed.  Rows wait in a heap keyed by their length when they
+    were pushed, and the pivot is taken in the row popped, at its unit
+    whose column has the fewest entries.  Keys are lazy: a row that shrank
+    under earlier pivots keeps its old key, so the pivot row is short but
+    not always the shortest.  A pivot row with a single unit entry clears
+    its column by deleting that entry from every other row, with no
+    multiply.
 
     A row goes back on the heap only when it drops to one entry, when it is
     popped with a key shorter than its length (it grew by fill), or when a
     pivot changes it after it was set aside for holding no unit.  Returns
     the indices of the pivot rows, one per unit pivot, and the dense
-    residual with no unit entry left; over F_p every nonzero residue is a
-    unit, so that residual is empty.
+    residual with no unit entry left.
     """
     live = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
@@ -237,7 +232,7 @@ def _eliminate(
             continue
         if len(piv_row) == 1:
             ((j, v),) = piv_row.items()
-            if p is None and v not in (1, -1):
+            if v not in (1, -1):
                 aside.add(i)  # it comes back if a pivot changes it
                 continue
             # a lone unit clears its column
@@ -255,7 +250,7 @@ def _eliminate(
                     aside.discard(ii)
                     heapq.heappush(heap, (len(row), ii))
             continue
-        unit_cols = [jj for jj, vv in piv_row.items() if p is not None or vv in (1, -1)]
+        unit_cols = [jj for jj, vv in piv_row.items() if vv in (1, -1)]
         if not unit_cols:
             aside.add(i)
             continue
@@ -265,14 +260,11 @@ def _eliminate(
             cols[jj].discard(i)
         j = min(unit_cols, key=lambda jj: len(cols[jj]))
         v = piv_row[j]
-        inv = v if p is None else pow(v, -1, p)
         for ii in cols.pop(j):
             row = live[ii]
-            q = row[j] * inv
+            q = row[j] * v  # a unit of Z is its own inverse
             for jj, pv in piv_row.items():
                 new = row.get(jj, 0) - q * pv
-                if p is not None:
-                    new %= p
                 if new:
                     if jj not in row:
                         cols[jj].add(ii)
@@ -310,8 +302,8 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
-    rows = [{j: v % p for j, v in enumerate(row) if v % p} for row in matrix]
-    return len(_eliminate(rows, p)[0])
+    """The rank over F_p: the invariant factors that p does not divide."""
+    return sum(f % p != 0 for f in smith_normal_form(matrix)[0])
 
 
 # --------------------------------------------------------------------------
@@ -391,84 +383,55 @@ def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
                 raise NotAComplex(f"maps do not square to zero{where} at degree {d}")
 
 
-@dataclass(frozen=True)
-class UnitReduction:
-    """A cochain complex after its unit pivots over Z, for any ring.
+def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
+    """Cohomology groups of a cochain complex over Z, Q or F_p.
 
-    ``dims[d]`` is the rank of degree d.  ``maps[d]`` holds, for the map
-    leaving degree d, its count of unit pivots and the dense residual the
-    kernel left without a unit, as tuples, which no ring's finish consumes.
+    The maps are reduced over Z whatever the ring, lowest degree first: a
+    degree-i basis element whose row held a unit pivot of d_{i-1} is
+    cancelled, so its column is dropped from d_i before d_i is reduced.  A
+    map's rank is its unit pivots plus the invariant factors of the
+    residual they leave, whose factors above 1 are the torsion one degree
+    up; ``over_ring`` turns these groups over Z into the ring's.  Every row
+    is copied for ``_eliminate``, which consumes its rows, even where no
+    column is dropped: ``cc`` is left as it was.
     """
-
-    dims: dict[int, int]
-    maps: dict[int, tuple[int, tuple[tuple[int, ...], ...]]]
-
-
-def unit_reduction(cc: ChainComplex) -> UnitReduction:
-    """Pivot on the units over Z of every map of ``cc``, lowest degree first.
-
-    A degree-i basis element whose row held a unit pivot of d_{i-1} is
-    cancelled, so its column is dropped from d_i before d_i is reduced.
-    ``_eliminate`` consumes the rows it is given, so every row is copied
-    first, even where no column is dropped: ``cc`` is left as it was.
-    """
-    maps = {}
+    parse_ring(ring)  # a bad ring fails before any reduction
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}  # degree -> its torsion orders
     cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
     for d in sorted(cc.rows):
         drop = cancelled.pop(d, ())
         rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
         pivots, residual = _eliminate(rows)
         cancelled[d + 1] = set(pivots)
-        maps[d] = (len(pivots), tuple(map(tuple, residual)))
-    return UnitReduction({d: cc.dim(d) for d in cc.degrees}, maps)
+        factors = _snf_dense(residual)
+        ranks[d] = len(pivots) + len(factors)
+        torsion[d + 1] = tuple(t for t in factors if t > 1)
+    groups = {}
+    for d in cc.degrees:
+        free = cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0)
+        groups[d] = AbelianGroup(free, torsion.get(d, ()))
+    return over_ring(groups, ring)
 
 
-def groups_over(reduced: UnitReduction, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """The cohomology groups over ``ring`` of a ``unit_reduction``, which
-    is left as it was; ``cohomology`` says why the ranks hold."""
-    kind, p = parse_ring(ring)
-    ranks: dict[int, int] = {}
-    torsion: dict[int, tuple[int, ...]] = {}
-    for d, (pivots, residual) in reduced.maps.items():
-        if p is None:
-            factors = _snf_dense([list(r) for r in residual])
-            ranks[d] = pivots + len(factors)
-            if kind == "Z":
-                torsion[d] = tuple(t for t in factors if t > 1)
-        else:
-            ranks[d] = pivots + rank_mod_p(residual, p)
-    return {
-        d: AbelianGroup(
-            n - ranks.get(d, 0) - ranks.get(d - 1, 0), torsion.get(d - 1, ())
-        )
-        for d, n in reduced.dims.items()
-    }
+def over_ring(groups: dict[int, AbelianGroup], ring: str) -> dict[int, AbelianGroup]:
+    """The cohomology over ``ring`` of a complex of free modules whose
+    cohomology over Z is ``groups``; Z groups come back as they are.
 
-
-def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Cohomology groups of a cochain complex over Z, Q or F_p.
-
-    Every ring takes one path: ``unit_reduction`` pivots on the units over
-    Z, and ``groups_over`` reads the ring's groups off what is left.  Over
-    Z the residual's invariant factors are the torsion, and a map's rank
-    is its unit pivots plus its factors; over Q the rank is the same.
-    Over F_p the rank is the unit pivots plus the rank mod p of the
-    residual.  A unit of Z stays a unit mod p, and each row operation of
-    the kernel, adding a multiple of a pivot row to another row, stays
-    invertible mod p; so mod p too each pivot row holds a unit in a column
-    where the rows pivoted after it and the residual are zero, and each
-    adds one to the rank.
-    The column drop keeps F_p ranks for the same reason: on their pivot
-    columns the pivot rows of d_{i-1} form a triangular block with a unit
-    diagonal, so the image of d_{i-1}, which d_i kills, takes every value
-    on the cancelled basis elements, over Z and mod p alike, and dropping
-    their columns leaves the image of d_i as it was.  Integral torsion
-    shows up over Q and F_p as lost rank, which the ranks already carry.
-    A caller wanting several rings keeps the reduction and finishes it
-    once per ring.
+    By the universal coefficient theorem H^i(C; F_p) is H^i(C) (x) F_p plus
+    Tor(H^{i+1}(C), F_p), so each torsion order that p divides, in degree
+    i or i+1, adds one to the rank in degree i; over Q only the ranks stay.
     """
-    parse_ring(ring)  # a bad ring fails before any reduction
-    return groups_over(unit_reduction(cc), ring)
+    kind, p = parse_ring(ring)
+    if kind == "Z":
+        return groups
+    lost = {
+        d: 0 if p is None else sum(t % p == 0 for t in g.torsion)
+        for d, g in groups.items()
+    }
+    return {
+        d: AbelianGroup(g.rank + lost[d] + lost.get(d + 1, 0)) for d, g in groups.items()
+    }
 
 
 def shift_torsion(

@@ -3,7 +3,8 @@
 The corpora are deterministic (fixed seeds) so failures replay exactly.
 Oracles here recompute package outputs by the most naive route available,
 sharing no code with the package: independent sets by subset enumeration,
-Smith invariant factors by gcd-of-minors, joins by direct face products,
+Smith invariant factors by gcd-of-minors, ranks over F_p by dense Gaussian
+elimination mod p, joins by direct face products,
 circle counts by union-find over the PD tuples.  They are deliberately
 slow.
 
@@ -205,6 +206,27 @@ def invariant_factors_by_minors(matrix) -> tuple[int, ...]:
             break
         factors.append(gcds[k] // gcds[k - 1])
     return tuple(factors)
+
+
+def rank_mod_p_by_gauss(matrix, p: int) -> int:
+    """Rank over F_p by Gaussian elimination on a dense copy reduced mod p:
+    each pivot row leaves and clears its column from the rows still left."""
+    rows = [[v % p for v in r] for r in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        k = next((k for k, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        pivot = rows.pop(k)
+        rank += 1
+        inv = pow(pivot[col], -1, p)
+        support = [(j, v) for j, v in enumerate(pivot) if v]
+        for r in rows:
+            f = r[col] * inv
+            if f:
+                for j, v in support:
+                    r[j] = (r[j] - f * v) % p
+    return rank
 
 
 def faces_by_product(x: SimplicialComplex, y: SimplicialComplex) -> set:

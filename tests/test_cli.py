@@ -297,7 +297,12 @@ def test_families_random_seeded(capsys):
 def test_families_needs_argument(capsys):
     code, _, err = run(["families", "thick"], capsys)
     assert code == 1
-    assert "needs an argument" in err
+    assert err.startswith("usage: exkh families thick")
+    assert "the following arguments are required: arg" in err
+    code, _, err = run(["families", "thick", "x"], capsys)
+    assert code == 1
+    assert err.startswith("usage: exkh families thick")
+    assert "argument arg: invalid int value: 'x'" in err
 
 
 # --------------------------------------------------------------------------
@@ -725,6 +730,17 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_a_leftover_argument_is_reported_under_the_subcommand_usage(capsys):
+    for argv, usage in (
+        (["families", "random", "3", "--max-faces", "4"], "usage: exkh families random"),
+        (["jones", "hexagon_link", "--ring", "F7"], "usage: exkh jones"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(usage), err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_a_cap_from_the_environment_names_its_variable(capsys, monkeypatch):

@@ -1,13 +1,13 @@
 """The one-slot memo of ``khovanov_cohomology``, and the row copy of ``cohomology``.
 
-The full table keeps the last diagram's row reductions over Z, not its
-rows, so the same diagram's table over another ring only reads its groups
-off their residuals.  These tests hold the second ring to zero builds and
-to no more eliminated rows than the residuals hold, its tables over Z, Q,
-F2 and F3 to those built afresh on an equal diagram, the slot to one
-diagram at a time, the crossing cap to every call, and the one-row
-builder to its own build.  ``cohomology`` must leave the rows it reduces
-as they were: a caller may reduce one complex over several rings.
+The full table keeps the last diagram's groups over Z, row by row, not its
+rows, so the same diagram's table over another ring follows from them
+alone.  These tests hold the second ring to zero builds and zero
+eliminations, its tables over Z, Q, F2 and F3 to those built afresh on an
+equal diagram, the slot to one diagram at a time, the crossing cap to
+every call, and the one-row builder to its own build.  ``cohomology``
+must leave the rows it reduces as they were: a caller may reduce one
+complex over several rings.
 """
 
 import weakref
@@ -19,7 +19,7 @@ from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_brute
 from exkh.khovanov import _j_rows, j_bounds, khovanov_cohomology, khovanov_complex
-from exkh.simplicial import UnitReduction, cohomology
+from exkh.simplicial import AbelianGroup, cohomology
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 RINGS = ("Z", "Q", "F2", "F3")
@@ -82,33 +82,29 @@ def test_second_ring_on_an_equal_diagram_builds_nothing(corpus12, monkeypatch):
         assert calls == {"_move": 0, "_resolve_bits": 0, "check_square_zero": 0}, d.to_pd()
 
 
-def test_second_ring_eliminates_only_the_held_residuals(corpus12, monkeypatch):
+def test_second_ring_eliminates_nothing(corpus12, monkeypatch):
     eliminated = []
     real = simplicial._eliminate
 
-    def counting(rows, p=None):
+    def counting(rows):
         eliminated.append(len(rows))
-        return real(rows, p)
+        return real(rows)
 
     monkeypatch.setattr(simplicial, "_eliminate", counting)
-    residual_rows = 0
+    torsion_rows = 0
     for d in _small(corpus12):
         monkeypatch.setattr(khovanov, "_table_slot", None)
         eliminated.clear()
         khovanov_cohomology(d, "Z")
-        built = sum(eliminated)
-        reductions = khovanov._table_slot[1].values()
-        assert all(type(r) is UnitReduction for r in reductions), d.to_pd()
-        residual = sum(len(m[1]) for r in reductions for m in r.maps.values())
-        assert built >= residual, d.to_pd()
-        residual_rows += residual
+        assert eliminated, d.to_pd()
+        held = khovanov._table_slot[1].values()
+        assert all(type(g) is AbelianGroup for row in held for g in row.values())
+        torsion_rows += any(g.torsion for row in held for g in row.values())
         for ring in ("F2", "F3", "Q", "Z"):
             eliminated.clear()
             khovanov_cohomology(_copy(d), ring)
-            assert sum(eliminated) <= residual, (d.to_pd(), ring)
-            if ring in ("Q", "Z"):
-                assert eliminated == [], (d.to_pd(), ring)
-    assert residual_rows  # some residual is finished mod p
+            assert eliminated == [], (d.to_pd(), ring)
+    assert torsion_rows  # some F_p table gains rank from Z torsion
 
 
 def test_memo_tables_equal_freshly_built_ones(corpus12, monkeypatch):
@@ -138,8 +134,11 @@ def test_another_diagram_empties_the_slot_before_its_build(corpus12, monkeypatch
     assert first != second
     monkeypatch.setattr(khovanov, "_table_slot", None)
     khovanov_cohomology(first, "Z")
-    # a row's reduction, which takes a weak reference
-    held = weakref.ref(next(iter(khovanov._table_slot[1].values())))
+    # a group held over Z, which takes a weak reference; no name may keep
+    # its row alive
+    held = weakref.ref(
+        next(g for row in khovanov._table_slot[1].values() for g in row.values())
+    )
     alive_at_build = []
     real = khovanov._j_rows
 
@@ -167,8 +166,8 @@ def test_a_filled_slot_still_checks_the_crossing_cap(monkeypatch):
 
 
 class _Poisoned(dict):
-    """Row reductions that fail any read: a one-row build must not look at
-    the slot."""
+    """Held groups that fail any read: a one-row build must not look at the
+    slot."""
 
     def _refuse(self, *args, **kwargs):
         raise AssertionError("the table slot was read")

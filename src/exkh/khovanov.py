@@ -33,8 +33,12 @@ the circles through one crossing (Bar-Natan's local form), so each child
 is made from its parent by surgery: a merge renames two positions and
 walks nothing, and a split walks only its one new circle.  A cube edge
 likewise needs only where the flipped crossing's two chord ends sit, so
-each (smoothing, A-crossing) pair is read once for all rows, and the maps
-come out as the sparse rows the reduction kernel takes.
+each (smoothing, A-crossing) pair is read once for all rows.  As circles
+sort by least chord end, a merge lands on the lower of its two source
+positions and a split keeps the old position for the part with the old
+least end; so a sign mask crosses the edge by two fixed bit operations
+(delete or open one bit, clear another), and the maps come out as the
+sparse rows the reduction kernel takes.
 
 ``khovanov_cohomology`` keeps one slot: the last diagram whose full table
 it built, with each row's groups over Z, from which every ring's groups
@@ -197,23 +201,28 @@ def _move(source_where: list[int], target_where: list[int], x: int) -> tuple:
     2*ci + half, the position of the circle holding chord end (ci, half).
     Only the circles through x's two ends change; the kept ones are the
     same tuples on both sides and sort by least endpoint, so they keep
-    their order.  Returns (leaving, entering, outs): a source mask maps by
-    dropping its bits at ``leaving`` (highest first) and opening zero bits
-    at ``entering`` (lowest first); ``outs[g]`` lists the entering
-    circles' minus bits, g the leaving circles' minus bits (the lower as
-    bit 0), by the local rules of the module docstring.  Raises
-    NotAComplex unless two circles merge or one splits.
+    their order.  Returns (split, low, high).  In a merge the circles at
+    source positions low < high join into the target circle at low, as
+    its least end is the lower circle's, and every position above high
+    drops by one.  In a split the source circle at low parts into the
+    target circles at low, the part that holds the old least end, and
+    high > low; every position from high up rises by one.  Raises
+    NotAComplex unless two circles merge or one splits, or if the merged
+    circle or the split's kept part is not at the lower source position.
     """
     s0, s1 = sorted(source_where[2 * x : 2 * x + 2])
     t0, t1 = sorted(target_where[2 * x : 2 * x + 2])
-    if s0 != s1 and t0 == t1:  # a merge
-        return (s1, s0), (t0,), ((0,), (1 << t0,), (1 << t0,), ())
-    if s0 == s1 and t0 != t1:  # a split
-        return (s0,), (t0, t1), ((1 << t1, 1 << t0), (), (), (1 << t0 | 1 << t1,))
-    raise NotAComplex(
-        f"relabelling crossing {x} changed {2 - (s0 == s1)} circles "
-        f"into {2 - (t0 == t1)}"
-    )
+    split = s0 == s1
+    if split == (t0 == t1):
+        raise NotAComplex(
+            f"relabelling crossing {x} changed {2 - split} circles "
+            f"into {2 - (t0 == t1)}"
+        )
+    if t0 != s0:
+        raise NotAComplex(
+            f"relabelling crossing {x} moved the circle at position {s0} to {t0}"
+        )
+    return split, s0, t1 if split else s1
 
 
 def _flip(
@@ -317,13 +326,20 @@ def _j_rows(
     j >= w + i - m; a window below j_min of ``j_bounds`` grows none.  Only
     the all-A smoothing is traced; every other one is made from its parent
     by ``_flip``, which moves the positions of the circles through one
-    crossing and walks at most one new circle.  Each
-    one numbers the states of its minus counts k that land in the window
-    into their (j, i) bases, then pulls its incoming differential from the
-    smoothings one B-crossing lower, which are numbered already: every
-    (smoothing, A-crossing) pair is read by ``_move`` once, for all rows,
-    from the two chord-end maps, and maps source masks to target masks by
-    bit operations.
+    crossing and walks at most one new circle.  Each one numbers the
+    states of its minus counts k that land in the window into their (j, i)
+    bases, a block of masks per k: the masks of m circles with k minus
+    signs, in lexicographic order, are formed once per (m, k) in the call.
+    It then pulls its incoming differential from the smoothings one
+    B-crossing lower, which are numbered already.  Every (smoothing,
+    A-crossing) pair is read by ``_move`` once, for all rows, from the two
+    chord-end maps, and each source mask goes to its target masks by two
+    fixed bit operations.  In a merge of low < high, ``kept`` deletes bit
+    high and clears bit low; (+,+) goes to ``kept``, one minus to
+    ``kept | 1 << low``, and (-,-) to nothing.  In a split, ``kept``
+    clears bit low and opens a zero at high; plus goes to
+    ``kept | 1 << high`` and ``kept | 1 << low``, minus to ``kept`` with
+    both bits set.
     """
     _check_crossing_cap(d, max_crossings)
     c = d.crossing_count
@@ -336,42 +352,60 @@ def _j_rows(
     family = _grown_family(d, hi - w + n)
     bases: dict[int, dict[int, list[tuple[int, int]]]] = {}  # j -> i -> states
     into: dict[int, dict[int, list[dict]]] = {}  # j -> i -> rows of the map into i
-    numbered: dict[int, dict[int, tuple[int, dict]]] = {}  # bits -> mask -> (col, row)
+    # bits -> [(column of the first mask, masks)], one block per minus count
+    numbered: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    masks_of: dict[tuple[int, int], tuple[int, ...]] = {}  # (m, k) -> masks
     for bits in sorted(family):
         m, where = family[bits]
         i = bits.bit_count() - n
         top = w + i + m  # j of the all-plus enhancement
-        here: dict[int, tuple[int, dict]] = {}
+        here: dict[int, dict] = {}  # mask -> the row of its state
+        blocks = numbered[bits] = []
         for k in range(max(0, (top - hi + 1) // 2), min(m, (top - lo) // 2) + 1):
             j = top - 2 * k
+            masks = masks_of.get((m, k))
+            if masks is None:
+                masks = masks_of[m, k] = tuple(
+                    sum(1 << b for b in neg) for neg in itertools.combinations(range(m), k)
+                )
             basis = bases.setdefault(j, {}).setdefault(i, [])
-            rows = into.setdefault(j, {}).setdefault(i, [])
-            for neg in itertools.combinations(range(m), k):
-                mask = sum(1 << b for b in neg)
-                row: dict[int, int] = {}
-                here[mask] = (len(basis), row)
-                basis.append((bits, mask))
-                rows.append(row)
-        numbered[bits] = here
-        if not here:
+            made = [{} for _ in masks]
+            blocks.append((len(basis), masks))
+            basis.extend(zip(itertools.repeat(bits), masks))
+            into.setdefault(j, {}).setdefault(i, []).extend(made)
+            here.update(zip(masks, made))
+        if not blocks:
             continue
         after = 0  # B-crossings of bits after x
         for x in range(c - 1, -1, -1):
             if not (bits >> x) & 1:
                 continue
             source = bits ^ 1 << x
-            if numbered[source]:
+            source_blocks = numbered[source]
+            if source_blocks:
                 incidence = -1 if after % 2 else 1
-                leaving, entering, outs = _move(family[source][1], where, x)
-                g0, g1 = leaving[-1], leaving[0]
-                for mask, (col, _) in numbered[source].items():
-                    kept = mask
-                    for p in leaving:
-                        kept = (kept & ((1 << p) - 1)) | (kept >> (p + 1) << p)
-                    for p in entering:
-                        kept = (kept & ((1 << p) - 1)) | (kept >> p << (p + 1))
-                    for extra in outs[((mask >> g0) & 1) | ((mask >> g1) & 1) << 1]:
-                        here[kept | extra][1][col] = incidence
+                split, low, high = _move(family[source][1], where, x)
+                low_bit, high_bit = 1 << low, 1 << high
+                both = low_bit | high_bit
+                below = (high_bit - 1) ^ low_bit  # kept in place, low cleared
+                if split:  # open a zero at high
+                    above = ~(2 * high_bit - 1)
+                    for first, masks in source_blocks:
+                        for col, mask in enumerate(masks, first):
+                            kept = mask & below | mask << 1 & above
+                            if mask & low_bit:
+                                here[kept | both][col] = incidence
+                            else:
+                                here[kept | high_bit][col] = incidence
+                                here[kept | low_bit][col] = incidence
+                else:  # delete bit high
+                    above = ~(high_bit - 1)
+                    for first, masks in source_blocks:
+                        for col, mask in enumerate(masks, first):
+                            signs = mask & both
+                            if signs != both:
+                                kept = mask & below | mask >> 1 & above
+                                here[kept | low_bit if signs else kept][col] = incidence
             after += 1
     out = {}
     for j in sorted(bases):

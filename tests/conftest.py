@@ -13,7 +13,10 @@ The reference model of the enhanced-state complex lives here too:
 enumeration, and the differential entry between two states (``adjacent``)
 read off the local merge and split rules.  It keys states by labels and
 sign tuples, where the package keys them as (B-bits, minus mask) integer
-pairs; ``enhanced`` converts one to the other.  It reads circles through
+pairs; ``enhanced`` converts one to the other.  ``rows_by_generic_rule``
+rebuilds the package's rows on its own bases, mapping each minus mask
+across a cube edge by the generic drop-and-open bit loop of
+``move_by_generic_rule``, which the package's closed forms replace.  It reads circles through
 the package's one tracer, ``Diagram._resolve_bits``, and counts them from
 the same tracer; ``circle_count_by_union_find`` checks it, and the
 frontier tally ``Diagram._count_histogram``, from outside.  The j_min states
@@ -40,7 +43,7 @@ from exkh.diagram import A, B, Diagram, State
 from exkh.errors import CapExceeded, NotAComplex
 from exkh.extreme import _dual_parts, extreme_via_lando
 from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
-from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds
+from exkh.khovanov import DEFAULT_CROSSING_CAP, _grown_family, j_bounds
 from exkh.lando import (
     Graph,
     build_lando,
@@ -613,6 +616,64 @@ def adjacent(d: Diagram, s: EnhancedState, t: EnhancedState) -> int:
     if len(diff) != 1 or s.state.labels[diff[0]] != A:
         return 0
     return _transition_sign(d, s, t, diff[0])
+
+
+def move_by_generic_rule(source_where: list[int], target_where: list[int], x: int):
+    """(leaving, entering, outs) of the cube edge that relabels A-crossing x.
+
+    The chord-end maps are those of ``khovanov._grown_family``.  A source
+    mask maps by dropping its bits at ``leaving`` (highest first) and
+    opening zero bits at ``entering`` (lowest first); ``outs[g]`` lists
+    the entering circles' minus bits, g the leaving circles' minus bits
+    (the lower as bit 0), by the local merge and split rules.  Unlike the
+    package's closed forms, this assumes nothing about where the merged
+    circle or the split's parts land.
+    """
+    s0, s1 = sorted(source_where[2 * x : 2 * x + 2])
+    t0, t1 = sorted(target_where[2 * x : 2 * x + 2])
+    if s0 != s1 and t0 == t1:  # a merge
+        return (s1, s0), (t0,), ((0,), (1 << t0,), (1 << t0,), ())
+    if s0 == s1 and t0 != t1:  # a split
+        return (s0,), (t0, t1), ((1 << t1, 1 << t0), (), (), (1 << t0 | 1 << t1,))
+    raise NotAComplex(f"relabelling crossing {x} keeps the circle count")
+
+
+def rows_by_generic_rule(d: Diagram, rows: dict[int, ChainComplex]) -> dict:
+    """j -> i -> the rows of the map out of degree i, as ``ChainComplex.rows``
+    holds them, over the bases of the package's ``rows`` (its full window),
+    with every entry put in by ``move_by_generic_rule`` and a per-mask bit
+    loop."""
+    c = d.crossing_count
+    w, n = d.writhe, d.negative_count
+    family = _grown_family(d, j_bounds(d)[1] - w + n)
+    out = {}
+    for j, cc in rows.items():
+        index = {state: col for basis in cc.bases.values() for col, state in enumerate(basis)}
+        want = {i: [{} for _ in cc.bases.get(i + 1, ())] for i in cc.bases}
+        by_bits: dict[int, list[tuple[int, int, int]]] = {}  # bits -> (i, col, mask)
+        for i, basis in cc.bases.items():
+            for col, (bits, mask) in enumerate(basis):
+                by_bits.setdefault(bits, []).append((i, col, mask))
+        for bits, states in by_bits.items():
+            for x in range(c):
+                target = bits | 1 << x
+                if bits >> x & 1 or target not in family:
+                    continue
+                leaving, entering, outs = move_by_generic_rule(
+                    family[bits][1], family[target][1], x
+                )
+                sign = -1 if (bits >> (x + 1)).bit_count() % 2 else 1
+                for i, col, mask in states:
+                    kept = mask
+                    for p in leaving:
+                        kept = (kept & ((1 << p) - 1)) | (kept >> (p + 1) << p)
+                    for p in entering:
+                        kept = (kept & ((1 << p) - 1)) | (kept >> p << (p + 1))
+                    g = ((mask >> leaving[-1]) & 1) | ((mask >> leaving[0]) & 1) << 1
+                    for extra in outs[g]:
+                        want[i][index[target, kept | extra]][col] = sign
+        out[j] = want
+    return out
 
 
 def s_min_states(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> set[EnhancedState]:

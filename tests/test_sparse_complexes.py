@@ -6,11 +6,13 @@ and reads every other ring's groups off the integral ones.  These tests
 hold it over Z, Q, F2, F3 and F5 to the per-map formula computed
 independently from the dense view (dense Gaussian elimination mod p, map
 by map, for F_p), pin residuals that keep Z/2, Z/3 and Z/4 torsion, hold
-the one-pass Khovanov builder to the reference differential ``adjacent``,
-count its circle traces, check that one row traces only the smoothings
-that can hold its states, and run the cycle C_24, whose dense
-coboundaries did not fit in memory, in a child process under a peak-RSS
-bound.
+the one-pass Khovanov builder to the reference differential ``adjacent``
+up to 5 crossings and to the generic drop-and-open edge rule
+(``rows_by_generic_rule``) at 6-9, count its circle traces, check that
+one row traces only the smoothings that can hold its states, that a
+corrupted chord-end map is refused and that a build leaves no module
+state behind, and run the cycle C_24, whose dense coboundaries did not
+fit in memory, in a child process under a peak-RSS bound.
 """
 
 import os
@@ -21,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from conftest import (
     adjacent,
     check_complex,
@@ -29,10 +33,12 @@ from conftest import (
     enumerate_enhanced,
     random_graph,
     rank_mod_p_by_gauss,
+    rows_by_generic_rule,
     state_j,
 )
 from exkh import khovanov
 from exkh.diagram import Diagram, parse_pd
+from exkh.errors import NotAComplex
 from exkh.families import load_catalog, split_union
 from exkh.khovanov import _j_rows, j_bounds, khovanov_cohomology, khovanov_complex
 from exkh.lando import two_hexagons_shared_vertex
@@ -304,6 +310,110 @@ def test_one_move_trace_per_smoothing_and_a_crossing(corpus12, monkeypatch):
         c = d.crossing_count
         assert len(calls) == c * 2 ** (c - 1)
         assert len(set(calls)) == len(calls)
+
+
+def test_closed_form_edges_equal_the_generic_rule(corpus12):
+    # the reference differential ``adjacent`` stops at 5 crossings; the
+    # generic drop-and-open bit loop is fast enough to hold every entry of
+    # the full window to at 6-9 crossings
+    diagrams = [
+        d for d in catalog_diagrams() + list(corpus12) if 6 <= d.crossing_count <= 9
+    ]
+    assert len(diagrams) >= 60
+    for d in diagrams:
+        rows = _j_rows(d)
+        want = rows_by_generic_rule(d, rows)
+        for j, cc in rows.items():
+            got = {i: list(r) for i, r in cc.rows.items()}
+            assert got == want[j], (d.to_pd(), j)
+
+
+def test_a_corrupted_chord_end_map_raises_not_a_complex(corpus12, monkeypatch):
+    # the closed forms need the merged circle, and a split's kept part, at
+    # the lower source position; crafted maps that break this are refused
+    for source, target in (([0, 1], [1, 1]), ([0, 0], [1, 2])):
+        with pytest.raises(NotAComplex, match="crossing 0 moved"):
+            khovanov._move(source, target, 0)
+    assert khovanov._move([0, 1], [0, 0], 0) == (False, 0, 1)
+    assert khovanov._move([0, 0], [0, 2], 0) == (True, 0, 2)
+    with pytest.raises(NotAComplex, match="crossing 0 changed 2 circles into 2"):
+        khovanov._move([0, 1], [0, 1], 0)
+    # in a grown family, swap positions 0 and 1 of a smoothing that an edge
+    # from position 0 enters: the build must stop at that edge
+    d = next(dd for dd in corpus12 if dd.crossing_count >= 5)
+    limit = j_bounds(d)[1] - d.writhe + d.negative_count
+    family = khovanov._grown_family(d, limit)
+    bits, x = next(
+        (bits, x)
+        for bits in sorted(family)
+        for x in range(d.crossing_count)
+        if bits >> x & 1
+        and family[bits][0] >= 2
+        and min(family[bits ^ 1 << x][1][2 * x : 2 * x + 2]) == 0
+        and sorted(family[bits][1][2 * x : 2 * x + 2]) != [0, 1]
+    )
+    m, where = family[bits]
+    family[bits] = m, [{0: 1, 1: 0}.get(p, p) for p in where]
+    monkeypatch.setattr(khovanov, "_grown_family", lambda dd, lim: family)
+    with pytest.raises(NotAComplex, match="relabelling crossing"):
+        _j_rows(d)
+
+
+NO_STATE_CHILD = """
+import copy, sys, types
+from exkh import khovanov
+from exkh.diagram import parse_pd
+
+def snapshot():
+    held = {}
+    for name, value in vars(khovanov).items():
+        if name == "_table_slot":
+            continue
+        if isinstance(value, (dict, list, set)):
+            contents = copy.copy(value)
+        elif isinstance(value, types.FunctionType):
+            contents = (
+                [copy.copy(v) for v in value.__defaults__ or ()],
+                copy.copy(value.__kwdefaults__),
+                dict(value.__dict__),
+            )
+        else:
+            contents = None
+        held[name] = (value, contents)
+    return held
+
+before = snapshot()
+states = 0
+for pd in sys.argv[1:]:
+    d = parse_pd(pd)
+    for rows in (khovanov._j_rows(d), {0: khovanov.khovanov_complex(d, khovanov.j_bounds(d)[0])}):
+        states += sum(cc.dim(i) for cc in rows.values() for i in cc.bases)
+after = snapshot()
+changed = sorted(set(before) ^ set(after)) + [
+    name for name, (value, contents) in before.items()
+    if name in after and (after[name][0] is not value or after[name][1] != contents)
+]
+print(states > 0, changed)
+"""
+
+
+def test_j_rows_keeps_no_state_between_calls(corpus12):
+    # the masks of (m, k) and every other memo of a build live in the call;
+    # only the table path's one slot may outlast it.  A fresh interpreter,
+    # so that no earlier test has warmed a would-be cache
+    first, second = [d for d in corpus12 if d.crossing_count == 7][:2]
+    assert first != second
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_STATE_CHILD, first.to_pd(), second.to_pd()],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
 
 
 # --------------------------------------------------------------------------

@@ -41,11 +41,12 @@ Boundaries are the transposes, whence homology and cohomology share free
 ranks while torsion shifts one degree, as usual.
 
 Integer linear algebra is exact and goes through one sparse elimination
-kernel, over Z.  Rows are kept as {column: value}; the pivot is a unit in
-a short row, taken from a heap keyed lazily by row length, at the unit
-whose column is sparsest, and a row holding a lone unit clears its column
-by deletion alone.  The few rows left without a unit form a small dense
-core, which least-entry pivoting diagonalises; only
+kernel, over Z.  Rows are kept as {column: value}.  Rows holding a lone
+unit clear their columns by deletion alone, taken lowest first from a
+heap of their own before any longer row; then the pivot is a unit in a
+short row, taken from a heap keyed lazily by row length, at the unit
+whose column is sparsest.  The few rows left without a unit form a small
+dense core, which least-entry pivoting diagonalises; only
 ``AbelianGroup.from_orders`` makes divisibility chains.
 A complex is reduced degree by degree, lowest first, and each unit pivot
 of d_{i-1} cancels its row's basis element from the source of d_i as
@@ -199,43 +200,46 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
     """Pivot on the units of a sparse integer matrix until none is left.
 
     ``rows`` holds the nonzero entries of each row as ``{col: value}``;
-    they are consumed.  Rows wait in a heap keyed by their length when they
-    were pushed, and the pivot is taken in the row popped, at its unit
-    whose column has the fewest entries.  Keys are lazy: a row that shrank
-    under earlier pivots keeps its old key, so the pivot row is short but
-    not always the shortest.  A pivot row with a single unit entry clears
-    its column by deleting that entry from every other row, with no
-    multiply.
+    they are consumed.  Rows with one entry wait in a heap of bare row
+    indices, and all of them are taken, lowest index first, before any
+    longer row: a lone unit clears its column by deleting that entry from
+    every other row, with no multiply, and a lone non-unit is set aside.
+    That order picks which rows, so which basis elements, are cancelled.
 
-    A row goes back on the heap only when it drops to one entry, when it is
-    popped with a key shorter than its length (it grew by fill), or when a
-    pivot changes it after it was set aside for holding no unit.  Returns
-    the indices of the pivot rows, one per unit pivot, and the dense
-    residual with no unit entry left.
+    When the lone heap first runs dry, the live rows with two or more
+    entries go on a heap keyed by length, and the pivot is taken in the
+    row popped, at its unit whose column has the fewest entries.  Keys are
+    lazy: a row that shrank keeps its old key, so the pivot row is short
+    but not always the shortest.  A row that drops to one entry goes on
+    the lone heap, emptied again before the next pop; a row goes back on
+    the length heap only when it is popped with a key shorter than its
+    length (it grew by fill), or when a pivot changes it after it was set
+    aside for holding no unit.  Returns the indices of the pivot rows, one
+    per unit pivot, and the dense residual with no unit entry left.
     """
     live = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
     for i, r in live.items():
         for j in r:
-            cols.setdefault(j, set()).add(i)
-    heap = [(len(r), i) for i, r in live.items()]
-    heapq.heapify(heap)
-    aside: set[int] = set()  # rows popped without a unit and unchanged since
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i}
+            else:
+                col.add(i)
+    lone = [i for i, r in live.items() if len(r) == 1]  # ascending: a heap
+    heap: list[tuple[int, int]] | None = None  # (length, row), built late
+    aside: set[int] = set()  # rows popped without a unit; only fill can give one
     pivots = []
-    while heap:
-        key, i = heapq.heappop(heap)
-        piv_row = live.get(i)
-        if piv_row is None or i in aside:
-            continue
-        if key < len(piv_row):
-            heapq.heappush(heap, (len(piv_row), i))
-            continue
-        if len(piv_row) == 1:
+    while True:
+        while lone:
+            i = heapq.heappop(lone)
+            piv_row = live.get(i)
+            if piv_row is None:
+                continue
             ((j, v),) = piv_row.items()
             if v not in (1, -1):
                 aside.add(i)  # it comes back if a pivot changes it
                 continue
-            # a lone unit clears its column
             del live[i]
             pivots.append(i)
             col = cols.pop(j)
@@ -245,10 +249,19 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
                 del row[j]
                 if not row:
                     del live[ii]
-                    aside.discard(ii)
-                elif len(row) == 1 or ii in aside:
-                    aside.discard(ii)
-                    heapq.heappush(heap, (len(row), ii))
+                elif len(row) == 1:
+                    heapq.heappush(lone, ii)
+        if heap is None:
+            heap = [(len(r), i) for i, r in live.items() if len(r) > 1]
+            heapq.heapify(heap)
+        if not heap:
+            break
+        key, i = heapq.heappop(heap)
+        piv_row = live.get(i)
+        if piv_row is None or i in aside:
+            continue
+        if key < len(piv_row):
+            heapq.heappush(heap, (len(piv_row), i))
             continue
         unit_cols = [jj for jj, vv in piv_row.items() if vv in (1, -1)]
         if not unit_cols:
@@ -275,8 +288,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], list[list[int]]]:
                         cols[jj].discard(ii)
             if not row:
                 del live[ii]
-                aside.discard(ii)
-            elif len(row) == 1 or ii in aside:
+            elif len(row) == 1:
+                heapq.heappush(lone, ii)
+            elif ii in aside:
                 aside.discard(ii)
                 heapq.heappush(heap, (len(row), ii))
     live_cols = sorted({j for r in live.values() for j in r})
@@ -388,12 +402,14 @@ def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
 
     The maps are reduced over Z whatever the ring, lowest degree first: a
     degree-i basis element whose row held a unit pivot of d_{i-1} is
-    cancelled, so its column is dropped from d_i before d_i is reduced.  A
-    map's rank is its unit pivots plus the invariant factors of the
-    residual they leave, whose factors above 1 are the torsion one degree
-    up; ``over_ring`` turns these groups over Z into the ring's.  Every row
-    is copied for ``_eliminate``, which consumes its rows, even where no
-    column is dropped: ``cc`` is left as it was.
+    cancelled, so its column is dropped from d_i before d_i is reduced.
+    ``_eliminate`` clears lone units lowest row first, ahead of its length
+    heap, and that order sets which columns go.  A map's rank is its unit
+    pivots plus the invariant factors of the residual they leave, whose
+    factors above 1 are the torsion one degree up; ``over_ring`` turns
+    these groups over Z into the ring's.  Every row is copied for
+    ``_eliminate``, which consumes its rows, even where no column is
+    dropped: ``cc`` is left as it was.
     """
     parse_ring(ring)  # a bad ring fails before any reduction
     ranks: dict[int, int] = {}

@@ -192,11 +192,71 @@ def test_elimination_kernel_against_minor_gcds():
             ]
             for _ in range(rows)
         ]
-        want = invariant_factors_by_minors(m)
-        pivots, residual = _eliminate(_sparse_rows(m))
-        assert not any(v in (1, -1) for r in residual for v in r), m
-        assert len(set(pivots)) == len(pivots)
-        assert (1,) * len(pivots) + tuple(_snf_dense(residual)) == want, m
+        _check_elimination(m)
+    for _ in range(100):
+        _check_elimination(_cascade(rng))
+        _check_elimination(_filled_singletons(rng))
+    # {0: 2} is set aside; the pivot at column 0 fills it to [0, -2, -2, 0],
+    # which the length heap pops again before [0, 1, 3, 1] pivots at column 3
+    _check_elimination([[2, 0, 0, 0], [1, 1, 1, 0], [0, 1, 3, 1]])
+
+
+def _check_elimination(m):
+    want = invariant_factors_by_minors(m)
+    pivots, residual = _eliminate(_sparse_rows(m))
+    assert not any(v in (1, -1) for r in residual for v in r), m
+    assert len(set(pivots)) == len(pivots)
+    assert (1,) * len(pivots) + tuple(_snf_dense(residual)) == want, m
+
+
+def _shuffled(rng, rows, ncols):
+    """Dense rows of sparse ones, with rows and columns permuted."""
+    perm = rng.sample(range(ncols), ncols)
+    rng.shuffle(rows)
+    return [[r.get(perm[c], 0) for c in range(ncols)] for r in rows]
+
+
+def _cascade(rng):
+    # row k is a unit at column k plus an entry at column k-1, so each lone
+    # unit's clear leaves the next row of the chain a lone unit
+    n = rng.randrange(2, 6)
+    rows = [{0: rng.choice((1, -1))}]
+    for k in range(1, n):
+        rows.append({k - 1: rng.choice((1, 2, -3)), k: rng.choice((1, -1))})
+    if rng.random() < 0.5:
+        rows.append({c: rng.choice((1, 2, -2)) for c in range(n + 1) if rng.random() < 0.5})
+    return _shuffled(rng, rows, n + 1)
+
+
+def _filled_singletons(rng):
+    # a lone non-unit is set aside; a pivot at its column fills it, so it
+    # must come back through the length heap
+    n = rng.randrange(3, 6)
+    rows = [{0: rng.choice((2, -2, 3))}]
+    pivot = {0: rng.choice((1, -1))}
+    pivot.update((c, rng.choice((1, 2, -1))) for c in range(1, n) if rng.random() < 0.6)
+    rows.append(pivot)
+    for _ in range(rng.randrange(1, 4)):
+        rows.append({c: rng.choice((1, 2, -2, 3)) for c in range(1, n) if rng.random() < 0.5})
+    return _shuffled(rng, rows, n)
+
+
+@pytest.mark.parametrize("n, entries", [(12, 691), (15, 3495)])
+def test_lone_units_go_lowest_row_first(monkeypatch, n, entries):
+    # the lone order picks the basis elements each map cancels, so it sets
+    # how many entries cohomology hands the kernel for the next map; a
+    # last-in-first-out order hands over 701 and 3,557
+    handed = []
+
+    def counting(rows):
+        handed.append(sum(map(len, rows)))
+        return _eliminate(rows)
+
+    monkeypatch.setattr(simplicial, "_eliminate", counting)
+    x = independence_complex(cycle_graph(n))
+    groups = cohomology(coboundary_complex(x))
+    assert {d: g for d, g in groups.items() if not g.is_trivial} == {(n - 3) // 3: Z(2)}
+    assert sum(handed) == entries
 
 
 def test_elimination_brings_back_a_row_a_pivot_gives_a_unit():

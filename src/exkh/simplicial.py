@@ -52,10 +52,14 @@ A complex is reduced degree by degree, lowest first, and each unit pivot
 of d_{i-1} cancels its row's basis element from the source of d_i as
 well: by Gaussian elimination on the complex (Bar-Natan, "Fast Khovanov
 homology computations", Lemma 4.2) the rest of d_i is unchanged, so those
-columns are dropped before d_i is reduced.  Only unit pivots are
-cancelled, so this is exact over Z.  The groups over Q and F_p are not
-reduced for: a complex of free modules has them fixed by its groups over
-Z, by the universal coefficient theorem (``over_ring``).
+columns are left out of d_i.  Only unit pivots are cancelled, so this is
+exact over Z.  A simplicial complex's maps are built one at a time, each
+only after the map below it is reduced, straight from the face masks and
+without the cancelled faces' columns (``cohomology_of``); a given
+``ChainComplex`` has its rows copied without them (``cohomology``).  The
+groups over Q and F_p are not reduced for: a complex of free modules has
+them fixed by its groups over Z, by the universal coefficient theorem
+(``over_ring``).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
@@ -326,15 +330,14 @@ def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 
 
 def parse_ring(ring: str) -> tuple[str, int | None]:
-    """Validate a coefficient ring name: 'Z', 'Q' or 'F<p>' with p prime."""
+    """Validate a coefficient ring name: 'Z', 'Q' or 'F<p>' with p prime,
+    written in ASCII digits with no leading zero."""
     if ring in ("Z", "Q"):
         return ring, None
-    if ring.startswith("F"):
-        try:
-            p = int(ring[1:])
-        except ValueError:
-            p = 0
-        if p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1)):
+    digits = ring[1:]
+    if ring[:1] == "F" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        p = int(digits)
+        if p >= 2 and all(p % d for d in range(2, isqrt(p) + 1)):
             return "F", p
     raise ValueError(f"unknown coefficient ring {ring!r} (use Z, Q or Fp)")
 
@@ -400,32 +403,53 @@ def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
 def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
     """Cohomology groups of a cochain complex over Z, Q or F_p.
 
-    The maps are reduced over Z whatever the ring, lowest degree first: a
-    degree-i basis element whose row held a unit pivot of d_{i-1} is
-    cancelled, so its column is dropped from d_i before d_i is reduced.
-    ``_eliminate`` clears lone units lowest row first, ahead of its length
-    heap, and that order sets which columns go.  A map's rank is its unit
-    pivots plus the invariant factors of the residual they leave, whose
-    factors above 1 are the torsion one degree up; ``over_ring`` turns
-    these groups over Z into the ring's.  Every row is copied for
-    ``_eliminate``, which consumes its rows, even where no column is
-    dropped: ``cc`` is left as it was.
+    Each map goes to ``_reduce`` as a copy of its rows without the columns
+    of the basis elements the map below it cancelled, made only once that
+    map is reduced; ``cc`` is left as it was.
+    """
+    return _reduce(
+        {d: cc.dim(d) for d in cc.degrees},
+        sorted(cc.rows),
+        lambda d, drop: [
+            {k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]
+        ],
+        ring,
+    )
+
+
+def _reduce(
+    dims: dict[int, int],
+    maps: Iterable[int],
+    rows_out: Callable[[int, set[int]], list[Row]],
+    ring: str,
+) -> dict[int, AbelianGroup]:
+    """The cohomology over ``ring`` of a complex with ``dims[d]`` basis
+    elements in degree d, reduced over Z one map at a time.
+
+    ``maps`` are the degrees whose map leaves them, ascending, and
+    ``rows_out(d, drop)`` builds the rows of the map out of degree d, for
+    ``_eliminate`` to consume, leaving out the columns in ``drop``: the
+    degree-d basis elements whose rows held a unit pivot of d_{d-1}, which
+    are cancelled.  So a map's rows are built only once the map below it is
+    reduced.  ``_eliminate`` clears lone units lowest row first, ahead of
+    its length heap, and that order sets which columns go.  A map's rank is
+    its unit pivots plus the invariant factors of the residual they leave,
+    whose factors above 1 are the torsion one degree up; ``over_ring``
+    turns these groups over Z into the ring's.
     """
     parse_ring(ring)  # a bad ring fails before any reduction
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}  # degree -> its torsion orders
     cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
-    for d in sorted(cc.rows):
-        drop = cancelled.pop(d, ())
-        rows = [{k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]]
-        pivots, residual = _eliminate(rows)
+    for d in maps:
+        pivots, residual = _eliminate(rows_out(d, cancelled.pop(d, set())))
         cancelled[d + 1] = set(pivots)
         factors = _snf_dense(residual)
         ranks[d] = len(pivots) + len(factors)
         torsion[d + 1] = tuple(t for t in factors if t > 1)
     groups = {}
-    for d in cc.degrees:
-        free = cc.dim(d) - ranks.get(d, 0) - ranks.get(d - 1, 0)
+    for d, dim in dims.items():
+        free = dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
         groups[d] = AbelianGroup(free, torsion.get(d, ()))
     return over_ring(groups, ring)
 
@@ -573,23 +597,37 @@ def coboundary_complex(x: SimplicialComplex) -> ChainComplex:
     read off x's face masks in the order they were enumerated."""
     levels = x.levels
     bases = {d - 1: fs for d, fs in enumerate(_named(x.ground, levels))}
-    rows: dict[int, tuple[Row, ...]] = {}
-    for d in range(1, len(levels)):
-        index = {f: i for i, f in enumerate(levels[d - 1])}
-        maps = []
-        for g in levels[d]:
-            # dropping the lowest vertex leaves |g| - 1 vertices after it
-            sign = 1 if g.bit_count() & 1 else -1
-            row = {}
-            rest = g
-            while rest:
-                bit = rest & -rest
-                row[index[g ^ bit]] = sign
-                sign = -sign
-                rest ^= bit
-            maps.append(row)
-        rows[d - 2] = tuple(maps)
+    rows = {
+        d - 1: tuple(_coboundary_rows(levels[d], levels[d + 1], ()))
+        for d in range(len(levels) - 1)
+    }
     return ChainComplex(bases=bases, rows=rows)
+
+
+def _coboundary_rows(
+    source: Sequence[int], target: Sequence[int], drop: Iterable[int]
+) -> list[Row]:
+    """The coboundary from the faces ``source`` to those one size up,
+    ``target``, as one row per target face, its columns indexing
+    ``source``; the columns in ``drop`` are left out, never built."""
+    index = dict(zip(source, range(len(source))))
+    for k in drop:
+        del index[source[k]]
+    rows = []
+    for g in target:
+        # dropping the lowest vertex leaves |g| - 1 vertices after it
+        sign = 1 if g.bit_count() & 1 else -1
+        row = {}
+        rest = g
+        while rest:
+            bit = rest & -rest
+            k = index.get(g ^ bit)
+            if k is not None:
+                row[k] = sign
+            sign = -sign
+            rest ^= bit
+        rows.append(row)
+    return rows
 
 
 def homology(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
@@ -602,8 +640,20 @@ def homology(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
 
 
 def cohomology_of(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Reduced simplicial cohomology of a complex."""
-    return cohomology(coboundary_complex(x), ring)
+    """Reduced simplicial cohomology of a complex.
+
+    The rows of the map out of each degree are built straight from the
+    face masks, and only after the map below it is reduced, leaving out the
+    faces that map cancelled: no face is named and no ``ChainComplex`` is
+    made, and one map's rows at most are alive at a time.
+    """
+    levels = x.levels
+    return _reduce(
+        {d - 1: len(level) for d, level in enumerate(levels)},
+        range(-1, len(levels) - 2),
+        lambda d, drop: _coboundary_rows(levels[d + 1], levels[d + 2], drop),
+        ring,
+    )
 
 
 # --------------------------------------------------------------------------

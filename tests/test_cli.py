@@ -523,6 +523,16 @@ def test_bad_ring_exit_code(capsys):
     assert code == 1
 
 
+def test_a_ring_int_would_read_is_refused(capsys, monkeypatch):
+    code, out, err = run(["khovanov", TREFOIL, "--ring", "F 2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: unknown coefficient ring 'F 2' (use Z, Q or Fp)"
+    monkeypatch.setenv("EXKH_RING", "F02")
+    code, out, err = run(["khovanov", TREFOIL], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: EXKH_RING=F02: unknown coefficient ring 'F02'")
+
+
 def test_nonpositive_cap_rejected(capsys):
     code, _, err = run(["khovanov", TREFOIL, "--max-crossings", "0"], capsys)
     assert code == 1

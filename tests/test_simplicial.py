@@ -11,6 +11,7 @@ from conftest import (
     invariant_factors_by_minors,
     isomorphic,
     maximal_by_enumeration,
+    random_bipartite,
     random_complex,
     random_graph,
     rank_mod_p_by_gauss,
@@ -47,6 +48,12 @@ from exkh.simplicial import (
 )
 
 Z = AbelianGroup
+
+# the six-vertex real projective plane, whose H_1 is Z/2
+RP2_FACES = [
+    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+]
 
 
 def hexagon_graph() -> Graph:
@@ -244,8 +251,9 @@ def _filled_singletons(rng):
 @pytest.mark.parametrize("n, entries", [(12, 691), (15, 3495)])
 def test_lone_units_go_lowest_row_first(monkeypatch, n, entries):
     # the lone order picks the basis elements each map cancels, so it sets
-    # how many entries cohomology hands the kernel for the next map; a
-    # last-in-first-out order hands over 701 and 3,557
+    # how many entries the kernel is handed for the next map, whether the
+    # rows are copied from coboundary_complex or built from the face masks;
+    # a last-in-first-out order hands over 701 and 3,557
     handed = []
 
     def counting(rows):
@@ -254,9 +262,77 @@ def test_lone_units_go_lowest_row_first(monkeypatch, n, entries):
 
     monkeypatch.setattr(simplicial, "_eliminate", counting)
     x = independence_complex(cycle_graph(n))
-    groups = cohomology(coboundary_complex(x))
-    assert {d: g for d, g in groups.items() if not g.is_trivial} == {(n - 3) // 3: Z(2)}
-    assert sum(handed) == entries
+    for reduce in (lambda: cohomology(coboundary_complex(x)), lambda: cohomology_of(x)):
+        handed.clear()
+        groups = reduce()
+        assert {d: g for d, g in groups.items() if not g.is_trivial} == {
+            (n - 3) // 3: Z(2)
+        }
+        assert sum(handed) == entries
+
+
+def _seeded_y_d() -> SimplicialComplex:
+    """The first seeded Y_D = jonsson_dual(g, V) with four maps or more."""
+    rng = random.Random(28)
+    while True:
+        g = random_bipartite(rng)
+        y = jonsson_dual(g, [v for v in g.vertices if v.startswith("v")])
+        if len(y.levels) >= 5:
+            return y
+
+
+def test_cohomology_of_hands_the_kernel_the_rows_cohomology_does(monkeypatch):
+    # built from the face masks after the map below is reduced, the rows
+    # are those cohomology copies out of coboundary_complex with the
+    # cancelled columns dropped: map by map, row by row, in insertion order
+    handed: list[list] = []
+
+    def recording(rows):
+        handed[-1].append([list(r.items()) for r in rows])
+        return _eliminate(rows)
+
+    def refused(*args):
+        raise AssertionError("cohomology_of names faces or builds a ChainComplex")
+
+    monkeypatch.setattr(simplicial, "_eliminate", recording)
+    for x in (independence_complex(cycle_graph(12)), _seeded_y_d()):
+        handed.append([])
+        want = cohomology(coboundary_complex(x))
+        handed.append([])
+        with monkeypatch.context() as m:
+            m.setattr(simplicial, "coboundary_complex", refused)
+            m.setattr(simplicial, "_named", refused)
+            assert cohomology_of(x) == want
+        assert len(handed[-1]) == len(x.levels) - 1 >= 4
+        assert handed[-1] == handed[-2]
+
+
+def _oracle_cases():
+    rng = random.Random(2028)
+    for k in range(200):
+        yield f"Ind(G_{k})", independence_complex(random_graph(rng))
+    for k in range(40):
+        g = random_bipartite(rng)
+        yield f"Y_{k}", jonsson_dual(g, [v for v in g.vertices if v.startswith("v")])
+    yield "RP2", SimplicialComplex.from_maximal(range(1, 7), RP2_FACES)
+    yield "void", SimplicialComplex.void((1, 2))
+    yield "empty", SimplicialComplex.from_maximal((1, 2), [()])
+    for n in range(16):
+        yield f"Ind(C_{n})", independence_complex(cycle_graph(n))
+
+
+def test_cohomology_of_matches_cohomology_of_the_coboundary_complex():
+    seen = {"torsion": 0, "Y_D": 0, "void": 0, "empty": 0}
+    for label, x in _oracle_cases():
+        cc = coboundary_complex(x)
+        for ring in ("Z", "Q", "F2", "F3"):
+            got = cohomology_of(x, ring)
+            assert got == cohomology(cc, ring), (label, ring)
+            seen["torsion"] += any(g.torsion for g in got.values())
+        seen["Y_D"] += label.startswith("Y_") and len(x.levels) > 2
+        seen["void"] += x.is_void
+        seen["empty"] += x.levels == ((0,),)
+    assert all(seen.values()), seen
 
 
 def test_elimination_brings_back_a_row_a_pivot_gives_a_unit():
@@ -285,8 +361,11 @@ def test_parse_ring():
     assert parse_ring("Q") == ("Q", None)
     assert parse_ring("F2") == ("F", 2)
     assert parse_ring("F97") == ("F", 97)
-    for bad in ("F4", "F1", "R", "GF(2)", ""):
-        with pytest.raises(ValueError):
+    # only ASCII digits with no leading zero name p: int() would read
+    # every one of these as 2 or 11
+    lenient = ("F 2", "F+2", "F02", "F\uff12", "F1_1", "F2 ", " F2", "F2\n")
+    for bad in ("F4", "F1", "F0", "F", "F-3", "f2", "R", "GF(2)", "", *lenient):
+        with pytest.raises(ValueError, match="unknown coefficient ring"):
             parse_ring(bad)
 
 
@@ -392,11 +471,7 @@ def test_hexagon_coboundaries_match_frozen_matrices():
 
 
 def test_projective_plane_torsion():
-    faces = [
-        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-        (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
-    ]
-    rp2 = SimplicialComplex.from_maximal(range(1, 7), faces)
+    rp2 = SimplicialComplex.from_maximal(range(1, 7), RP2_FACES)
     h = homology(rp2, "Z")
     assert h[1] == Z(0, (2,))
     assert h[2] == Z(0)

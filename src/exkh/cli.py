@@ -176,10 +176,13 @@ def _load_diagram(spec: str, orient: list[str]) -> Diagram:
                 f"input {spec!r} is not PD text, a readable file or one of "
                 f"the catalog entries {sorted(catalog)}"
             )
+    count = len(d.components)
     for item in orient:
         comp, _, sign = item.partition(":")
-        if sign not in ("+", "-", "+1", "-1"):
-            raise ExkhError(f"--orient wants COMP:+ or COMP:-, got {item!r}")
+        if sign not in ("+", "-", "+1", "-1") or comp not in map(str, range(count)):
+            raise ExkhError(
+                f"--orient wants COMP:+ or COMP:-, 0 <= COMP < {count}, got {item!r}"
+            )
         if sign.startswith("-"):
             d = d.reverse_component(int(comp))
     return d

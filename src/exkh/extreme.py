@@ -38,7 +38,11 @@ The j_max row comes through the mirror D' of the diagram.  By Khovanov's
 duality Kh^{i,j}(D) has the free rank of Kh^{-i,-j}(D') and the torsion of
 Kh^{1-i,-j}(D'), and j_max(D) = -j_min(D').  So the top row is the lando
 row of D' with its degrees negated and its torsion moved up one degree,
-over every ring and without enumerating a state.
+without enumerating a state.
+
+Everything below the routes runs over Z.  A row is the cohomology of a
+complex of free modules, so each route reads its row over Q or F_p off the
+row over Z once, at the end, by the universal coefficient theorem (``over_ring``).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .simplicial import (
     independence_complex,
     join_homology,
     jonsson_dual,
-    parse_ring,
+    over_ring,
     shift_torsion,
 )
 
@@ -91,10 +95,8 @@ class ExtremeRow:
         return f"j={self.j}: {cells}"
 
 
-def _joined_homology(
-    complexes: Iterable[SimplicialComplex], ring: str
-) -> dict[int, AbelianGroup]:
-    """Reduced homology of the join of the complexes, built one at a time.
+def _joined_homology(complexes: Iterable[SimplicialComplex]) -> dict[int, AbelianGroup]:
+    """Reduced homology over Z of the join of the complexes, built in turn.
 
     The homologies convolve (``join_homology``), starting from the empty
     complex, the unit of the join.  Once the running join is acyclic every
@@ -102,17 +104,14 @@ def _joined_homology(
     """
     folded = {-1: AbelianGroup(1)}
     for x in complexes:
-        hk = homology(x, ring)
-        folded = join_homology(folded, {k: g for k, g in hk.items() if not g.is_trivial})
+        folded = join_homology(folded, homology(x))
         if not folded:
             break
     return folded
 
 
-def lando_cohomology(
-    g: Graph, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
-) -> dict[int, AbelianGroup]:
-    """Reduced cohomology of the independence complex of a graph.
+def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, AbelianGroup]:
+    """Reduced cohomology over Z of the independence complex of a graph.
 
     The graph is reduced first (``fold_graph``): dominated vertices are
     deleted, and a graph with an isolated vertex gives the zero row without
@@ -126,15 +125,22 @@ def lando_cohomology(
     bounds each component's complex.  The dual and brute routes delete no
     vertices.
     """
-    parse_ring(ring)
     core = fold_graph(g)
     if core is None:
         return {}
     comps = sorted(core.connected_components(), key=len) or [()]
-    h = _joined_homology(
-        (independence_complex(core.subgraph(c), cap) for c in comps), ring
-    )
+    h = _joined_homology(independence_complex(core.subgraph(c), cap) for c in comps)
     return shift_torsion(h, 1)
+
+
+def _j_min_row(
+    d: Diagram, groups_over_z: dict[int, AbelianGroup], ring: str, provenance: str
+) -> ExtremeRow:
+    """The j_min row of ``d`` over ``ring``, from its groups over Z by i."""
+    n = d.negative_count
+    groups = {i: g for i, g in over_ring(groups_over_z, ring).items() if not g.is_trivial}
+    j_min, _ = j_bounds(d)
+    return ExtremeRow(j=j_min, groups=groups, provenance=provenance, n=n, shift=n - 1)
 
 
 def extreme_via_lando(
@@ -142,26 +148,16 @@ def extreme_via_lando(
 ) -> ExtremeRow:
     """The j_min row computed geometrically from the Lando graph."""
     n = d.negative_count
-    j_min, _ = j_bounds(d)
-    groups = {
-        deg + 1 - n: grp
-        for deg, grp in lando_cohomology(build_lando(d), ring, cap).items()
-        if not grp.is_trivial
-    }
-    return ExtremeRow(
-        j=j_min, groups=groups, provenance="lando", n=n, shift=n - 1
-    )
+    h = lando_cohomology(build_lando(d), cap)
+    return _j_min_row(d, {deg + 1 - n: grp for deg, grp in h.items()}, ring, "lando")
 
 
 def extreme_via_brute(
     d: Diagram, ring: str = "Z", max_crossings: int = DEFAULT_CROSSING_CAP
 ) -> ExtremeRow:
     """The j_min row from the enhanced-state complex, no geometry involved."""
-    n = d.negative_count
-    j_min, _ = j_bounds(d)
-    cc = khovanov_complex(d, j_min, max_crossings)
-    groups = {i: grp for i, grp in cohomology(cc, ring).items() if not grp.is_trivial}
-    return ExtremeRow(j=j_min, groups=groups, provenance="brute", n=n, shift=n - 1)
+    cc = khovanov_complex(d, j_bounds(d)[0], max_crossings)
+    return _j_min_row(d, cohomology(cc), ring, "brute")
 
 
 def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
@@ -194,18 +190,12 @@ def extreme_via_dual(
     Y_D is the join of the components' Y_k, each built from the
     neighbourhoods under its own ``cap``; |V| is the sum of the |V_k|.
     """
-    parse_ring(ring)
     n = d.negative_count
-    j_min, _ = j_bounds(d)
     parts = _dual_parts(build_lando(d))
     size_v = sum(len(side) for _, side in parts)
-    h = _joined_homology(
-        (jonsson_dual(comp, side, cap) for comp, side in parts), ring
-    )
+    h = _joined_homology(jonsson_dual(comp, side, cap) for comp, side in parts)
     groups = {size_v - 1 - n - deg: grp for deg, grp in h.items()}
-    return ExtremeRow(
-        j=j_min, groups=groups, provenance="dual", n=n, shift=n - 1
-    )
+    return _j_min_row(d, groups, ring, "dual")
 
 
 def extreme_jmax(
@@ -213,9 +203,9 @@ def extreme_jmax(
 ) -> ExtremeRow:
     """The j_max row of a diagram, from the lando row of its mirror.
 
-    The mirror's degrees are negated and its torsion moves up one degree
-    (Khovanov's duality).  Over a field there is no torsion to move, so
-    one path serves every ring; ``cap`` bounds the mirror's complexes.
+    The mirror's row over Z has its degrees negated and its torsion moved
+    up one degree (Khovanov's duality), and only then is it read over
+    ``ring``; ``cap`` bounds the mirror's complexes.
 
     Raises NonPlanarDiagram on a virtual diagram, where the duality fails.
     """
@@ -225,8 +215,8 @@ def extreme_jmax(
             "diagram; this one does not embed in the plane"
         )
     _, j_max = j_bounds(d)
-    row = extreme_via_lando(d.mirror(), ring, cap)
-    groups = shift_torsion({-i: grp for i, grp in row.groups.items()}, 1)
+    row = extreme_via_lando(d.mirror(), "Z", cap)
+    groups = over_ring(shift_torsion({-i: g for i, g in row.groups.items()}, 1), ring)
     return ExtremeRow(
         j=j_max,
         groups={i: grp for i, grp in groups.items() if not grp.is_trivial},

@@ -308,7 +308,7 @@ def join_power_table(
     j = x
     for _ in range(n - 1):
         j = join(j, x, cap)
-    return {deg: grp for deg, grp in homology(j, "Z").items() if not grp.is_trivial}
+    return {deg: grp for deg, grp in homology(j).items() if not grp.is_trivial}
 
 
 def binomial_row(n: int) -> dict[int, AbelianGroup]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
 
-from .diagram import Diagram, ResolvedState
+from .diagram import Diagram
 from .errors import CapExceeded
 
 Vertex = Hashable
@@ -146,21 +146,19 @@ class Graph:
         return "\n".join(lines)
 
 
-def build_lando(source: Diagram | ResolvedState) -> Graph:
-    """Lando graph of a diagram's all-A state, or of a given resolution.
+def build_lando(d: Diagram) -> Graph:
+    """Lando graph of a diagram's all-A state.
 
     The circles are the diagram's ``_all_a_circles``, traced once per
-    diagram, or ``source.circles``.  Crossing ci is a vertex when its chord
-    endpoints ``(ci, 0)`` and ``(ci, 1)`` lie on one circle; vertices come
-    in crossing order.  Free loops carry no chord.  A diagram keeps its
-    graph, as the lando and dual routes and the bracket check each ask for
-    it; a ``ResolvedState`` is built afresh.
+    diagram.  Crossing ci is a vertex when its chord endpoints ``(ci, 0)``
+    and ``(ci, 1)`` lie on one circle; vertices come in crossing order.
+    Free loops carry no chord.  The diagram keeps its graph, as the lando
+    and dual routes and the bracket check each ask for it.
     """
-    if isinstance(source, Diagram) and "_lando" in source.__dict__:
-        return source.__dict__["_lando"]
-    circles = source._all_a_circles if isinstance(source, Diagram) else source.circles
+    if "_lando" in d.__dict__:
+        return d.__dict__["_lando"]
     ends: dict[int, list[tuple[int, int]]] = {}
-    for k, circle in enumerate(circles):
+    for k, circle in enumerate(d._all_a_circles):
         for pos, (ci, _) in enumerate(circle):
             if ci >= 0:  # (-k, 0) marks a free loop
                 ends.setdefault(ci, []).append((k, pos))
@@ -179,9 +177,7 @@ def build_lando(source: Diagram | ResolvedState) -> Graph:
             continue
         if (lo_u < lo_v < hi_u) != (lo_u < hi_v < hi_u):
             edges.append((u, v))
-    g = Graph.build(vertices, edges)
-    if isinstance(source, Diagram):
-        source.__dict__["_lando"] = g
+    g = d.__dict__["_lando"] = Graph.build(vertices, edges)
     return g
 
 

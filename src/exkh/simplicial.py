@@ -56,10 +56,10 @@ columns are left out of d_i.  Only unit pivots are cancelled, so this is
 exact over Z.  A simplicial complex's maps are built one at a time, each
 only after the map below it is reduced, straight from the face masks and
 without the cancelled faces' columns (``cohomology_of``); a given
-``ChainComplex`` has its rows copied without them (``cohomology``).  The
-groups over Q and F_p are not reduced for: a complex of free modules has
-them fixed by its groups over Z, by the universal coefficient theorem
-(``over_ring``).
+``ChainComplex`` has its rows copied without them (``cohomology``).  All
+of these answer over Z and take no ring: a complex of free modules has its
+groups over Q and F_p fixed by those, by the universal coefficient theorem,
+so each public route reads its ring off once, at the end (``over_ring``).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
@@ -329,15 +329,30 @@ def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 # --------------------------------------------------------------------------
 
 
+# Miller-Rabin to these bases is exact below the bound (Sorenson and Webster 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= p < ``_WITNESS_BOUND``."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if a != p and x != 1 and p - 1 not in (pow(x, 1 << k, p) for k in range(s)):
+            return False
+    return True
+
+
 def parse_ring(ring: str) -> tuple[str, int | None]:
     """Validate a coefficient ring name: 'Z', 'Q' or 'F<p>' with p prime,
-    written in ASCII digits with no leading zero."""
+    written in ASCII digits with no leading zero, below ``_WITNESS_BOUND``."""
     if ring in ("Z", "Q"):
         return ring, None
     digits = ring[1:]
     if ring[:1] == "F" and digits.isascii() and digits.isdigit() and digits[0] != "0":
         p = int(digits)
-        if p >= 2 and all(p % d for d in range(2, isqrt(p) + 1)):
+        if 2 <= p < _WITNESS_BOUND and _is_prime(p):
             return "F", p
     raise ValueError(f"unknown coefficient ring {ring!r} (use Z, Q or Fp)")
 
@@ -400,8 +415,8 @@ def check_square_zero(rows: dict[int, Sequence[Row]], where: str = "") -> None:
                 raise NotAComplex(f"maps do not square to zero{where} at degree {d}")
 
 
-def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Cohomology groups of a cochain complex over Z, Q or F_p.
+def cohomology(cc: ChainComplex) -> dict[int, AbelianGroup]:
+    """Cohomology groups of a cochain complex over Z.
 
     Each map goes to ``_reduce`` as a copy of its rows without the columns
     of the basis elements the map below it cancelled, made only once that
@@ -413,7 +428,6 @@ def cohomology(cc: ChainComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
         lambda d, drop: [
             {k: v for k, v in r.items() if k not in drop} for r in cc.rows[d]
         ],
-        ring,
     )
 
 
@@ -421,10 +435,9 @@ def _reduce(
     dims: dict[int, int],
     maps: Iterable[int],
     rows_out: Callable[[int, set[int]], list[Row]],
-    ring: str,
 ) -> dict[int, AbelianGroup]:
-    """The cohomology over ``ring`` of a complex with ``dims[d]`` basis
-    elements in degree d, reduced over Z one map at a time.
+    """The cohomology over Z of a complex with ``dims[d]`` basis elements
+    in degree d, reduced one map at a time.
 
     ``maps`` are the degrees whose map leaves them, ascending, and
     ``rows_out(d, drop)`` builds the rows of the map out of degree d, for
@@ -434,10 +447,8 @@ def _reduce(
     reduced.  ``_eliminate`` clears lone units lowest row first, ahead of
     its length heap, and that order sets which columns go.  A map's rank is
     its unit pivots plus the invariant factors of the residual they leave,
-    whose factors above 1 are the torsion one degree up; ``over_ring``
-    turns these groups over Z into the ring's.
+    whose factors above 1 are the torsion one degree up.
     """
-    parse_ring(ring)  # a bad ring fails before any reduction
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}  # degree -> its torsion orders
     cancelled: dict[int, set[int]] = {}  # degree -> its basis indices cancelled
@@ -451,7 +462,7 @@ def _reduce(
     for d, dim in dims.items():
         free = dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
         groups[d] = AbelianGroup(free, torsion.get(d, ()))
-    return over_ring(groups, ring)
+    return groups
 
 
 def over_ring(groups: dict[int, AbelianGroup], ring: str) -> dict[int, AbelianGroup]:
@@ -461,17 +472,17 @@ def over_ring(groups: dict[int, AbelianGroup], ring: str) -> dict[int, AbelianGr
     By the universal coefficient theorem H^i(C; F_p) is H^i(C) (x) F_p plus
     Tor(H^{i+1}(C), F_p), so each torsion order that p divides, in degree
     i or i+1, adds one to the rank in degree i; over Q only the ranks stay.
+    A degree missing from ``groups`` is zero over Z but takes that rank too.
     """
     kind, p = parse_ring(ring)
     if kind == "Z":
         return groups
-    lost = {
-        d: 0 if p is None else sum(t % p == 0 for t in g.torsion)
-        for d, g in groups.items()
-    }
-    return {
-        d: AbelianGroup(g.rank + lost[d] + lost.get(d + 1, 0)) for d, g in groups.items()
-    }
+    ranks = {d: g.rank for d, g in groups.items()}
+    for d, g in groups.items():
+        if p is not None and (lost := sum(t % p == 0 for t in g.torsion)):
+            ranks[d] += lost
+            ranks[d - 1] = ranks.get(d - 1, 0) + lost
+    return {d: AbelianGroup(r) for d, r in ranks.items()}
 
 
 def shift_torsion(
@@ -630,17 +641,17 @@ def _coboundary_rows(
     return rows
 
 
-def homology(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Reduced simplicial homology of a complex.
+def homology(x: SimplicialComplex) -> dict[int, AbelianGroup]:
+    """Reduced simplicial homology of a complex, over Z.
 
     Boundary matrices are the transposes of the coboundaries, so free ranks
     match the cohomology of the same degree and torsion sits one lower.
     """
-    return shift_torsion(cohomology_of(x, ring), -1)
+    return shift_torsion(cohomology_of(x), -1)
 
 
-def cohomology_of(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGroup]:
-    """Reduced simplicial cohomology of a complex.
+def cohomology_of(x: SimplicialComplex) -> dict[int, AbelianGroup]:
+    """Reduced simplicial cohomology of a complex, over Z.
 
     The rows of the map out of each degree are built straight from the
     face masks, and only after the map below it is reduced, leaving out the
@@ -652,7 +663,6 @@ def cohomology_of(x: SimplicialComplex, ring: str = "Z") -> dict[int, AbelianGro
         {d - 1: len(level) for d, level in enumerate(levels)},
         range(-1, len(levels) - 2),
         lambda d, drop: _coboundary_rows(levels[d + 1], levels[d + 2], drop),
-        ring,
     )
 
 

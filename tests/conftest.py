@@ -405,6 +405,29 @@ def complete_bipartite_graph(r: int, s: int) -> Graph:
     return Graph.build(verts, edges)
 
 
+def lando_by_alternating_ends(d: Diagram) -> Graph:
+    """The Lando graph read off the circles of ``d.resolve(d.all_a_state())``.
+
+    A crossing is a vertex when both ends of its chord lie on one circle;
+    two such chords are joined when, walking once round their circle, their
+    ends come as u v u v.  Vertices come in crossing order.
+    """
+    circles = d.resolve(d.all_a_state()).circles
+    home: dict[int, set[int]] = {}  # crossing -> the circles holding its ends
+    for k, circle in enumerate(circles):
+        for ci, _ in circle:
+            home.setdefault(ci, set()).add(k)
+    chords = sorted(ci for ci, ks in home.items() if ci >= 0 and len(ks) == 1)
+    edges = []
+    for u, v in itertools.combinations(chords, 2):
+        if home[u] == home[v]:
+            (k,) = home[u]
+            walk = [ci for ci, _ in circles[k] if ci in (u, v)]
+            if walk[0] == walk[2]:
+                edges.append((u, v))
+    return Graph.build(chords, edges)
+
+
 def krs_criterion(d: Diagram, ring: str = "Z") -> AbelianGroup:
     """The group at (1 - n, j_min), read off the Lando graph's shape.
 

@@ -53,6 +53,7 @@ from exkh.simplicial import (
     independence_complex,
     integer_rank,
     jonsson_complex,
+    over_ring,
 )
 
 Z = AbelianGroup
@@ -101,10 +102,10 @@ def test_criterion_01_hexagon_complex_exact():
         (0, 0, 0, 1, 0, -1, 0, 0, 1),
     )
     assert [integer_rank(cc.matrices[d]) for d in (-1, 0, 1)] == [1, 5, 2]
-    rational = cohomology_of(x, "Q")
+    rational = over_ring(cohomology_of(x), "Q")
     assert rational[1] == Z(2)
     assert all(grp.is_trivial for d, grp in rational.items() if d != 1)
-    integral = cohomology_of(x, "Z")
+    integral = cohomology_of(x)
     assert integral[1] == Z(2)
     _verdict(1, "hexagon complex matrices, ranks and H^1 = Z^2 all exact")
 
@@ -121,7 +122,7 @@ def test_criterion_02_two_hexagon_complex():
     check_complex(cc)
     ranks = [integer_rank(cc.matrices[d]) for d in range(-1, 5)]
     assert ranks == [1, 10, 33, 39, 12, 1]
-    h = cohomology_of(x, "Z")
+    h = cohomology_of(x)
     assert h[2] == Z(1) and h[3] == Z(1)
     assert all(grp.is_trivial for d, grp in h.items() if d not in (2, 3))
     _verdict(2, "two-hexagon complex ranks (1,10,33,39,12,1), H^2 = H^3 = Z")
@@ -177,14 +178,14 @@ def test_criterion_05_alexander_duality(complex_corpus):
     )
     assert len(x.faces()) + len(dual.faces()) == 2 ** 5
     for i in (0, 1):
-        assert homology(x, "Z").get(i, Z(0)) == cohomology_of(dual, "Z").get(
+        assert homology(x).get(i, Z(0)) == cohomology_of(dual).get(
             2 - i, Z(0)
         )
     for x in complex_corpus:
         n = len(x.ground)
         dual = alexander_dual(x)
-        h = homology(x, "Z")
-        ch = cohomology_of(dual, "Z")
+        h = homology(x)
+        ch = cohomology_of(dual)
         for d in set(h) | {n - 3 - k for k in ch}:
             assert h.get(d, Z(0)) == ch.get(n - 3 - d, Z(0)), (x.maximal, d)
     _verdict(
@@ -202,21 +203,21 @@ def test_criterion_05_alexander_duality(complex_corpus):
 def test_criterion_06_jonsson_shift(bipartite_corpus, complex_corpus):
     for g in bipartite_corpus:
         part_v = sorted(v for v in g.vertices if str(v).startswith("v"))
-        hx = cohomology_of(independence_complex(g), "Z")
-        hy = cohomology_of(jonsson_complex(g, part_v), "Z")
+        hx = cohomology_of(independence_complex(g))
+        hy = cohomology_of(jonsson_complex(g, part_v))
         for d in set(hx) | {k + 1 for k in hy}:
             assert hx.get(d, Z(0)) == hy.get(d - 1, Z(0)), (g.vertices, d)
     for x in complex_corpus:
         if x.is_void or not x.ground:
             continue
         g = bipartite_from_complex(x)
-        hg = cohomology_of(independence_complex(g), "Z")
-        hx = cohomology_of(x, "Z")
+        hg = cohomology_of(independence_complex(g))
+        hx = cohomology_of(x)
         for d in set(hg) | {k + 1 for k in hx}:
             assert hg.get(d, Z(0)) == hx.get(d - 1, Z(0)), (x.maximal, d)
     for x in complex_corpus[:30]:
-        hs = homology(suspension(x), "Z")
-        hx = homology(x, "Z")
+        hs = homology(suspension(x))
+        hx = homology(x)
         for d in set(hs) | {k + 1 for k in hx}:
             assert hs.get(d, Z(0)) == hx.get(d - 1, Z(0)), (x.maximal, d)
     rebuilt = bipartite_from_complex(alexander_dual(square_plus_point()))

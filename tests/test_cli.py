@@ -207,6 +207,19 @@ def test_orient_flag_validation(capsys):
     assert "--orient wants" in err
 
 
+def test_orient_refuses_what_is_not_a_crossing_component(capsys):
+    # the trefoil has one crossing component, 0
+    for item in ("x:+", "7:+", "x:-", "1:-", "+0:-"):
+        code, out, err = run(["parse", TREFOIL, "--orient", item], capsys)
+        assert (code, out) == (1, ""), item
+        assert err.startswith("error: --orient wants"), item
+        assert "0 <= COMP < 1" in err and repr(item) in err, item
+    code, kept, _ = run(["parse", TREFOIL, "--orient", "0:+"], capsys)
+    assert code == 0 and kept.startswith(TREFOIL + "\n")
+    code, reversed_, _ = run(["parse", TREFOIL, "--orient", "0:-"], capsys)
+    assert code == 0 and reversed_.startswith("X(2,5,1,4) X(4,1,3,6) X(6,3,5,2)\n")
+
+
 # --------------------------------------------------------------------------
 # full tables and polynomials
 # --------------------------------------------------------------------------
@@ -521,6 +534,18 @@ def test_face_cap_holds_on_the_dual_route(capsys):
 def test_bad_ring_exit_code(capsys):
     code, _, err = run(["khovanov", TREFOIL, "--ring", "F4"], capsys)
     assert code == 1
+
+
+def test_a_large_prime_ring_is_answered_at_once():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    for ring, code in (("F100000000000000000039", 0), ("F3215031751", 1)):
+        done = subprocess.run(
+            [sys.executable, "-m", "exkh", "khovanov", TREFOIL, "--ring", ring],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == code, (ring, done.stderr)
+    assert "unknown coefficient ring 'F3215031751'" in done.stderr
 
 
 def test_a_ring_int_would_read_is_refused(capsys, monkeypatch):

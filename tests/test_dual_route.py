@@ -25,6 +25,7 @@ from exkh.simplicial import (
     homology,
     jonsson_complex,
     jonsson_dual,
+    over_ring,
 )
 
 Z = AbelianGroup
@@ -70,10 +71,9 @@ def whole_y_row(d: Diagram, ring: str) -> dict:
     """The j_min row read off the homology of the whole Y_D."""
     y = y_complex(d)
     n = d.negative_count
-    return {
-        len(y.ground) - 1 - n - deg: grp
-        for deg, grp in nonzero(homology(y, ring)).items()
-    }
+    return nonzero(
+        over_ring({len(y.ground) - 1 - n - deg: grp for deg, grp in homology(y).items()}, ring)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from conftest import (
     enumerate_enhanced,
     krs_criterion,
+    rank_mod_p_by_gauss,
     ranks_from_lowest,
     s_min_states,
     y_complex,
@@ -18,10 +19,10 @@ from exkh.extreme import (
     extreme_via_lando,
     lando_cohomology,
 )
-from exkh.khovanov import j_bounds, khovanov_cohomology
+from exkh.khovanov import j_bounds, khovanov_cohomology, khovanov_complex
 from exkh.lando import build_lando, cycle_graph
-from exkh.families import catalog_diagram
-from exkh.simplicial import AbelianGroup
+from exkh.families import catalog_diagram, load_catalog
+from exkh.simplicial import AbelianGroup, over_ring
 
 Z = AbelianGroup
 
@@ -222,12 +223,40 @@ def test_lando_cohomology_folds_components():
             for k in range(6)
         ],
     )
-    h1 = lando_cohomology(one, "Z")
-    h2 = lando_cohomology(both, "Z")
+    h1 = lando_cohomology(one)
+    h2 = lando_cohomology(both)
     # independent sets of a hexagon form a wedge of two circles
     assert {k: g for k, g in h1.items() if not g.is_trivial} == {1: Z(2)}
     # join of the two answers: degrees add plus one, ranks multiply
     assert {k: g for k, g in h2.items() if not g.is_trivial} == {3: Z(4)}
+
+
+def test_every_route_reads_its_ring_off_its_integral_row():
+    def nonzero(groups):
+        return {i: g for i, g in groups.items() if not g.is_trivial}
+
+    def groups_mod_p(cc, p):
+        ranks = {i: rank_mod_p_by_gauss(m, p) for i, m in cc.matrices.items()}
+        return nonzero({i: Z(cc.dim(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)) for i in cc.bases})
+
+    for name, entry in sorted(load_catalog().items()):
+        d = entry.diagram()
+        j_min, j_max = j_bounds(d)
+        rows = {j_min: khovanov_complex(d, j_min), j_max: khovanov_complex(d, j_max)}
+        routes = {
+            "lando": lambda ring: extreme_via_lando(d, ring),
+            "brute": lambda ring: extreme_via_brute(d, ring),
+            "dual": lambda ring: extreme_via_dual(d, ring),
+            "jmax": lambda ring: extreme_jmax(d, ring),
+        }
+        for method, route in routes.items():
+            over_z = route("Z")
+            for ring in ("Q", "F2", "F3"):
+                row = route(ring)
+                want = nonzero(over_ring(over_z.groups, ring))
+                assert (row.j, row.groups) == (over_z.j, want), (name, method, ring)
+                if ring != "Q":
+                    assert groups_mod_p(rows[row.j], int(ring[1:])) == want, (name, method, ring)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from exkh.lando import (
     independence_number,
     path_graph,
 )
-from exkh.simplicial import AbelianGroup, cohomology_of, independence_complex
+from exkh.simplicial import AbelianGroup, cohomology_of, independence_complex, over_ring
 
 Z = AbelianGroup
 RINGS = ("Z", "Q", "F2", "F3")
@@ -84,15 +84,15 @@ def test_reduced_route_equals_unreduced_complex():
     )
     for g in graphs:
         for ring in RINGS:
-            want = nonzero(cohomology_of(independence_complex(g), ring))
-            assert nonzero(lando_cohomology(g, ring)) == want, (g, ring)
+            want = nonzero(over_ring(cohomology_of(independence_complex(g)), ring))
+            assert nonzero(over_ring(lando_cohomology(g), ring)) == want, (g, ring)
 
 
 def test_empty_graph_keeps_the_empty_face():
     g = Graph.build([], [])
     assert fold_graph(g) == g
     for ring in RINGS:
-        assert nonzero(lando_cohomology(g, ring)) == {-1: Z(1)}
+        assert nonzero(over_ring(lando_cohomology(g), ring)) == {-1: Z(1)}
 
 
 def test_reduction_keeps_independence_number():
@@ -128,14 +128,14 @@ def test_paths_match_kozlov():
     for n in range(61):
         k = (n + 2) // 3  # n is 3k - 2, 3k - 1 or 3k
         want = {} if n % 3 == 1 else {k - 1: Z(1)}
-        assert nonzero(lando_cohomology(path_graph(n), "Z", cap=64)) == want, n
+        assert nonzero(lando_cohomology(path_graph(n), cap=64)) == want, n
 
 
 def test_cycles_match_kozlov():
     for n in range(3, 19):
         k, r = divmod(n, 3)
         want = {0: {k - 1: Z(2)}, 1: {k - 1: Z(1)}, 2: {k: Z(1)}}[r]
-        assert nonzero(lando_cohomology(cycle_graph(n), "Z")) == want, n
+        assert nonzero(lando_cohomology(cycle_graph(n))) == want, n
 
 
 def test_every_built_graph_is_irreducible(monkeypatch, corpus12):
@@ -148,9 +148,9 @@ def test_every_built_graph_is_irreducible(monkeypatch, corpus12):
 
     monkeypatch.setattr(extreme, "independence_complex", recording)
     for g in oracle_graphs():
-        lando_cohomology(g, "Z")
+        lando_cohomology(g)
     for g in (cycle_graph(6), *map(path_graph, (5, 8, 30, 60))):
-        lando_cohomology(g, "Z")
+        lando_cohomology(g)
     for d in [catalog_diagram("hexagon_link"), *corpus12]:
         extreme_via_lando(d, "Z")
     assert cycle_graph(6) in built
@@ -165,8 +165,7 @@ def test_cone_needs_no_faces():
     g = path_graph(22)  # 22 = 1 mod 3: folds to a cone
     with pytest.raises(CapExceeded):
         independence_complex(g, cap=1)
-    for ring in RINGS:
-        assert lando_cohomology(g, ring, cap=1) == {}
+    assert lando_cohomology(g, cap=1) == {}
 
 
 def test_cone_diagrams_give_the_zero_row_under_cap_one(corpus12):

@@ -8,6 +8,7 @@ from conftest import (
     find_isomorphism,
     independent_sets_by_enumeration,
     isomorphic,
+    lando_by_alternating_ends,
     random_graph,
 )
 from exkh.diagram import Diagram, ResolvedState, parse_pd
@@ -96,12 +97,6 @@ def test_lando_admissibility_depends_on_kink_handedness():
     assert independence_number(g2) == 1
 
 
-def test_lando_accepts_resolved_state():
-    d = parse_pd(HOPF)
-    rs = d.resolve(d.all_a_state())
-    assert isomorphic(build_lando(rs), build_lando(d))
-
-
 def test_lando_reads_only_the_all_a_circles(monkeypatch):
     made, traced = [], []
     real_init, real_trace = ResolvedState.__init__, Diagram._resolve_bits
@@ -142,15 +137,11 @@ def test_a_diagram_builds_its_lando_graph_once(monkeypatch):
     extreme_via_lando(d)
     extreme_via_dual(d)
     assert len(built) == 1
-    # a resolution is not a diagram, and keeps nothing
-    rs = d.resolve(d.all_a_state())
-    assert build_lando(rs) == build_lando(rs) == build_lando(d)
-    assert len(built) == 3
 
 
 def test_lando_of_a_diagram_equals_lando_of_its_all_a_resolution(corpus12):
     for d in corpus12:
-        assert build_lando(d) == build_lando(d.resolve(d.all_a_state()))
+        assert build_lando(d) == lando_by_alternating_ends(d), d.to_pd()
 
 
 def test_lando_graphs_are_bipartite_on_corpus(corpus12):

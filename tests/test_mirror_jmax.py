@@ -15,7 +15,7 @@ from exkh.errors import CapExceeded, DiagramError, NonPlanarDiagram
 from exkh.extreme import ExtremeRow, extreme_jmax, extreme_via_dual
 from exkh.families import catalog_diagram, load_catalog, split_union, thick_family
 from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_cohomology
-from exkh.simplicial import AbelianGroup, cohomology, tensor_group, tor_group
+from exkh.simplicial import AbelianGroup, cohomology, over_ring, tensor_group, tor_group
 
 Z = AbelianGroup
 RINGS = ("Z", "Q", "F2", "F3")
@@ -26,7 +26,7 @@ FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 def brute_jmax(d, ring):
     """The j_max row of the enhanced-state complex, nonzero groups only."""
     _, j_max = j_bounds(d)
-    h = cohomology(khovanov._j_rows(d, j_max)[j_max], ring)
+    h = over_ring(cohomology(khovanov._j_rows(d, j_max)[j_max]), ring)
     return {i: g for i, g in h.items() if not g.is_trivial}
 
 
@@ -74,7 +74,7 @@ def test_jmax_matches_the_brute_row(corpus12):
         _, j_max = j_bounds(d)
         row = khovanov._j_rows(d, j_max)[j_max]
         for ring in RINGS:
-            want = {i: g for i, g in cohomology(row, ring).items() if not g.is_trivial}
+            want = {i: g for i, g in over_ring(cohomology(row), ring).items() if not g.is_trivial}
             got = extreme_jmax(d, ring)
             assert (got.j, got.groups) == (j_max, want), (d.to_pd(), ring)
 

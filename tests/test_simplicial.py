@@ -40,6 +40,7 @@ from exkh.simplicial import (
     join_homology,
     jonsson_complex,
     jonsson_dual,
+    over_ring,
     parse_ring,
     rank_mod_p,
     smith_normal_form,
@@ -325,10 +326,9 @@ def test_cohomology_of_matches_cohomology_of_the_coboundary_complex():
     seen = {"torsion": 0, "Y_D": 0, "void": 0, "empty": 0}
     for label, x in _oracle_cases():
         cc = coboundary_complex(x)
-        for ring in ("Z", "Q", "F2", "F3"):
-            got = cohomology_of(x, ring)
-            assert got == cohomology(cc, ring), (label, ring)
-            seen["torsion"] += any(g.torsion for g in got.values())
+        got = cohomology_of(x)
+        assert got == cohomology(cc), label
+        seen["torsion"] += any(g.torsion for g in got.values())
         seen["Y_D"] += label.startswith("Y_") and len(x.levels) > 2
         seen["void"] += x.is_void
         seen["empty"] += x.levels == ((0,),)
@@ -365,6 +365,18 @@ def test_parse_ring():
     # every one of these as 2 or 11
     lenient = ("F 2", "F+2", "F02", "F\uff12", "F1_1", "F2 ", " F2", "F2\n")
     for bad in ("F4", "F1", "F0", "F", "F-3", "f2", "R", "GF(2)", "", *lenient):
+        with pytest.raises(ValueError, match="unknown coefficient ring"):
+            parse_ring(bad)
+
+
+def test_parse_ring_decides_large_primes_at_once():
+    # trial division would take about 10^10 steps on the first
+    assert parse_ring("F100000000000000000039") == ("F", 100000000000000000039)
+    assert parse_ring("F18446744073709551557") == ("F", 2**64 - 59)
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7;
+    # the next two are the least strong pseudoprime to the first 13 prime
+    # bases, past which the test is not exact, and the prime 2^89 - 1
+    for bad in ("F3215031751", "F3317044064679887385961981", f"F{2**89 - 1}"):
         with pytest.raises(ValueError, match="unknown coefficient ring"):
             parse_ring(bad)
 
@@ -426,8 +438,8 @@ def test_void_vs_empty():
     assert e.f_vector() == (1,)
     assert v.dimension is None
     assert e.dimension == -1
-    assert homology(v, "Z") == {}
-    assert homology(e, "Z") == {-1: Z(1)}
+    assert homology(v) == {}
+    assert homology(e) == {-1: Z(1)}
 
 
 def test_faces_and_cap():
@@ -465,23 +477,38 @@ def test_hexagon_coboundaries_match_frozen_matrices():
     )
     ranks = [integer_rank(cc.matrices[d]) for d in (-1, 0, 1)]
     assert ranks == [1, 5, 2]
-    h = cohomology_of(x, "Q")
+    h = over_ring(cohomology_of(x), "Q")
     assert h[1] == Z(2)
     assert all(g.is_trivial for d, g in h.items() if d != 1)
 
 
 def test_projective_plane_torsion():
     rp2 = SimplicialComplex.from_maximal(range(1, 7), RP2_FACES)
-    h = homology(rp2, "Z")
+    h = homology(rp2)
     assert h[1] == Z(0, (2,))
     assert h[2] == Z(0)
-    ch = cohomology_of(rp2, "Z")
+    ch = cohomology_of(rp2)
     assert ch[2] == Z(0, (2,))
     assert ch[1] == Z(0)
-    f2 = homology(rp2, "F2")
+    f2 = over_ring(ch, "F2")
     assert f2[1] == Z(1) and f2[2] == Z(1)
-    q = homology(rp2, "Q")
+    q = over_ring(ch, "Q")
     assert all(g.is_trivial for g in q.values())
+
+
+def test_a_ring_is_read_off_a_sparse_row_in_full():
+    # Z/2 in degree 1 adds F2 to degree 0, which the row leaves out
+    assert over_ring({1: Z(0, (2,))}, "F2") == {0: Z(1), 1: Z(1)}
+    assert over_ring({1: Z(0, (2,))}, "F3") == {1: Z(0)}
+    assert over_ring({1: Z(0, (2,))}, "Q") == {1: Z(0)}
+    def nonzero(groups):
+        return {d: g for d, g in groups.items() if not g.is_trivial}
+
+    full = cohomology_of(SimplicialComplex.from_maximal(range(1, 7), RP2_FACES))
+    assert nonzero(full) == {2: Z(0, (2,))}
+    for ring in ("Q", "F2", "F3"):
+        assert nonzero(over_ring(nonzero(full), ring)) == nonzero(over_ring(full, ring)), ring
+    assert nonzero(over_ring(full, "F2")) == {1: Z(1), 2: Z(1)}
 
 
 def test_homology_of_spheres():
@@ -492,7 +519,7 @@ def test_homology_of_spheres():
             range(n + 2),
             [f for f in full.faces() if len(f) == n + 1],
         )
-        h = homology(sphere, "Z")
+        h = homology(sphere)
         assert h[n] == Z(1)
         assert all(g.is_trivial for d, g in h.items() if d != n)
 
@@ -514,8 +541,8 @@ def test_chain_complex_check_catches_bad_square():
 
 def test_cohomology_rings_disagree_only_by_torsion():
     x = independence_complex(two_hexagons_shared_vertex())
-    over_z = cohomology_of(x, "Z")
-    over_q = cohomology_of(x, "Q")
+    over_z = cohomology_of(x)
+    over_q = over_ring(over_z, "Q")
     for d, g in over_z.items():
         assert over_q.get(d, Z(0)).rank == g.rank
 
@@ -542,7 +569,7 @@ def test_alexander_dual_of_square_plus_point():
     ]
     assert dual.faces() == tuple(want)
     assert len(x.faces()) + len(dual.faces()) == 32
-    h = homology(dual, "Z")
+    h = homology(dual)
     assert h[1] == Z(1) and h[2] == Z(1)
 
 
@@ -561,8 +588,8 @@ def test_alexander_duality_theorem(complex_corpus):
     for x in complex_corpus:
         n = len(x.ground)
         dual = alexander_dual(x)
-        h = homology(x, "Z")
-        ch = cohomology_of(dual, "Z")
+        h = homology(x)
+        ch = cohomology_of(dual)
         degrees = set(h) | {n - 3 - d for d in ch}
         for d in degrees:
             assert h.get(d, Z(0)) == ch.get(n - 3 - d, Z(0)), (
@@ -629,8 +656,8 @@ def test_from_maximal_keeps_the_masks_of_two_face_sizes_only(monkeypatch):
 def test_suspension_shifts_homology(complex_corpus):
     for x in complex_corpus[:25]:
         s = suspension(x)
-        h = homology(x, "Z")
-        hs = homology(s, "Z")
+        h = homology(x)
+        hs = homology(s)
         degrees = {d + 1 for d in h} | set(hs)
         for d in degrees:
             assert hs.get(d, Z(0)) == h.get(d - 1, Z(0))
@@ -641,8 +668,8 @@ def test_join_homology_matches_direct_computation():
     for _ in range(12):
         x = random_complex(rng, max_ground=4)
         y = random_complex(rng, max_ground=4)
-        direct = homology(join(x, y), "Z")
-        kunneth = join_homology(homology(x, "Z"), homology(y, "Z"))
+        direct = homology(join(x, y))
+        kunneth = join_homology(homology(x), homology(y))
         degrees = set(direct) | set(kunneth)
         for d in degrees:
             assert direct.get(d, Z(0)) == kunneth.get(d, Z(0)), (
@@ -668,7 +695,7 @@ def test_jonsson_complex_of_hexagon():
     # three isolated vertices: each single chord has an unseen witness,
     # but any two of the chosen part dominate all of the other part
     assert y.f_vector() == (1, 3)
-    assert homology(y, "Z")[0] == Z(2)
+    assert homology(y)[0] == Z(2)
 
 
 def test_jonsson_complex_errors():
@@ -685,8 +712,8 @@ def test_jonsson_shift_for_hexagon():
     g = hexagon_graph()
     x = independence_complex(g)
     y = jonsson_complex(g, [1, 3, 5])
-    hx = cohomology_of(x, "Z")
-    hy = cohomology_of(y, "Z")
+    hx = cohomology_of(x)
+    hy = cohomology_of(y)
     degrees = set(hx) | {d + 1 for d in hy}
     for d in degrees:
         assert hx.get(d, Z(0)) == hy.get(d - 1, Z(0))
@@ -697,8 +724,8 @@ def test_jonsson_shift_on_bipartite_corpus(bipartite_corpus):
         part_v = [v for v in g.vertices if str(v).startswith("v")]
         x = independence_complex(g)
         y = jonsson_complex(g, part_v)
-        hx = cohomology_of(x, "Z")
-        hy = cohomology_of(y, "Z")
+        hx = cohomology_of(x)
+        hy = cohomology_of(y)
         degrees = set(hx) | {d + 1 for d in hy}
         for d in degrees:
             assert hx.get(d, Z(0)) == hy.get(d - 1, Z(0)), (
@@ -717,8 +744,8 @@ def test_bipartite_from_complex_shift(complex_corpus):
         if x.is_void or not x.ground:
             continue
         g = bipartite_from_complex(x)
-        hx = cohomology_of(x, "Z")
-        hg = cohomology_of(independence_complex(g), "Z")
+        hx = cohomology_of(x)
+        hg = cohomology_of(independence_complex(g))
         degrees = set(hg) | {d + 1 for d in hx}
         for d in degrees:
             assert hg.get(d, Z(0)) == hx.get(d - 1, Z(0)), (
@@ -734,7 +761,7 @@ def test_jonsson_complex_of_two_hexagons_either_side():
     for c in (0, 1):
         side = [v for v in g.vertices if colors[v] == c]
         y = jonsson_complex(g, side)
-        h = homology(y, "Z")
+        h = homology(y)
         assert h.get(1, Z(0)) == Z(1) and h.get(2, Z(0)) == Z(1)
         assert all(g2.is_trivial for d, g2 in h.items() if d not in (1, 2))
 
@@ -861,7 +888,7 @@ def test_every_complex_comes_out_of_one_enumeration(monkeypatch):
         y.faces()
         y.f_vector()
         coboundary_complex(y)
-        homology(y, "Z")
+        homology(y)
     assert stages == []
     # complexes with the same faces are equal and hash alike, however built
     same = {built["independence_complex"], built["from_maximal"], built["from_json"], x}

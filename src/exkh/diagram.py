@@ -440,24 +440,6 @@ class Diagram:
         tokens.extend("U" for _ in range(self.free_loops))
         return " ".join(tokens)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "crossings": [list(t) for t in self.crossings],
-                "signs": list(self.signs),
-                "free_loops": self.free_loops,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Diagram":
-        data = json.loads(text)
-        return Diagram(
-            tuple(tuple(t) for t in data["crossings"]),
-            tuple(data["signs"]),
-            data.get("free_loops", 0),
-        )
-
     @staticmethod
     def unknot(loops: int = 1) -> "Diagram":
         if loops < 1:

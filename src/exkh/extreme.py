@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagram import Diagram
-from .errors import EmptyPartW, NonPlanarDiagram
-from .khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_complex
+from .errors import EmptyPartW
+from .khovanov import DEFAULT_CROSSING_CAP, _check_planar, j_bounds, khovanov_complex
 from .lando import Graph, build_lando, fold_graph
 from .simplicial import (
     DEFAULT_FACE_CAP,
@@ -209,11 +209,7 @@ def extreme_jmax(
 
     Raises NonPlanarDiagram on a virtual diagram, where the duality fails.
     """
-    if not d.is_planar:
-        raise NonPlanarDiagram(
-            "the j_max row comes from Khovanov duality, which needs a planar "
-            "diagram; this one does not embed in the plane"
-        )
+    _check_planar(d, "Khovanov duality, which gives the j_max row,")
     _, j_max = j_bounds(d)
     row = extreme_via_lando(d.mirror(), "Z", cap)
     groups = over_ring(shift_torsion({-i: g for i, g in row.groups.items()}, 1), ring)

@@ -23,6 +23,11 @@ into one while leaving the Lando graph untouched: the A-resolution of the
 clasp reconstitutes both original strands and adds one isolated circle
 carrying both new chords, so neither chord is admissible, and the Lando
 graph of the result equals the original one, vertex for vertex.
+
+The thick family's extreme row is the binomial row of the n-fold join of
+a square plus a point.  ``join_power_table`` computes that row as the
+homology of the independence complex of n disjoint copies of one
+five-vertex graph, by the enumerator that builds X_D.
 """
 
 from __future__ import annotations
@@ -35,13 +40,12 @@ from math import comb
 
 from .diagram import Diagram, parse_pd
 from .errors import ClaspFailed, DiagramError, SameComponent
-from .lando import build_lando
+from .lando import Graph, build_lando
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
-    SimplicialComplex,
     homology,
-    join,
+    independence_complex,
 )
 
 
@@ -296,19 +300,22 @@ def join_power_table(
     """Reduced homology of the n-fold join of the square-plus-point complex.
 
     The complex is {∅,1,2,3,4,5,12,23,34,41}: a 4-cycle and an isolated
-    vertex.  Its n-fold join has homology Z^binomial(n, i-n+1) in degrees
-    n-1 .. 2n-1, which is what the thick families realise as extreme rows.
-    ``cap`` bounds the faces of each join built on the way.
+    vertex, the independence complex of the graph on 1..5 with edges 13,
+    24, 15, 25, 35 and 45.  Since Ind(G + H) = Ind(G) * Ind(H), the n-fold
+    join is the independence complex of n disjoint copies of that graph,
+    built as X_D is, with its 10^n faces under ``cap``.  Its homology is
+    Z^binomial(n, i-n+1) in degrees n-1 .. 2n-1, which is what the thick
+    families realise as extreme rows.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = SimplicialComplex.from_maximal(
-        range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (5,)]
+    edges = ((1, 3), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5))
+    copies = Graph.build(
+        [(c, v) for c in range(n) for v in range(1, 6)],
+        [((c, u), (c, v)) for c in range(n) for u, v in edges],
     )
-    j = x
-    for _ in range(n - 1):
-        j = join(j, x, cap)
-    return {deg: grp for deg, grp in homology(j).items() if not grp.is_trivial}
+    h = homology(independence_complex(copies, cap))
+    return {deg: grp for deg, grp in h.items() if not grp.is_trivial}
 
 
 def binomial_row(n: int) -> dict[int, AbelianGroup]:

@@ -68,7 +68,7 @@ import json
 from dataclasses import dataclass
 
 from .diagram import Diagram, pd_hash
-from .errors import CapExceeded, NotAComplex
+from .errors import CapExceeded, NonPlanarDiagram, NotAComplex
 from .simplicial import (
     AbelianGroup,
     ChainComplex,
@@ -84,6 +84,13 @@ DEFAULT_CROSSING_CAP = 16
 def _check_crossing_cap(d: Diagram, cap: int) -> None:
     if d.crossing_count > cap:
         raise CapExceeded("crossing count", cap)
+
+
+def _check_planar(d: Diagram, needs: str) -> None:
+    if not d.is_planar:
+        raise NonPlanarDiagram(
+            f"{needs} needs a planar diagram; this one does not embed in the plane"
+        )
 
 
 # (diagram, j -> its row's groups over Z) of the last full table built, or None
@@ -551,10 +558,12 @@ def khovanov_cohomology(
     and its rows are dropped, so the same diagram's table over another
     ring neither builds nor reduces again; any other diagram empties the
     slot before its build.  The crossing cap is checked on every call,
-    memo or not.
+    memo or not, and then planarity: on a virtual diagram a cube edge can
+    take one circle to one, which no differential here maps.
     """
     global _table_slot
     _check_crossing_cap(d, max_crossings)
+    _check_planar(d, "the full table, whose cube edges each merge or split circles,")
     parse_ring(ring)
     j_min, j_max = j_bounds(d)
     slot = _table_slot  # read once: the groups read are d's own

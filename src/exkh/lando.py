@@ -1,4 +1,4 @@
-"""Lando graphs of link diagram states and small-graph utilities.
+"""Lando graphs of link diagram states and the graph queries of the routes.
 
 Resolving every crossing of a diagram in its all-A state leaves circles
 decorated with one chord per crossing.  A chord is *admissible* when both of
@@ -27,7 +27,6 @@ chords are admissible and interleave alike.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
@@ -116,24 +115,6 @@ class Graph:
                     elif color[w] == color[u]:
                         return None
         return color
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": list(self.vertices),
-                "edges": sorted(
-                    sorted(e, key=self.vertices.index) for e in self.edges
-                ),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        data = json.loads(text)
-        return Graph.build(
-            (tuple(v) if isinstance(v, list) else v for v in data["vertices"]),
-            data["edges"],
-        )
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -272,25 +253,3 @@ def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
                 return None
     return (len(side0), len(side1))
 
-
-def cycle_graph(n: int) -> Graph:
-    if n <= 2:
-        return path_graph(n)
-    return Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.build(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def two_hexagons_shared_vertex() -> Graph:
-    """Two 6-cycles glued at a single common vertex (11 vertices, 12 edges)."""
-    z = "z"
-    a = [f"a{i}" for i in range(2, 7)]
-    b = [f"b{i}" for i in range(2, 7)]
-    verts = [z, *a, *b]
-    ring_a = [z, *a]
-    ring_b = [z, *b]
-    edges = [(ring_a[i], ring_a[(i + 1) % 6]) for i in range(6)]
-    edges += [(ring_b[i], ring_b[(i + 1) % 6]) for i in range(6)]
-    return Graph.build(verts, edges)

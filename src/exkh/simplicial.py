@@ -16,15 +16,18 @@ Alexander duality
 holds on the nose in every degree, void and empty cases included.
 
 How complexes are built.  Independence complexes, Jonsson complexes, the
-duals of Jonsson complexes (read straight off the neighbourhoods),
-Alexander duals, joins and the subsets of given maximal faces are families
-closed under subsets, and one enumerator builds them all, one size at a
-time: it extends each face of the last size, in order, by later vertices
-of the ground order while a per-construction test admits them, so each
-size comes out in lexicographic order, and past the face cap it raises
-CapExceeded naming its stage.  The same pass checks that every facet of a
-face was built and finds the maximal faces, those that are a facet of no
-larger face.
+duals of Jonsson complexes (read straight off the neighbourhoods) and
+Alexander duals are families closed under subsets, and one enumerator
+builds them all, one size at a time: it extends each face of the last
+size, in order, by later vertices of the ground order while a
+per-construction test admits them, so each size comes out in
+lexicographic order, and past the face cap it raises CapExceeded naming
+its stage.  Each test reads only the face and the vertex, against masks
+fixed before the enumeration starts.  The same pass checks that every
+facet of a face was built and finds the maximal faces, those that are a
+facet of no larger face.  No complex is built from a list of faces: a
+join of independence complexes is the independence complex of the
+disjoint union of the graphs, Ind(G + H) = Ind(G) * Ind(H).
 
 Cochain conventions.  Faces of each degree are ordered lexicographically by
 ground position.  The coboundary of a face s is
@@ -525,39 +528,6 @@ class SimplicialComplex:
     # ---- constructors ----
 
     @staticmethod
-    def from_maximal(
-        ground: Iterable, faces: Iterable[Iterable], cap: int = DEFAULT_FACE_CAP
-    ) -> "SimplicialComplex":
-        """Every subset of the given faces, enumerated under ``cap``.
-
-        A face grows while it lies inside a given face.  ``within`` holds,
-        as bitmasks, the given faces over each face of the size being grown
-        and over each of the next size; faces come one size at a time, so a
-        face missing from the first dict means the next size has begun.
-        """
-        ground = tuple(ground)
-        pos = {v: k for k, v in enumerate(ground)}
-        given = {_mask(pos, f) for f in faces}
-        if not given:
-            return SimplicialComplex.void(ground)
-        # bit j of holders[k]: the j-th given face holds ground[k]
-        holders = [
-            sum(1 << j for j, m in enumerate(given) if m >> k & 1)
-            for k in range(len(ground))
-        ]
-        within = [{0: (1 << len(given)) - 1}, {}]
-
-        def admits(f: int, k: int) -> bool:
-            if f not in within[0]:
-                within[:] = within[1], {}
-            w = within[0][f] & holders[k]
-            if w:
-                within[1][f | 1 << k] = w
-            return w != 0
-
-        return _closed_family(ground, admits, cap, "face enumeration")
-
-    @staticmethod
     def void(ground: Iterable = ()) -> "SimplicialComplex":
         return SimplicialComplex(_ground(ground), (), ())
 
@@ -593,13 +563,6 @@ class SimplicialComplex:
                 "ground": list(self.ground),
                 "maximal_faces": [_vertices(self.ground, m) for m in self.tops],
             }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SimplicialComplex":
-        data = json.loads(text)
-        return SimplicialComplex.from_maximal(
-            data["ground"], data["maximal_faces"]
         )
 
 
@@ -782,24 +745,6 @@ def alexander_dual(
         lambda f, k: not any(m | full ^ f ^ 1 << k == m for m in tops),
         cap,
         "dual face enumeration",
-    )
-
-
-def join(
-    x: SimplicialComplex, y: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
-) -> SimplicialComplex:
-    """Simplicial join; vertices are tagged (0, v) and (1, w).
-
-    A face of the join is a face of x beside a face of y, so its maximal
-    faces are the unions of a maximal face of x with one of y.
-    """
-    ground = tuple((0, v) for v in x.ground) + tuple((1, w) for w in y.ground)
-    if x.is_void or y.is_void:
-        return SimplicialComplex.void(ground)
-    tagged_x = [[(0, v) for v in _vertices(x.ground, f)] for f in x.tops]
-    tagged_y = [[(1, w) for w in _vertices(y.ground, g)] for g in y.tops]
-    return SimplicialComplex.from_maximal(
-        ground, [f + g for f in tagged_x for g in tagged_y], cap
     )
 
 

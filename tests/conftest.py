@@ -8,6 +8,15 @@ elimination mod p, joins by direct face products,
 circle counts by union-find over the PD tuples.  They are deliberately
 slow.
 
+The test builders live here as well, since the package needs none of
+them: a complex from given faces (``from_maximal``, through the package's
+one enumerator, admitting a vertex while the grown face lies in a given
+face), the join of two complexes (``join``, the faces of
+``faces_by_product``) and the small graphs ``path_graph``, ``cycle_graph``
+and ``two_hexagons_shared_vertex``.  The package builds every complex from
+a graph or another complex; its one join table is the independence
+complex of a disjoint union of graphs.
+
 The reference model of the enhanced-state complex lives here too:
 ``EnhancedState`` objects, their gradings, every enhanced state by brute
 enumeration, and the differential entry between two states (``adjacent``)
@@ -44,13 +53,8 @@ from exkh.errors import CapExceeded, NotAComplex
 from exkh.extreme import _dual_parts, extreme_via_lando
 from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
 from exkh.khovanov import DEFAULT_CROSSING_CAP, _grown_family, j_bounds
-from exkh.lando import (
-    Graph,
-    build_lando,
-    cycle_graph,
-    is_complete_bipartite,
-    two_hexagons_shared_vertex,
-)
+from exkh import simplicial
+from exkh.lando import Graph, build_lando, is_complete_bipartite
 from exkh.simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -58,10 +62,75 @@ from exkh.simplicial import (
     SimplicialComplex,
     check_square_zero,
     independence_complex,
-    join,
     jonsson_dual,
     parse_ring,
 )
+
+
+# --------------------------------------------------------------------------
+# test builders: the package builds every complex from a graph or another
+# complex, never from a list of faces, and needs none of these graphs
+# --------------------------------------------------------------------------
+
+
+def from_maximal(ground, faces, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
+    """Every subset of the given faces, enumerated under ``cap``: a face
+    grows by a vertex while the two lie inside one given face."""
+    ground = tuple(ground)
+    pos = {v: k for k, v in enumerate(ground)}
+    given = {simplicial._mask(pos, f) for f in faces}
+    if not given:
+        return SimplicialComplex.void(ground)
+
+    def admits(f: int, k: int) -> bool:
+        grown = f | 1 << k
+        return any(grown & m == grown for m in given)
+
+    return simplicial._closed_family(ground, admits, cap, "face enumeration")
+
+
+def faces_by_product(x: SimplicialComplex, y: SimplicialComplex) -> set:
+    """Faces of the join, built directly from the definition."""
+    fx = x.faces()
+    fy = y.faces()
+    return {
+        frozenset({(0, v) for v in a} | {(1, w) for w in b})
+        for a in fx
+        for b in fy
+    }
+
+
+def join(
+    x: SimplicialComplex, y: SimplicialComplex, cap: int = DEFAULT_FACE_CAP
+) -> SimplicialComplex:
+    """The simplicial join, vertices tagged (0, v) and (1, w): the faces of
+    ``faces_by_product``, enumerated by ``from_maximal``."""
+    ground = [(0, v) for v in x.ground] + [(1, w) for w in y.ground]
+    return from_maximal(ground, faces_by_product(x, y), cap)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.build(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n <= 2:
+        return path_graph(n)
+    return Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def two_hexagons_shared_vertex() -> Graph:
+    """Two 6-cycles glued at a single common vertex (11 vertices, 12 edges)."""
+    ring_a = ["z", *(f"a{i}" for i in range(2, 7))]
+    ring_b = ["z", *(f"b{i}" for i in range(2, 7))]
+    edges = [(r[i], r[(i + 1) % 6]) for r in (ring_a, ring_b) for i in range(6)]
+    return Graph.build([*ring_a, *ring_b[1:]], edges)
+
+
+# --------------------------------------------------------------------------
+# corpora
+# --------------------------------------------------------------------------
+
 
 CORPUS_SEED = 20260814
 
@@ -88,7 +157,7 @@ def random_complex(rng: random.Random, max_ground: int = 8) -> SimplicialComplex
     for _ in range(count):
         size = rng.randrange(0, n + 1)
         maximal.append(tuple(sorted(rng.sample(ground, size))))
-    return SimplicialComplex.from_maximal(ground, maximal)
+    return from_maximal(ground, maximal)
 
 
 @pytest.fixture(scope="session")
@@ -232,17 +301,6 @@ def rank_mod_p_by_gauss(matrix, p: int) -> int:
     return rank
 
 
-def faces_by_product(x: SimplicialComplex, y: SimplicialComplex) -> set:
-    """Faces of the join, built directly from the definition."""
-    fx = x.faces()
-    fy = y.faces()
-    return {
-        frozenset({(0, v) for v in a} | {(1, w) for w in b})
-        for a in fx
-        for b in fy
-    }
-
-
 def check_complex(cc: ChainComplex) -> None:
     """Raise NotAComplex unless each map of ``cc`` has one row per basis
     element of the degree above, columns inside the basis of its own
@@ -307,7 +365,7 @@ def bracket_by_state_sum(d) -> dict[int, int]:
 
 def suspension(x: SimplicialComplex) -> SimplicialComplex:
     """The join of x with two points."""
-    two_points = SimplicialComplex.from_maximal("NS", [["N"], ["S"]])
+    two_points = from_maximal("NS", [["N"], ["S"]])
     return join(two_points, x)
 
 

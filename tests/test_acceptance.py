@@ -12,9 +12,11 @@ from conftest import (
     bipartite_from_complex,
     check_complex,
     enhanced,
+    from_maximal,
     isomorphic,
     ranks_from_lowest,
     suspension,
+    two_hexagons_shared_vertex,
 )
 from exkh.diagram import Diagram, parse_pd
 from exkh.extreme import (
@@ -37,12 +39,7 @@ from exkh.khovanov import (
     khovanov_complex,
     scanned_j_range,
 )
-from exkh.lando import (
-    Graph,
-    build_lando,
-    independence_number,
-    two_hexagons_shared_vertex,
-)
+from exkh.lando import Graph, build_lando, independence_number
 from exkh.simplicial import (
     AbelianGroup,
     SimplicialComplex,
@@ -61,7 +58,7 @@ Z = AbelianGroup
 
 def square_plus_point() -> SimplicialComplex:
     """A 4-cycle and an isolated vertex on the ground set 1..5."""
-    return SimplicialComplex.from_maximal(
+    return from_maximal(
         range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (5,)]
     )
 

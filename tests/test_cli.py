@@ -10,7 +10,7 @@ import pytest
 
 import exkh.cli
 from exkh.cli import build_parser, main
-from exkh.families import catalog_diagram, split_union, thick_family
+from exkh.families import catalog_diagram, knotify, split_union, thick_family
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
@@ -83,6 +83,26 @@ def test_complex_of_trefoil_is_a_point(capsys):
     code, out, _ = run(["complex", TREFOIL], capsys)
     assert code == 0
     assert "faces: 1" in out
+
+
+def test_complex_prints_each_coboundary_row_as_its_nonzero_entries(capsys):
+    code, out, _ = run(["complex", "hexagon_link"], capsys)
+    assert code == 0
+    assert "degree 2: {0,2,4}, {1,3,5}" in out
+    rows = out.split("coboundary 1 -> 2:\n", 1)[1].splitlines()
+    assert rows == ["  [0:+1 2:-1 6:+1]", "  [3:+1 5:-1 8:+1]"]
+    code, out, _ = run(["complex", "hexagon_link", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["coboundaries"]["1"] == [[[0, 1], [2, -1], [6, 1]], [[3, 1], [5, -1], [8, 1]]]
+    assert payload["maximal_faces"][-2:] == [[0, 2, 4], [1, 3, 5]]
+
+
+def test_complex_of_a_thick_family_prints_every_row(capsys):
+    # printed dense, these maps ran out of memory under a 2.5 GB address limit
+    code, out, _ = run(["complex", thick_family(2).to_pd()], capsys)
+    assert code == 0
+    assert "faces: 37636," in out
+    assert sum(line.startswith("  [") for line in out.splitlines()) == 37635
 
 
 # --------------------------------------------------------------------------
@@ -328,6 +348,24 @@ def test_verify_single_diagram(capsys):
     assert code == 0
     assert "extreme-routes" in out
     assert "verified 1 diagrams" in out
+
+
+def test_verify_checks_a_virtual_diagram_without_its_table(capsys):
+    d = catalog_diagram("hexagon_link")
+    for _ in range(2):
+        comps = d.components
+        d = knotify(d, min(comps[0]), min(comps[1]))
+    assert d.crossing_count == 10 and not d.is_planar
+    code, out, err = run(["verify", d.to_pd(), "hexagon_link"], capsys)
+    assert (code, err) == (0, "")
+    virtual, planar = out.splitlines()[:2]
+    assert virtual.endswith(": ok (j-bounds, bracket-vs-I(G), extreme-routes)")
+    assert planar.startswith("hexagon_link: ok (") and "jmax-vs-table" in planar
+    code, out, err = run(["extreme", d.to_pd()], capsys)
+    assert "agreement: OK" in out and "i=-4: Z^2" in out
+    code, _, err = run(["khovanov", d.to_pd()], capsys)
+    assert code == 1
+    assert "planar" in err
 
 
 def test_verify_small_corpus(capsys):

@@ -160,14 +160,6 @@ def test_components_partition_arcs():
     assert d._component_of_arc[5] == 0
 
 
-def test_json_round_trip():
-    d = parse_pd(HOPF)
-    back = Diagram.from_json(d.to_json())
-    assert back == d
-    payload = json.loads(d.to_json())
-    assert payload["signs"] == [1, 1]
-
-
 def test_resolved_state_json():
     d = parse_pd(TREFOIL)
     rs = d.resolve(d.all_a_state())

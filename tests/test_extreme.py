@@ -1,5 +1,6 @@
 import pytest
 from conftest import (
+    cycle_graph,
     enumerate_enhanced,
     krs_criterion,
     rank_mod_p_by_gauss,
@@ -20,7 +21,7 @@ from exkh.extreme import (
     lando_cohomology,
 )
 from exkh.khovanov import j_bounds, khovanov_cohomology, khovanov_complex
-from exkh.lando import build_lando, cycle_graph
+from exkh.lando import build_lando
 from exkh.families import catalog_diagram, load_catalog
 from exkh.simplicial import AbelianGroup, over_ring
 

@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 from conftest import (
+    from_maximal,
+    join,
     ranks_from_lowest,
     reorient_for_negative_count,
     validate_catalog_entry,
 )
 
 from exkh.diagram import Diagram, parse_pd, pd_hash
-from exkh.errors import ClaspFailed, SameComponent
+from exkh.errors import CapExceeded, ClaspFailed, SameComponent
 from exkh.extreme import extreme_via_brute, extreme_via_lando
 from exkh.families import (
     binomial_row,
@@ -22,7 +25,7 @@ from exkh.families import (
     thick_family,
 )
 from exkh.lando import build_lando
-from exkh.simplicial import AbelianGroup
+from exkh.simplicial import AbelianGroup, homology
 
 Z = AbelianGroup
 
@@ -245,9 +248,33 @@ def test_thick_family_rejects_zero():
 
 
 def test_join_power_matches_binomials():
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         assert join_power_table(n) == binomial_row(n)
     assert binomial_row(2) == {1: Z(1), 2: Z(2), 3: Z(1)}
+
+
+def test_join_power_matches_the_join_built_from_face_products():
+    square_plus_point = from_maximal(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (5,)])
+    j = square_plus_point
+    for n in (1, 2, 3):
+        if n > 1:
+            j = join(j, square_plus_point)
+        assert sum(j.f_vector()) == 10**n
+        want = {d: g for d, g in homology(j).items() if not g.is_trivial}
+        assert join_power_table(n) == want, n
+
+
+def test_join_power_cap_trips_before_the_memory_grows():
+    # a join built from its maximal faces kept one bit per maximal face
+    # for every face it built: 179 MiB traced before this cap tripped
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="independent set enumeration"):
+            join_power_table(6, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 # --------------------------------------------------------------------------

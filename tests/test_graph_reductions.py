@@ -11,19 +11,12 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import cycle_graph, path_graph, random_graph
 from exkh import extreme
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_lando, lando_cohomology
 from exkh.families import catalog_diagram
-from exkh.lando import (
-    Graph,
-    build_lando,
-    cycle_graph,
-    fold_graph,
-    independence_number,
-    path_graph,
-)
+from exkh.lando import Graph, build_lando, fold_graph, independence_number
 from exkh.simplicial import AbelianGroup, cohomology_of, independence_complex, over_ring
 
 Z = AbelianGroup

@@ -4,26 +4,21 @@ import pytest
 
 from conftest import (
     complete_bipartite_graph,
+    cycle_graph,
     degree,
     find_isomorphism,
     independent_sets_by_enumeration,
     isomorphic,
     lando_by_alternating_ends,
+    path_graph,
     random_graph,
+    two_hexagons_shared_vertex,
 )
 from exkh.diagram import Diagram, ResolvedState, parse_pd
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_dual, extreme_via_lando
 from exkh.families import catalog_diagram
-from exkh.lando import (
-    Graph,
-    build_lando,
-    cycle_graph,
-    independence_number,
-    is_complete_bipartite,
-    path_graph,
-    two_hexagons_shared_vertex,
-)
+from exkh.lando import Graph, build_lando, independence_number, is_complete_bipartite
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 HOPF = "X(4,2,1,3) X(2,4,3,1)"
@@ -225,12 +220,6 @@ def test_subgraph():
     g = cycle_graph(5)
     sub = g.subgraph([0, 1, 2])
     assert len(sub.edges) == 2
-
-
-def test_graph_json_round_trip():
-    g = two_hexagons_shared_vertex()
-    back = Graph.from_json(g.to_json())
-    assert back == g
 
 
 def test_graph_dot_output():

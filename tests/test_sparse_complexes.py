@@ -31,17 +31,18 @@ from conftest import (
     circle_count_by_union_find,
     enhanced,
     enumerate_enhanced,
+    from_maximal,
     random_graph,
     rank_mod_p_by_gauss,
     rows_by_generic_rule,
     state_j,
+    two_hexagons_shared_vertex,
 )
 from exkh import khovanov
 from exkh.diagram import Diagram, parse_pd
 from exkh.errors import NotAComplex
 from exkh.families import load_catalog, split_union
 from exkh.khovanov import _j_rows, j_bounds, khovanov_cohomology, khovanov_complex
-from exkh.lando import two_hexagons_shared_vertex
 from exkh.simplicial import (
     AbelianGroup,
     ChainComplex,
@@ -111,7 +112,7 @@ def test_khovanov_rows_match_the_per_map_formula(corpus12):
 
 
 def test_rp2_and_two_hexagons_match_the_per_map_formula():
-    rp2 = SimplicialComplex.from_maximal(
+    rp2 = from_maximal(
         range(1, 7),
         [
             (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
@@ -427,8 +428,8 @@ def test_c24_cohomology_fits_in_300_mb():
     # 8 GB.  Kozlov: C_{3k} has two spheres S^{k-1}, so Z^2 in degree 7.
     code = (
         "from exkh.extreme import lando_cohomology\n"
-        "from exkh.lando import cycle_graph\n"
-        "h = lando_cohomology(cycle_graph(24))\n"
+        "from exkh.lando import Graph\n"
+        "h = lando_cohomology(Graph.build(range(24), [(i, (i + 1) % 24) for i in range(24)]))\n"
         "print(sorted((k, g.rank, g.torsion) for k, g in h.items() if not g.is_trivial))\n"
     )
     env = dict(os.environ)

@@ -2,7 +2,7 @@
 
 One subcommand per pipeline stage: ``parse`` and ``resolve`` inspect
 diagrams, ``lando`` / ``complex`` expose the geometric side, ``extreme``
-runs the graph route and the enhanced-state route side by side, ``khovanov``
+runs the three routes to an extreme row side by side, ``khovanov``
 and ``jones`` print full invariants, ``families`` emits the shipped and
 generated example diagrams, and ``verify`` replays the cross-checks on a
 corpus.
@@ -32,12 +32,7 @@ from dataclasses import replace
 
 from .diagram import Diagram, State, is_pd_text, parse_pd, pd_hash
 from .errors import CapExceeded, ExkhError
-from .extreme import (
-    extreme_jmax,
-    extreme_row,
-    extreme_via_brute,
-    extreme_via_lando,
-)
+from .extreme import ExtremeRow, extreme_row
 from .families import (
     binomial_row,
     join_power_table,
@@ -190,7 +185,7 @@ def _load_diagram(spec: str, orient: list[str]) -> Diagram:
 
 def _emit(payload: dict, args, text_lines) -> None:
     if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -279,64 +274,57 @@ def _cmd_complex(args) -> int:
     d = _load_diagram(args.input, args.orient)
     x = independence_complex(build_lando(d), args.max_faces)
     cc = coboundary_complex(x)
-    maps = [
-        (deg, [sorted(r.items()) for r in m]) for deg, m in sorted(cc.rows.items())
-    ]
-    payload = json.loads(x.to_json())
+    maps = sorted(cc.rows.items())
     fv = x.f_vector()
-    payload["f_vector"] = list(fv)
-    payload["coboundaries"] = {str(deg): rows for deg, rows in maps}
-    lines = [
-        f"faces: {sum(fv)}, f-vector {fv}",
-        f"dimension: {x.dimension}",
-    ]
+    if args.fmt == "json":
+        payload = json.loads(x.to_json())
+        payload["f_vector"] = list(fv)
+        payload["coboundaries"] = {
+            str(deg): [sorted(r.items()) for r in rows] for deg, rows in maps
+        }
+        _emit(payload, args, ())
+        return 0
+    print(f"faces: {sum(fv)}, f-vector {fv}")
+    print(f"dimension: {x.dimension}")
     for deg in cc.degrees:
-        faces = ", ".join(
-            "{" + ",".join(str(v) for v in f) + "}" for f in cc.bases[deg]
-        )
-        lines.append(f"degree {deg}: {faces}")
+        faces = ", ".join("{" + ",".join(map(str, f)) + "}" for f in cc.bases[deg])
+        print(f"degree {deg}: {faces}")
     for deg, rows in maps:
-        lines.append(f"coboundary {deg} -> {deg + 1}:")
-        lines += ["  [" + " ".join(f"{k}:{v:+d}" for k, v in r) + "]" for r in rows]
-    _emit(payload, args, lines)
+        print(f"coboundary {deg} -> {deg + 1}:")
+        for r in rows:
+            print("  [" + " ".join(f"{k}:{v:+d}" for k, v in sorted(r.items())) + "]")
     return 0
+
+
+def _compare_routes(d: Diagram, args, side: str) -> tuple[dict[str, ExtremeRow], str]:
+    """The row at ``side`` by each of the three routes, and the message
+    that names them if any two disagree, else ''."""
+    rows = {
+        m: extreme_row(d, args.ring, m, args.max_faces, args.max_crossings, side)
+        for m in ("lando", "brute", "dual")
+    }
+    if len({(r.j, tuple(sorted(r.groups.items()))) for r in rows.values()}) == 1:
+        return rows, ""
+    summaries = " / ".join(f"{m} {r.summary(args.ring)}" for m, r in rows.items())
+    return rows, f"extreme rows disagree at j_{side} ({summaries})"
 
 
 def _cmd_extreme(args) -> int:
     d = _load_diagram(args.input, args.orient)
-    if args.side == "max" or args.method != "both":
-        if args.side == "max":
-            if args.method in ("brute", "dual"):
-                raise ExkhError(
-                    f"--side max has only the mirror's lando route; "
-                    f"--method {args.method} applies to the bottom row"
-                )
-            row = extreme_jmax(d, args.ring, args.max_faces)
-        else:
-            row = extreme_row(
-                d, args.ring, args.method, args.max_faces, args.max_crossings
-            )
+    if args.method != "both":
+        row = extreme_row(
+            d, args.ring, args.method, args.max_faces, args.max_crossings, args.side
+        )
         _emit(_row_payload(row, args.ring), args, [row.summary(args.ring)])
         return 0
-    lando = extreme_via_lando(d, args.ring, args.max_faces)
-    brute = extreme_via_brute(d, args.ring, args.max_crossings)
-    agree = lando.groups == brute.groups and lando.j == brute.j
-    payload = {
-        "lando": _row_payload(lando, args.ring),
-        "brute": _row_payload(brute, args.ring),
-        "agreement": agree,
-    }
-    lines = [
-        f"lando: {lando.summary(args.ring)}",
-        f"brute: {brute.summary(args.ring)}",
-        f"agreement: {'OK' if agree else 'MISMATCH'}",
-    ]
+    rows, disagreement = _compare_routes(d, args, args.side)
+    payload = {m: _row_payload(r, args.ring) for m, r in rows.items()}
+    payload["agreement"] = not disagreement
+    lines = [f"{m}: {r.summary(args.ring)}" for m, r in rows.items()]
+    lines.append(f"agreement: {'MISMATCH' if disagreement else 'OK'}")
     _emit(payload, args, lines)
-    if not agree:
-        print(
-            "extreme rows disagree between the graph route and brute force",
-            file=sys.stderr,
-        )
+    if disagreement:
+        print(disagreement, file=sys.stderr)
         return AGREEMENT_EXIT
     return 0
 
@@ -413,10 +401,11 @@ def _cmd_families(args) -> int:
 def _verify_one(d: Diagram, label: str, args) -> int:
     """Every cross-check on one diagram, each failure printed as it shows.
 
-    Returns 3 if the extreme-row routes disagree, or the j_max row through
-    the mirror disagrees with the table, else 1 if any other check failed,
-    else 0.  A cap overrun is not a failed check: it propagates.  A
-    virtual diagram has no table and no j_max row to check.
+    Returns 3 if the extreme-row routes disagree, at j_min or, on a
+    planar diagram, at j_max, or the lando j_max row disagrees with the
+    table, else 1 if any other check failed, else 0.  A cap overrun is not
+    a failed check: it propagates.  A virtual diagram has no table and no
+    j_max row to check.
     """
     c = d.crossing_count
     checks = []
@@ -444,27 +433,26 @@ def _verify_one(d: Diagram, label: str, args) -> int:
     check(coeff == want, "bracket-vs-I(G)",
           "extreme bracket coefficient != signed I(G)")
 
-    lando = extreme_via_lando(d, args.ring, args.max_faces)
-    brute = extreme_via_brute(d, args.ring, args.max_crossings)
-    dual = extreme_row(d, args.ring, "dual", args.max_faces)
-    check(lando.groups == brute.groups == dual.groups, "extreme-routes",
-          f"extreme rows disagree (lando {lando.summary(args.ring)} / "
-          f"brute {brute.summary(args.ring)} / "
-          f"dual {dual.summary(args.ring)})", AGREEMENT_EXIT)
+    _, disagreement = _compare_routes(d, args, "min")
+    check(not disagreement, "extreme-routes", disagreement, AGREEMENT_EXIT)
+    if d.is_planar:
+        tops, disagreement = _compare_routes(d, args, "max")
+        check(not disagreement, "jmax-routes", disagreement, AGREEMENT_EXIT)
 
     if c <= 10 and d.is_planar:
-        table = khovanov_cohomology(d, "Z", args.max_crossings)
+        table = khovanov_cohomology(d, args.ring, args.max_crossings)
         euler = table.graded_euler_characteristic()
         check(euler == graded_jones(d, args.max_crossings), "euler-vs-jones",
               "table euler characteristic != jones")
         js = {j for _, j in table.entries}
         check(len({j % 2 for j in js}) <= 1, "j-parity",
               "mixed j parities in the table")
-        top = extreme_jmax(d, "Z", args.max_faces)
+        top = tops["lando"]
         want_top = table.row(top.j)
         check(top.groups == want_top, "jmax-vs-table",
-              f"j_max rows disagree (mirror {top.summary()} / "
-              f"table {replace(top, groups=want_top).summary()})", AGREEMENT_EXIT)
+              f"j_max rows disagree (lando {top.summary(args.ring)} / "
+              f"table {replace(top, groups=want_top).summary(args.ring)})",
+              AGREEMENT_EXIT)
 
     if not status:
         print(f"{label}: ok ({', '.join(checks)})")
@@ -522,19 +510,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_complex)
 
     p = subs.add_parser(
-        "extreme", help="extreme cohomology row by two independent routes"
+        "extreme", help="extreme cohomology row by three independent routes"
     )
     _common(p)
     _limits(p, "--ring", "--max-crossings", "--max-faces")
     p.add_argument(
         "--side", choices=("min", "max"), default="min",
-        help="'max' is the top row, from the mirror's lando route only",
+        help="'max' is the top row, by Khovanov duality from the mirror's row",
     )
     p.add_argument(
         "--method",
         choices=("both", "lando", "brute", "dual"),
         default="both",
-        help="'both' compares the graph route against brute force",
+        help="'both' compares the lando, brute and dual routes",
     )
     p.set_defaults(fn=_cmd_extreme)
 

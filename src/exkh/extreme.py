@@ -16,8 +16,12 @@ a cone).  What is left is split over its connected components, since
 independence complexes of disjoint unions are joins, and only those
 components' complexes are built.  'brute' restricts the enhanced-state
 complex to j = j_min and reduces it, sharing no code with the geometric
-route; agreement of the two is the strongest self-test in the package.
-'dual' goes through the Alexander dual Y_D of a Jonsson complex of the
+route.  That row is X_D's reduced cochain complex entry for entry: the
+basis element (B-bits, all minus) in degree i is the face of its
+B-crossings in degree i + n - 1 (the tests compare every entry).  So lando
+against brute checks the bijection, the graph reductions and the component
+join, never the reduction kernel, which all three routes share.  'dual'
+goes through the Alexander dual Y_D of a Jonsson complex of the
 bipartite Lando graph,
 
     H^{i, j_min}(D)  ~=  H~_{|V|-i-1-n}(Y_D),
@@ -36,9 +40,9 @@ checks of the reductions.
 
 The j_max row comes through the mirror D' of the diagram.  By Khovanov's
 duality Kh^{i,j}(D) has the free rank of Kh^{-i,-j}(D') and the torsion of
-Kh^{1-i,-j}(D'), and j_max(D) = -j_min(D').  So the top row is the lando
-row of D' with its degrees negated and its torsion moved up one degree,
-without enumerating a state.
+Kh^{1-i,-j}(D'), and j_max(D) = -j_min(D').  So the top row by any route is
+that route's j_min row of D' with its degrees negated and its torsion moved
+up one degree (``extreme_row`` with ``side='max'``).
 
 Everything below the routes runs over Z.  A row is the cohomology of a
 complex of free modules, so each route reads its row over Q or F_p off the
@@ -47,7 +51,7 @@ row over Z once, at the end, by the universal coefficient theorem (``over_ring``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .diagram import Diagram
@@ -75,9 +79,9 @@ class ExtremeRow:
     ``groups`` holds only the nonzero entries.  ``n`` is the negative
     crossing count of the diagram and ``shift`` the translation between
     complex degrees and diagram gradings.  On a j_min row ``shift`` is
-    n - 1 and i = deg - shift.  On the j_max row of ``extreme_jmax``,
-    ``n`` is still the diagram's but ``shift`` is its mirror's, and
-    i = shift - deg: the left trefoil (n = 3) reports shift = -1.
+    n - 1 and i = deg - shift.  On a j_max row (``side='max'``), ``n`` is
+    still the diagram's but ``shift`` and ``provenance`` are its mirror
+    row's, and i = shift - deg: the left trefoil (n = 3) reports shift = -1.
     """
 
     j: int
@@ -136,7 +140,8 @@ def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, Abelian
 def _j_min_row(
     d: Diagram, groups_over_z: dict[int, AbelianGroup], ring: str, provenance: str
 ) -> ExtremeRow:
-    """The j_min row of ``d`` over ``ring``, from its groups over Z by i."""
+    """The j_min row of ``d`` over ``ring``, from its groups over Z by i;
+    the j_max row replaces its j and shift."""
     n = d.negative_count
     groups = {i: g for i, g in over_ring(groups_over_z, ring).items() if not g.is_trivial}
     j_min, _ = j_bounds(d)
@@ -198,38 +203,30 @@ def extreme_via_dual(
     return _j_min_row(d, groups, ring, "dual")
 
 
-def extreme_jmax(
-    d: Diagram, ring: str = "Z", cap: int = DEFAULT_FACE_CAP
-) -> ExtremeRow:
-    """The j_max row of a diagram, from the lando row of its mirror.
-
-    The mirror's row over Z has its degrees negated and its torsion moved
-    up one degree (Khovanov's duality), and only then is it read over
-    ``ring``; ``cap`` bounds the mirror's complexes.
-
-    Raises NonPlanarDiagram on a virtual diagram, where the duality fails.
-    """
-    _check_planar(d, "Khovanov duality, which gives the j_max row,")
-    _, j_max = j_bounds(d)
-    row = extreme_via_lando(d.mirror(), "Z", cap)
-    groups = over_ring(shift_torsion({-i: g for i, g in row.groups.items()}, 1), ring)
-    return ExtremeRow(
-        j=j_max,
-        groups={i: grp for i, grp in groups.items() if not grp.is_trivial},
-        provenance="lando",
-        n=d.negative_count,
-        shift=row.shift,
-    )
-
-
 def extreme_row(
     d: Diagram,
     ring: str = "Z",
     method: str = "lando",
     cap: int = DEFAULT_FACE_CAP,
     max_crossings: int = DEFAULT_CROSSING_CAP,
+    side: str = "min",
 ) -> ExtremeRow:
-    """The j_min row by the route ``method``: 'lando', 'brute' or 'dual'."""
+    """The j_min or j_max row (``side`` 'min' or 'max') by the route
+    ``method``: 'lando', 'brute' or 'dual'.
+
+    The j_max row is the same route's row of the mirror over Z, with its
+    degrees negated and its torsion moved up one degree (Khovanov's
+    duality), and only then read over ``ring``.  That needs a planar
+    diagram: a virtual one raises NonPlanarDiagram.
+    """
+    if side == "max":
+        _check_planar(d, "Khovanov duality, which gives the j_max row,")
+        row = extreme_row(d.mirror(), "Z", method, cap, max_crossings)
+        groups = shift_torsion({-i: g for i, g in row.groups.items()}, 1)
+        top = _j_min_row(d, groups, ring, row.provenance)
+        return replace(top, j=j_bounds(d)[1], shift=row.shift)
+    if side != "min":
+        raise ValueError(f"unknown side {side!r} (use min or max)")
     if method == "lando":
         return extreme_via_lando(d, ring, cap)
     if method == "brute":

@@ -39,7 +39,7 @@ from importlib import resources
 from math import comb
 
 from .diagram import Diagram, parse_pd
-from .errors import ClaspFailed, DiagramError, SameComponent
+from .errors import CapExceeded, ClaspFailed, DiagramError, SameComponent
 from .lando import Graph, build_lando
 from .simplicial import (
     DEFAULT_FACE_CAP,
@@ -303,12 +303,14 @@ def join_power_table(
     vertex, the independence complex of the graph on 1..5 with edges 13,
     24, 15, 25, 35 and 45.  Since Ind(G + H) = Ind(G) * Ind(H), the n-fold
     join is the independence complex of n disjoint copies of that graph,
-    built as X_D is, with its 10^n faces under ``cap``.  Its homology is
-    Z^binomial(n, i-n+1) in degrees n-1 .. 2n-1, which is what the thick
-    families realise as extreme rows.
+    built as X_D is.  Its 10^n faces over ``cap`` raise CapExceeded before
+    any is enumerated.  Its homology is Z^binomial(n, i-n+1) in degrees
+    n-1 .. 2n-1, which is what the thick families realise as extreme rows.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if 10**n > cap:
+        raise CapExceeded("independent set enumeration", cap)
     edges = ((1, 3), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5))
     copies = Graph.build(
         [(c, v) for c in range(n) for v in range(1, 6)],

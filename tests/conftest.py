@@ -31,7 +31,9 @@ the same tracer; ``circle_count_by_union_find`` checks it, and the
 frontier tally ``Diagram._count_histogram``, from outside.  The j_min states
 (``s_min_states``), the whole Y_D (``y_complex``), the bipartite graph of
 a complex and the suspension are oracles built from package pieces, for
-the tests that compare them with the routes.
+the tests that compare them with the routes.  ``brute_row_mismatch``
+certifies the paper's bijection as an equality of complexes: the brute
+j_min row is the reduced cochain complex of X_D, entry for entry.
 
 Some oracles answer questions the package itself never asks: graph
 isomorphism by backtracking, the group at (1 - n, j_min) read off the
@@ -52,7 +54,7 @@ from exkh.diagram import A, B, Diagram, State
 from exkh.errors import CapExceeded, NotAComplex
 from exkh.extreme import _dual_parts, extreme_via_lando
 from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
-from exkh.khovanov import DEFAULT_CROSSING_CAP, _grown_family, j_bounds
+from exkh.khovanov import DEFAULT_CROSSING_CAP, _grown_family, j_bounds, khovanov_complex
 from exkh import simplicial
 from exkh.lando import Graph, build_lando, is_complete_bipartite
 from exkh.simplicial import (
@@ -61,6 +63,7 @@ from exkh.simplicial import (
     ChainComplex,
     SimplicialComplex,
     check_square_zero,
+    coboundary_complex,
     independence_complex,
     jonsson_dual,
     parse_ring,
@@ -784,3 +787,51 @@ def y_complex(d: Diagram, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """
     g = build_lando(d)
     return jonsson_dual(g, [v for _, side in _dual_parts(g) for v in side], cap)
+
+
+def brute_row_mismatch(d: Diagram, max_crossings: int = DEFAULT_CROSSING_CAP) -> str:
+    """Where the brute j_min row of ``d`` differs from the reduced cochain
+    complex of X_D, or '' where the two are equal entry for entry.
+
+    The basis element (B-bits, all minus) in degree i goes to the face of
+    its B-crossings, in cochain degree i + n - 1; the Lando vertices are
+    crossings, in crossing order, so the faces are the set bits in order.
+    The map must be onto, one to one, and carry every row entry of the
+    brute row to the equal entry of ``coboundary_complex``, with no sign
+    change.  The message names the diagram, the degree and the entry.
+    """
+    n = d.negative_count
+    brute = khovanov_complex(d, j_bounds(d)[0], max_crossings)
+    x_d = coboundary_complex(independence_complex(build_lando(d)))
+    where = f"{d.to_pd()}: "
+
+    def face(bits: int) -> tuple:
+        return tuple(k for k in range(d.crossing_count) if bits >> k & 1)
+
+    column = {}  # brute degree i -> X_D's index of each brute basis element
+    for i, basis in brute.bases.items():
+        faces = x_d.bases.get(i + n - 1, ())
+        index = {f: k for k, f in enumerate(faces)}
+        column[i] = [index.get(face(bits)) for bits, _ in basis]
+        if None in column[i] or sorted(column[i]) != list(range(len(faces))):
+            return (
+                f"{where}degree i={i} does not go one to one onto the "
+                f"{len(faces)} faces of X_D's degree {i + n - 1}"
+            )
+    hit = {i + n - 1 for i in brute.bases}
+    if missed := [deg for deg in x_d.bases if deg not in hit]:
+        return f"{where}no brute state maps to X_D's degree {missed[0]}"
+    for i, rows in brute.rows.items():
+        deg = i + n - 1
+        want = x_d.rows.get(deg, ())
+        got = [{} for _ in want]  # the brute rows, in X_D's row order
+        for r, row in enumerate(rows):
+            got[column[i + 1][r]] = {column[i][k]: v for k, v in row.items()}
+        for r, (g, w) in enumerate(zip(got, want)):
+            for k in sorted(set(g) | set(w)):
+                if g.get(k, 0) != w.get(k, 0):
+                    return (
+                        f"{where}degree i={i}, entry (row {x_d.bases[deg + 1][r]}, "
+                        f"column {x_d.bases[deg][k]}): brute {g.get(k, 0)}, X_D {w.get(k, 0)}"
+                    )
+    return ""

@@ -111,11 +111,15 @@ def test_complex_of_a_thick_family_prints_every_row(capsys):
 
 
 def test_extreme_both_routes_agree(capsys):
+    # 'both' keeps its name and compares all three routes
     code, out, _ = run(["extreme", "hexagon_link"], capsys)
     assert code == 0
-    assert "lando: j=-13: i=-4: Z^2" in out
-    assert "brute: j=-13: i=-4: Z^2" in out
-    assert "agreement: OK" in out
+    assert out.splitlines() == [
+        "lando: j=-13: i=-4: Z^2",
+        "brute: j=-13: i=-4: Z^2",
+        "dual: j=-13: i=-4: Z^2",
+        "agreement: OK",
+    ]
 
 
 def test_extreme_single_method(capsys):
@@ -127,25 +131,28 @@ def test_extreme_single_method(capsys):
 def test_extreme_side_max(capsys):
     code, out, _ = run(["extreme", TREFOIL, "--side", "max"], capsys)
     assert code == 0
-    assert out.strip() == "j=-1: i=0: Z"
+    assert out.splitlines() == [
+        "lando: j=-1: i=0: Z", "brute: j=-1: i=0: Z", "dual: j=-1: i=0: Z", "agreement: OK"
+    ]
 
 
 def test_extreme_side_max_json_keeps_the_mirror_shift(capsys):
     # n is the left trefoil's own; shift is its mirror's n - 1
     code, out, _ = run(["extreme", TREFOIL, "--side", "max", "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out) == {
-        "j": -1, "groups": {"0": "Z"}, "provenance": "lando", "n": 3, "shift": -1
+    payload = json.loads(out)
+    assert payload.pop("agreement") is True
+    assert payload == {
+        m: {"j": -1, "groups": {"0": "Z"}, "provenance": m, "n": 3, "shift": -1}
+        for m in ("lando", "brute", "dual")
     }
 
 
 @pytest.mark.parametrize("method", ["brute", "dual"])
-def test_extreme_side_max_has_only_the_mirror_route(capsys, method):
+def test_extreme_side_max_takes_every_route(capsys, method):
     code, out, err = run(["extreme", TREFOIL, "--side", "max", "--method", method], capsys)
-    assert code == 1
-    assert out == ""
-    assert "--side max has only the mirror's lando route" in err
-    assert f"--method {method}" in err
+    assert (code, err) == (0, "")
+    assert out.strip() == "j=-1: i=0: Z"
 
 
 def test_extreme_side_max_accepts_the_lando_method(capsys):
@@ -155,10 +162,11 @@ def test_extreme_side_max_accepts_the_lando_method(capsys):
 
 
 def test_extreme_side_max_refuses_a_virtual_diagram(capsys):
-    code, out, err = run(["extreme", "--side", "max", thick_family(1).to_pd()], capsys)
-    assert code == 1
-    assert out == ""
-    assert "planar" in err and "Traceback" not in err
+    for method in ("both", "lando", "brute", "dual"):
+        argv = ["extreme", "--side", "max", "--method", method, thick_family(1).to_pd()]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), method
+        assert "planar" in err and "Traceback" not in err, method
 
 
 def test_extreme_json(capsys):
@@ -169,6 +177,7 @@ def test_extreme_json(capsys):
     assert payload["lando"]["j"] == -13
     assert payload["lando"]["groups"] == {"-4": "Z^2"}
     assert payload["brute"]["provenance"] == "brute"
+    assert payload["dual"]["groups"] == {"-4": "Z^2"}
 
 
 @pytest.mark.parametrize(
@@ -180,8 +189,10 @@ def test_extreme_json(capsys):
         # whose mirror (the hexagon link itself) has the Lando graph C_6
         (["extreme", "--side", "max", "--max-faces", "2", HEXAGON_MIRROR],
          "independent set enumeration"),
+        (["extreme", "--side", "max", "--method", "brute", "--max-crossings", "5",
+          "hexagon_link"], "crossing count"),
     ],
-    ids=["brute", "side-max"],
+    ids=["brute", "side-max", "side-max-brute"],
 )
 def test_extreme_brute_paths_keep_crossing_cap(capsys, argv, stage):
     code, _, err = run(argv, capsys)
@@ -414,44 +425,61 @@ def test_verify_passes_the_crossing_cap_to_every_state_loop(capsys, monkeypatch)
     ]
 
 
-def test_verify_reports_every_failure(capsys, monkeypatch):
+def with_an_extra_group(route):
+    """``route`` with Z added at i=99 to every row it returns."""
     import dataclasses
 
-    import exkh.cli as cli
     from exkh.simplicial import AbelianGroup
 
-    honest = cli.extreme_via_brute
-
     def disagreeing(d, *args):
-        row = honest(d, *args)
+        row = route(d, *args)
         return dataclasses.replace(row, groups={**row.groups, 99: AbelianGroup(1)})
 
-    monkeypatch.setattr(cli, "extreme_via_brute", disagreeing)
+    return disagreeing
+
+
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_extreme_exits_three_when_a_route_disagrees(capsys, monkeypatch, side):
+    from exkh import extreme
+
+    monkeypatch.setattr(extreme, "extreme_via_dual", with_an_extra_group(extreme.extreme_via_dual))
+    code, out, err = run(["extreme", "hexagon_link", "--side", side], capsys)
+    assert code == 3
+    assert out.splitlines()[-1] == "agreement: MISMATCH"
+    assert f"extreme rows disagree at j_{side} (lando " in err
+
+
+def test_verify_reports_every_failure(capsys, monkeypatch):
+    from exkh import extreme
+
+    # the brute route of the mirror gives the j_max row, so both sides fail
+    monkeypatch.setattr(extreme, "extreme_via_brute", with_an_extra_group(extreme.extreme_via_brute))
     code, out, err = run(["verify", TREFOIL, "hexagon_link"], capsys)
     assert code == 3
-    assert f"{TREFOIL}: extreme rows disagree" in err
-    assert "hexagon_link: extreme rows disagree" in err
+    for label in (TREFOIL, "hexagon_link"):
+        assert f"{label}: extreme rows disagree at j_min" in err
+        assert f"{label}: extreme rows disagree at j_max" in err
     assert "verified 2 diagrams, 2 failed" in out
 
 
 def test_verify_checks_the_top_row_against_the_table(capsys, monkeypatch):
-    import dataclasses
-
     import exkh.cli as cli
-    from exkh.simplicial import AbelianGroup
 
     code, out, _ = run(["verify", TREFOIL], capsys)
     assert code == 0
-    assert "jmax-vs-table" in out
-    honest = cli.extreme_jmax
+    assert "jmax-routes" in out and "jmax-vs-table" in out
+    honest = cli.extreme_row
+    wrong = with_an_extra_group(honest)
 
-    def disagreeing(d, *args):
-        row = honest(d, *args)
-        return dataclasses.replace(row, groups={**row.groups, 99: AbelianGroup(1)})
+    def wrong_at_the_top(d, ring, method, *args):
+        route = wrong if (method, args[-1]) == ("lando", "max") else honest
+        return route(d, ring, method, *args)
 
-    monkeypatch.setattr(cli, "extreme_jmax", disagreeing)
+    monkeypatch.setattr(cli, "extreme_row", wrong_at_the_top)
     code, out, err = run(["verify", TREFOIL], capsys)
     assert code == 3
+    assert f"{TREFOIL}: extreme rows disagree at j_max" in err
+    assert "extreme rows disagree at j_min" not in err
     assert f"{TREFOIL}: j_max rows disagree" in err
     assert "i=99: Z" in err and "table j=-1: i=0: Z)" in err
     assert "verified 1 diagrams, 1 failed" in out
@@ -461,10 +489,15 @@ def test_extreme_side_max_reaches_past_the_crossing_cap(capsys):
     eleven = catalog_diagram("eleven_crossing")
     d = split_union(eleven, eleven)
     assert d.crossing_count > 16
-    code, out, _ = run(["extreme", "--side", "max", d.to_pd()], capsys)
-    assert code == 0
-    # the top row of each factor is Z at i=8, so theirs tensor to Z at i=16
-    assert out.strip() == "j=34: i=16: Z"
+    for method in ("lando", "dual"):
+        code, out, _ = run(["extreme", "--side", "max", "--method", method, d.to_pd()], capsys)
+        assert code == 0
+        # the top row of each factor is Z at i=8, so theirs tensor to Z at i=16
+        assert out.strip() == "j=34: i=16: Z"
+    # the default comparison takes in the brute route, which stops at the cap
+    code, out, err = run(["extreme", "--side", "max", d.to_pd()], capsys)
+    assert (code, out) == (2, "")
+    assert "crossing count" in err
 
 
 def test_verify_other_failures_exit_one(capsys, monkeypatch):

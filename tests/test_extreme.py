@@ -1,5 +1,6 @@
 import pytest
 from conftest import (
+    brute_row_mismatch,
     cycle_graph,
     enumerate_enhanced,
     krs_criterion,
@@ -13,7 +14,6 @@ from exkh.diagram import Diagram, parse_pd
 from exkh.errors import CapExceeded, EmptyPartW
 from exkh.extreme import (
     ExtremeRow,
-    extreme_jmax,
     extreme_row,
     extreme_via_brute,
     extreme_via_dual,
@@ -22,7 +22,7 @@ from exkh.extreme import (
 )
 from exkh.khovanov import j_bounds, khovanov_cohomology, khovanov_complex
 from exkh.lando import build_lando
-from exkh.families import catalog_diagram, load_catalog
+from exkh.families import catalog_diagram, load_catalog, thick_family
 from exkh.simplicial import AbelianGroup, over_ring
 
 Z = AbelianGroup
@@ -149,24 +149,59 @@ def test_dual_route_keeps_its_provenance_otherwise():
 
 
 def test_jmax_named_rows():
-    d = parse_pd(TREFOIL)
-    row = extreme_jmax(d, "Z")
-    assert (row.j, row.groups) == (-1, {0: Z(1)})
-    row = extreme_jmax(parse_pd(FIG8), "Z")
-    assert (row.j, row.groups) == (5, {2: Z(1)})
-    row = extreme_jmax(parse_pd(HOPF), "Z")
-    assert (row.j, row.groups) == (6, {2: Z(1)})
+    for pd, want in ((TREFOIL, (-1, {0: Z(1)})), (FIG8, (5, {2: Z(1)})), (HOPF, (6, {2: Z(1)}))):
+        for method in ("lando", "brute", "dual"):
+            row = extreme_row(parse_pd(pd), "Z", method, side="max")
+            assert (row.j, row.groups, row.provenance) == (*want, method), (pd, method)
 
 
 def test_jmax_field_route_matches_brute(corpus12):
     small = [d for d in corpus12 if d.crossing_count <= 7][:8]
     for d in small:
-        geometric = extreme_jmax(d, "Q")
         table = khovanov_cohomology(d, "Q")
         _, j_max = j_bounds(d)
-        assert geometric.groups == {
-            i: g for (i, j), g in table.entries.items() if j == j_max
-        }, d.to_pd()
+        want = {i: g for (i, j), g in table.entries.items() if j == j_max}
+        for method in ("lando", "brute", "dual"):
+            assert extreme_row(d, "Q", method, side="max").groups == want, (d.to_pd(), method)
+
+
+def test_unknown_side_rejected():
+    with pytest.raises(ValueError, match="unknown side"):
+        extreme_row(Diagram.unknot(1), "Z", side="top")
+
+
+# --------------------------------------------------------------------------
+# the paper's bijection as an equality of complexes
+# --------------------------------------------------------------------------
+
+
+def test_the_brute_row_is_the_cochain_complex_of_x_d(corpus12, corpus_multi):
+    diagrams = [e.diagram() for e in load_catalog().values()]
+    diagrams += [*corpus12, *corpus_multi, thick_family(1)]
+    # the mirrors of the planar ones give the j_max rows of the brute route
+    diagrams += [d.mirror() for d in diagrams if d.is_planar]
+    for d in diagrams:
+        mismatch = brute_row_mismatch(d)
+        assert not mismatch, mismatch
+
+
+def test_the_certificate_names_the_first_entry_that_differs(monkeypatch):
+    from exkh import simplicial
+
+    honest = simplicial._coboundary_rows
+
+    def flipped(source, target, drop):
+        rows = honest(source, target, drop)
+        return [{k: -v for k, v in r.items()} for r in rows] if len(target) == 2 else rows
+
+    hexagon = catalog_diagram("hexagon_link")
+    assert brute_row_mismatch(hexagon) == ""
+    monkeypatch.setattr(simplicial, "_coboundary_rows", flipped)
+    mismatch = brute_row_mismatch(hexagon)
+    # the map into the two 3-faces, {0,2,4} and {1,3,5}, changed sign
+    assert mismatch == (
+        f"{hexagon.to_pd()}: degree i=-4, entry (row (0, 2, 4), column (0, 2)): brute 1, X_D -1"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +283,10 @@ def test_every_route_reads_its_ring_off_its_integral_row():
             "lando": lambda ring: extreme_via_lando(d, ring),
             "brute": lambda ring: extreme_via_brute(d, ring),
             "dual": lambda ring: extreme_via_dual(d, ring),
-            "jmax": lambda ring: extreme_jmax(d, ring),
+            **{
+                f"jmax-{m}": lambda ring, m=m: extreme_row(d, ring, m, side="max")
+                for m in ("lando", "brute", "dual")
+            },
         }
         for method, route in routes.items():
             over_z = route("Z")

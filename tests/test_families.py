@@ -24,8 +24,8 @@ from exkh.families import (
     split_union,
     thick_family,
 )
-from exkh.lando import build_lando
-from exkh.simplicial import AbelianGroup, homology
+from exkh.lando import Graph, build_lando
+from exkh.simplicial import AbelianGroup, homology, independence_complex
 
 Z = AbelianGroup
 
@@ -266,15 +266,32 @@ def test_join_power_matches_the_join_built_from_face_products():
 
 def test_join_power_cap_trips_before_the_memory_grows():
     # a join built from its maximal faces kept one bit per maximal face
-    # for every face it built: 179 MiB traced before this cap tripped
+    # for every face it built: 179 MiB traced before this cap tripped; the
+    # table itself now refuses 10^6 faces unbuilt, so the enumerator's own
+    # bound is measured on the graph the table builds
+    edges = ((1, 3), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5))
+    copies = Graph.build(
+        [(c, v) for c in range(6) for v in range(1, 6)],
+        [((c, u), (c, v)) for c in range(6) for u, v in edges],
+    )
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match="independent set enumeration"):
-            join_power_table(6, 100_000)
+            independence_complex(copies, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def test_join_power_table_refuses_its_faces_before_enumerating(monkeypatch):
+    from exkh import families
+
+    assert join_power_table(3, 1000) == binomial_row(3)  # 10^3 faces fit
+    monkeypatch.setattr(families, "independence_complex", None)  # never reached
+    for n, cap in ((3, 999), (7, 4_194_304)):
+        with pytest.raises(CapExceeded, match="independent set enumeration"):
+            join_power_table(n, cap)
 
 
 # --------------------------------------------------------------------------

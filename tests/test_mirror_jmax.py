@@ -2,9 +2,10 @@
 
 Khovanov's duality: Kh^{i,j}(D) has the free rank of Kh^{-i,-j}(D') and the
 torsion of Kh^{1-i,-j}(D'), D' the mirror.  These tests check the duality on
-whole integral tables, pin ``extreme_jmax`` against the brute j_max row,
-pin its torsion shift with a stand-in row, and check that the top row
-enumerates no states and so reaches past the crossing cap.
+whole integral tables, pin every route's j_max row (``extreme_row`` with
+``side='max'``) against the brute j_max row of the diagram itself, pin its
+torsion shift with a stand-in row, and check that the lando and dual top
+rows enumerate no states and so reach past the crossing cap.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from exkh import extreme, khovanov
 from exkh.diagram import parse_pd
 from exkh.errors import CapExceeded, DiagramError, NonPlanarDiagram
-from exkh.extreme import ExtremeRow, extreme_jmax, extreme_via_dual
+from exkh.extreme import ExtremeRow, extreme_row, extreme_via_dual
 from exkh.families import catalog_diagram, load_catalog, split_union, thick_family
 from exkh.khovanov import DEFAULT_CROSSING_CAP, j_bounds, khovanov_cohomology
 from exkh.simplicial import AbelianGroup, cohomology, over_ring, tensor_group, tor_group
@@ -43,9 +44,9 @@ def test_the_mirror_torsion_moves_up_one_degree(monkeypatch):
         return mirrored
 
     monkeypatch.setattr(extreme, "extreme_via_lando", stand_in)
-    row = extreme_jmax(d, "Z")
+    row = extreme_row(d, "Z", side="max")
     assert [m.signs for m in seen] == [d.mirror().signs]
-    assert row.j == j_bounds(d)[1]
+    assert (row.j, row.n, row.shift, row.provenance) == (j_bounds(d)[1], 3, -1, "lando")
     # -2 -> 2, then up to 3; -3 -> 3 keeps its Z; 4 -> -4, then up to -3
     assert row.groups == {3: Z(1, (2,)), -3: Z(0, (3,))}
 
@@ -75,8 +76,9 @@ def test_jmax_matches_the_brute_row(corpus12):
         row = khovanov._j_rows(d, j_max)[j_max]
         for ring in RINGS:
             want = {i: g for i, g in over_ring(cohomology(row), ring).items() if not g.is_trivial}
-            got = extreme_jmax(d, ring)
-            assert (got.j, got.groups) == (j_max, want), (d.to_pd(), ring)
+            for method in ("lando", "brute", "dual"):
+                got = extreme_row(d, ring, method, side="max")
+                assert (got.j, got.groups) == (j_max, want), (d.to_pd(), ring, method)
 
 
 def test_jmax_matches_the_brute_row_at_fifteen_crossings():
@@ -85,7 +87,8 @@ def test_jmax_matches_the_brute_row_at_fifteen_crossings():
     assert d.crossing_count == 15
     want = brute_jmax(d, "Z")
     assert want
-    assert extreme_jmax(d, "Z").groups == want
+    for method in ("lando", "brute", "dual"):
+        assert extreme_row(d, "Z", method, side="max").groups == want, method
 
 
 def test_jmax_enumerates_no_states(corpus12, monkeypatch):
@@ -101,7 +104,8 @@ def test_jmax_enumerates_no_states(corpus12, monkeypatch):
     assert calls  # the stand-in sees the brute route
     calls.clear()
     for d in corpus12[:40]:
-        extreme_jmax(d, "Z")
+        extreme_row(d, "Z", "lando", side="max")
+        extreme_row(d, "Z", "dual", side="max")
     assert calls == []
 
 
@@ -127,7 +131,7 @@ def test_jmax_reaches_past_the_crossing_cap(names):
     assert d.crossing_count > DEFAULT_CROSSING_CAP
     with pytest.raises(CapExceeded):
         extreme.extreme_via_brute(d, "Z")
-    row = extreme_jmax(d, "Z")
+    row = extreme_row(d, "Z", side="max")
     assert row.j == j_bounds(d)[1] == j_bounds(first)[1] + j_bounds(second)[1]
     assert row.groups
     assert row.groups == kunneth(brute_jmax(first, "Z"), brute_jmax(second, "Z"))
@@ -141,6 +145,7 @@ def test_jmax_refuses_a_virtual_diagram():
     # thick_family(1) is a virtual diagram, where Khovanov duality fails
     d = thick_family(1)
     assert not d.is_planar
-    with pytest.raises(NonPlanarDiagram, match="planar"):
-        extreme_jmax(d, "Z")
+    for method in ("lando", "brute", "dual"):
+        with pytest.raises(NonPlanarDiagram, match="planar"):
+            extreme_row(d, "Z", method, side="max")
     assert issubclass(NonPlanarDiagram, DiagramError)

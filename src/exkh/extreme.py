@@ -13,14 +13,19 @@ side directly.  It first reduces the graph: a vertex v is deleted while
 some u != v has N(u) inside N(v) (Engstrom's fold lemma keeps X_D up to
 homotopy), and the row is zero as soon as a vertex is isolated (X_D is then
 a cone).  What is left is split over its connected components, since
-independence complexes of disjoint unions are joins, and only those
-components' complexes are built.  'brute' restricts the enhanced-state
+independence complexes of disjoint unions are joins, and equal components
+are reduced once.  A component is then split at a vertex v (Adamaszek):
+X is X(G - v) with a cone over X(G - N[v]) attached, and when the two
+smaller graphs' homologies, reduced the same way, fix X's, no complex is
+built.  Only the components that split at none of the vertices tried, and
+single edges, have their complexes built.  'brute' restricts the enhanced-state
 complex to j = j_min and reduces it, sharing no code with the geometric
 route.  That row is X_D's reduced cochain complex entry for entry: the
 basis element (B-bits, all minus) in degree i is the face of its
 B-crossings in degree i + n - 1 (the tests compare every entry).  So lando
-against brute checks the bijection, the graph reductions and the component
-join, never the reduction kernel, which all three routes share.  'dual'
+against brute checks the bijection, the graph reductions, the splitting
+and the component join, never the reduction kernel, which all three routes
+share.  'dual'
 goes through the Alexander dual Y_D of a Jonsson complex of the
 bipartite Lando graph,
 
@@ -33,10 +38,9 @@ a vertex w on the other side, so no Jonsson face is ever listed.  It too is
 split by connected component, each with its own thinner colour class as
 V_k: Y of a disjoint union is the join of the Y_k, and |V| is the sum of
 the |V_k|.  Both geometric routes fold their components' homologies in one
-helper and so differ only in the complex they build; a chordless diagram
-has no components, and both answer it with the empty join.  Neither
-'brute' nor 'dual' deletes dominated vertices, so both stay independent
-checks of the reductions.
+helper; a chordless diagram has no components, and both answer it with
+the empty join.  Neither 'brute' nor 'dual' deletes dominated vertices or
+splits at a vertex, so both stay independent checks of the reductions.
 
 The j_max row comes through the mirror D' of the diagram.  By Khovanov's
 duality Kh^{i,j}(D) has the free rank of Kh^{-i,-j}(D') and the torsion of
@@ -55,13 +59,20 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .diagram import Diagram
-from .errors import EmptyPartW
+from .errors import CapExceeded, EmptyPartW
 from .khovanov import DEFAULT_CROSSING_CAP, _check_planar, j_bounds, khovanov_complex
-from .lando import Graph, build_lando, fold_graph
+from .lando import (
+    Graph,
+    _bits,
+    _components,
+    _fold_masks,
+    _neighbour_masks,
+    build_lando,
+    fold_graph,
+)
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
-    SimplicialComplex,
     cohomology,
     homology,
     independence_complex,
@@ -99,42 +110,111 @@ class ExtremeRow:
         return f"j={self.j}: {cells}"
 
 
-def _joined_homology(complexes: Iterable[SimplicialComplex]) -> dict[int, AbelianGroup]:
-    """Reduced homology over Z of the join of the complexes, built in turn.
+def _joined_homology(
+    homologies: Iterable[dict[int, AbelianGroup]],
+) -> dict[int, AbelianGroup]:
+    """Reduced homology over Z of the join of some complexes, from each
+    one's reduced homology, computed in turn.
 
     The homologies convolve (``join_homology``), starting from the empty
     complex, the unit of the join.  Once the running join is acyclic every
-    later join is too, so the complexes not built yet are left unbuilt.
+    later join is too, so the homologies not computed yet are left so.
     """
     folded = {-1: AbelianGroup(1)}
-    for x in complexes:
-        folded = join_homology(folded, homology(x))
+    for h in homologies:
+        folded = join_homology(folded, h)
         if not folded:
             break
     return folded
 
 
-def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, AbelianGroup]:
-    """Reduced cohomology over Z of the independence complex of a graph.
+def _split_sum(
+    a: dict[int, AbelianGroup], b: dict[int, AbelianGroup]
+) -> dict[int, AbelianGroup] | None:
+    """H~(Ind G) from a = H~(Ind(G - v)) and b = H~(Ind(G - N[v])), both
+    nonzero groups only, or None when they may not determine it.
 
-    The graph is reduced first (``fold_graph``): dominated vertices are
-    deleted, and a graph with an isolated vertex gives the zero row without
-    building anything.  The reduced graph is handled component by
-    component, smallest first: X of a disjoint union is the join of the
-    X's, so the homologies convolve; that keeps a graph with thirty
-    vertices in three components tractable even though its independence
-    complex would have millions of faces.  A graph with no vertices counts
-    as one empty component, whose X is {∅}, the unit of the join; so every
-    graph that is not a cone has at least one complex built.  ``cap``
-    bounds each component's complex.  The dual and brute routes delete no
-    vertices.
+    Ind G is Ind(G - v) with the cone v * Ind(G - N[v]) attached along
+    Ind(G - N[v]), so the long exact sequence runs
+    ... -> b_k -> a_k -> H~_k(Ind G) -> b_{k-1} -> a_{k-1} -> ...
+    When no degree has both a_k and b_k, every map b_k -> a_k is zero and
+    0 -> a_k -> H~_k -> b_{k-1} -> 0 is exact; it splits when b_{k-1} is
+    free or a_k is zero.
+    """
+    out = dict(a)
+    for k, grp in b.items():
+        if k in a:
+            return None
+        if k + 1 in a:
+            if grp.torsion:
+                return None
+            grp = a[k + 1].direct_sum(grp)
+        out[k + 1] = grp
+    return out
+
+
+def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, AbelianGroup]:
+    """Reduced cohomology over Z of the independence complex X of a graph.
+
+    The graph is folded first (``fold_graph``): dominated vertices are
+    deleted, and a graph with an isolated vertex gives the zero row, X
+    being a cone, before anything else is set up.  The rest is one
+    recursion on vertex masks.  Each step folds again (``fold_graph``'s
+    loop), splits what is left into connected components, smallest first,
+    and convolves their homologies, X of a disjoint union being the join of
+    their X's.  A graph with no vertices counts as one empty component,
+    whose X is {∅}, the unit of the join.  Each component is looked up by its adjacency relabelled in vertex
+    order, so equal components are reduced once per call.  A component of
+    three or more vertices is split at a vertex v of highest degree, else
+    at one of lowest (Adamaszek): X is X(G - v) with a cone over X(G - N[v])
+    attached, both are reduced by the same recursion, and when their
+    homologies fix X's (``_split_sum``) nothing is built.  Only a component
+    that splits at neither, a single edge or the empty component has its X
+    built and reduced, under the face cap ``cap``, so every graph that is
+    not a cone has at least one complex built; ``cap`` also bounds how many
+    distinct components the recursion reduces.  The dual and brute routes neither
+    fold nor split.
     """
     core = fold_graph(g)
     if core is None:
         return {}
-    comps = sorted(core.connected_components(), key=len) or [()]
-    h = _joined_homology(independence_complex(core.subgraph(c), cap) for c in comps)
-    return shift_torsion(h, 1)
+    nbrs = _neighbour_masks(core)
+    memo: dict[tuple[int, ...], dict[int, AbelianGroup]] = {}
+    budget = [cap]
+
+    def reduced(alive: int) -> dict[int, AbelianGroup]:
+        alive = _fold_masks(nbrs, alive)
+        return {} if alive is None else joined(alive)
+
+    def joined(alive: int) -> dict[int, AbelianGroup]:
+        comps = sorted(_components(nbrs, alive), key=int.bit_count) or [0]
+        return _joined_homology(map(component, comps))
+
+    def component(comp: int) -> dict[int, AbelianGroup]:
+        live = _bits(comp)
+        local = {v: 1 << k for k, v in enumerate(live)}
+        key = tuple(sum(local[u] for u in _bits(nbrs[v] & comp)) for v in live)
+        if key in memo:
+            return memo[key]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CapExceeded("vertex splitting", cap)
+        candidates = ()
+        if len(live) > 2:
+            degree = {v: (nbrs[v] & comp).bit_count() for v in live}
+            candidates = dict.fromkeys((max(live, key=degree.get), min(live, key=degree.get)))
+        for v in candidates:
+            b = reduced(comp & ~nbrs[v] & ~(1 << v))
+            h = _split_sum(reduced(comp & ~(1 << v)), b)
+            if h is not None:
+                break
+        else:
+            x = independence_complex(core.subgraph(core.vertices[v] for v in live), cap)
+            h = {k: grp for k, grp in homology(x).items() if not grp.is_trivial}
+        memo[key] = h
+        return h
+
+    return shift_torsion(joined((1 << len(nbrs)) - 1), 1)
 
 
 def _j_min_row(
@@ -198,9 +278,18 @@ def extreme_via_dual(
     n = d.negative_count
     parts = _dual_parts(build_lando(d))
     size_v = sum(len(side) for _, side in parts)
-    h = _joined_homology(jonsson_dual(comp, side, cap) for comp, side in parts)
+    h = _joined_homology(homology(jonsson_dual(comp, side, cap)) for comp, side in parts)
     groups = {size_v - 1 - n - deg: grp for deg, grp in h.items()}
     return _j_min_row(d, groups, ring, "dual")
+
+
+def _mirror(d: Diagram) -> Diagram:
+    """The mirror of ``d``, made once per diagram.  The diagram keeps it,
+    as it keeps its Lando graph, so the routes at j_max share one mirror,
+    whose circles are traced and whose Lando graph is built once."""
+    if "_mirror" not in d.__dict__:
+        d.__dict__["_mirror"] = d.mirror()
+    return d.__dict__["_mirror"]
 
 
 def extreme_row(
@@ -221,7 +310,7 @@ def extreme_row(
     """
     if side == "max":
         _check_planar(d, "Khovanov duality, which gives the j_max row,")
-        row = extreme_row(d.mirror(), "Z", method, cap, max_crossings)
+        row = extreme_row(_mirror(d), "Z", method, cap, max_crossings)
         groups = shift_torsion({-i: g for i, g in row.groups.items()}, 1)
         top = _j_min_row(d, groups, ring, row.provenance)
         return replace(top, j=j_bounds(d)[1], shift=row.shift)

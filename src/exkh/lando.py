@@ -209,25 +209,84 @@ def fold_graph(g: Graph) -> Graph | None:
     the independence complexes of g and g - v are homotopy equivalent.  An
     isolated vertex is the apex of a cone, so X(g) is then acyclic and None
     is returned.  Deletions repeat, in vertex order, until no vertex is
-    dominated; I(g) is unchanged, and 0 when None is returned.  Deletions
-    can disconnect the graph, so callers split the result again.
+    dominated (``_fold_masks``); I(g) is unchanged, and 0 when None is
+    returned.  Deletions can disconnect the graph, so callers split the
+    result again.
     """
-    nbrs = {v: set(ns) for v, ns in g.adjacency.items()}
-    alive = list(g.vertices)
-    if any(not nbrs[v] for v in alive):
+    if not all(g.adjacency.values()):
+        return None
+    nbrs = _neighbour_masks(g)
+    alive = _fold_masks(nbrs, (1 << len(nbrs)) - 1)
+    if alive is None:
+        return None
+    if alive == (1 << len(nbrs)) - 1:
+        return g
+    return g.subgraph(v for k, v in enumerate(g.vertices) if alive >> k & 1)
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbours as a mask over vertex positions."""
+    bit = dict(zip(g.vertices, map((1).__lshift__, range(len(g.vertices)))))
+    return [sum(map(bit.__getitem__, ns)) for ns in g.adjacency.values()]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _components(nbrs: list[int], alive: int) -> list[int]:
+    """The connected components of the graph induced on ``alive``, as
+    vertex masks, in the order of their lowest vertex."""
+    comps = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= nbrs[v]
+            frontier = reach & alive & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive &= ~comp
+    return comps
+
+
+def _fold_masks(nbrs: list[int], alive: int) -> int | None:
+    """The fold of the graph induced on ``alive``, as a vertex mask.
+
+    Vertex k's neighbours are the mask ``nbrs[k]``, read inside ``alive``.
+    Each pass visits the vertices in order and deletes v when some other
+    live u has N(u) inside N(v); passes repeat until one deletes nothing.
+    None means some vertex is isolated, at the start or after a deletion.
+    """
+    # cur[k]: the live neighbours of a live k, and -1 (no subset of any
+    # neighbourhood) once k is dead, so that k is never taken as dominating
+    cur = [m & alive if alive >> k & 1 else -1 for k, m in enumerate(nbrs)]
+    if 0 in cur:
         return None
     changed = True
     while changed:
         changed = False
-        for v in list(alive):
-            if any(u != v and nbrs[u] <= nbrs[v] for u in alive):
-                alive.remove(v)
-                for w in nbrs.pop(v):
-                    nbrs[w].discard(v)
-                    if not nbrs[w]:
+        for v, inside in enumerate(cur):
+            if inside < 0:
+                continue
+            cur[v] = -1
+            if 0 in map((~inside).__and__, cur):
+                alive ^= 1 << v
+                for w in _bits(inside):
+                    cur[w] ^= 1 << v
+                    if not cur[w]:
                         return None
                 changed = True
-    return g.subgraph(alive)
+            else:
+                cur[v] = inside
+    return alive
 
 
 def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:

@@ -755,18 +755,25 @@ def join_homology(
 
     H~_i(X * Y) = sum over r+s=i-1 of H~_r(X) (x) H~_s(Y)
                 plus sum over r+s=i-2 of Tor(H~_r(X), H~_s(Y)).
+
+    A trivial group on either side adds nothing, so only pairs of nonzero
+    groups are multiplied, and Tor only of two torsion parts.
     """
     out: dict[int, AbelianGroup] = {}
 
     def add(i: int, g: AbelianGroup) -> None:
         if g.is_trivial:
             return
-        out[i] = out.get(i, AbelianGroup(0)).direct_sum(g)
+        out[i] = out[i].direct_sum(g) if i in out else g
 
+    ys = [(s, b) for s, b in hy.items() if not b.is_trivial]
     for r, a in hx.items():
-        for s, b in hy.items():
+        if a.is_trivial:
+            continue
+        for s, b in ys:
             add(r + s + 1, tensor_group(a, b))
-            add(r + s + 2, tor_group(a, b))
+            if a.torsion and b.torsion:
+                add(r + s + 2, tor_group(a, b))
     return out
 
 

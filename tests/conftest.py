@@ -12,8 +12,8 @@ The test builders live here as well, since the package needs none of
 them: a complex from given faces (``from_maximal``, through the package's
 one enumerator, admitting a vertex while the grown face lies in a given
 face), the join of two complexes (``join``, the faces of
-``faces_by_product``) and the small graphs ``path_graph``, ``cycle_graph``
-and ``two_hexagons_shared_vertex``.  The package builds every complex from
+``faces_by_product``) and the small graphs ``path_graph``, ``cycle_graph``,
+``torus_graph`` and ``two_hexagons_shared_vertex``.  The package builds every complex from
 a graph or another complex; its one join table is the independence
 complex of a disjoint union of graphs.
 
@@ -120,6 +120,14 @@ def cycle_graph(n: int) -> Graph:
     if n <= 2:
         return path_graph(n)
     return Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def torus_graph(m: int, n: int) -> Graph:
+    """C_m x C_n: vertex (i, j) meets (i +- 1, j) and (i, j +- 1)."""
+    vertices = [(i, j) for i in range(m) for j in range(n)]
+    edges = [((i, j), ((i + 1) % m, j)) for i, j in vertices]
+    edges += [((i, j), (i, (j + 1) % n)) for i, j in vertices]
+    return Graph.build(vertices, edges)
 
 
 def two_hexagons_shared_vertex() -> Graph:

@@ -186,7 +186,8 @@ def test_extreme_json(capsys):
         (["extreme", "--method", "brute", "--max-crossings", "3", "hexagon_link"],
          "crossing count"),
         # --side max enumerates no states: the face cap holds on the mirror,
-        # whose mirror (the hexagon link itself) has the Lando graph C_6
+        # whose mirror (the hexagon link itself) has the Lando graph C_6;
+        # C_6 splits down to edges, and the X of an edge has three faces
         (["extreme", "--side", "max", "--max-faces", "2", HEXAGON_MIRROR],
          "independent set enumeration"),
         (["extreme", "--side", "max", "--method", "brute", "--max-crossings", "5",
@@ -447,6 +448,23 @@ def test_extreme_exits_three_when_a_route_disagrees(capsys, monkeypatch, side):
     assert code == 3
     assert out.splitlines()[-1] == "agreement: MISMATCH"
     assert f"extreme rows disagree at j_{side} (lando " in err
+
+
+def test_every_route_at_j_max_reads_one_mirror(capsys, monkeypatch):
+    from exkh.diagram import Diagram
+
+    mirrors = []
+    mirror = Diagram.mirror
+
+    def counting(d):
+        mirrors.append(d)
+        return mirror(d)
+
+    monkeypatch.setattr(Diagram, "mirror", counting)
+    code, out, _ = run(["extreme", "hexagon_link", "--side", "max"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "agreement: OK"
+    assert len(mirrors) == 1
 
 
 def test_verify_reports_every_failure(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from conftest import (
     rank_mod_p_by_gauss,
     ranks_from_lowest,
     s_min_states,
+    torus_graph,
     y_complex,
 )
 
@@ -239,8 +240,21 @@ def test_unknown_method_rejected():
 
 
 def test_face_cap_enforced():
-    with pytest.raises(CapExceeded):
-        extreme_via_lando(catalog_diagram("hexagon_link"), "Z", cap=3)
+    # C_4 x C_5 is vertex-transitive and splits at no vertex, so its whole
+    # X, of 3,561 faces, is built under the face cap
+    g = torus_graph(4, 5)
+    with pytest.raises(CapExceeded) as exc:
+        lando_cohomology(g, cap=3560)
+    assert exc.value.what == "independent set enumeration"
+    assert lando_cohomology(g, cap=3561) == {3: Z(2), 4: Z(1)}
+    # C_4 x C_4 splits all the way down, and the cap bounds the count of
+    # components the splitting reduces: seven
+    with pytest.raises(CapExceeded) as exc:
+        lando_cohomology(torus_graph(4, 4), cap=6)
+    assert exc.value.what == "vertex splitting"
+    assert lando_cohomology(torus_graph(4, 4), cap=7) == {3: Z(7)}
+    # the hexagon link's C_6 splits into edges, whose X has three faces
+    assert extreme_via_lando(catalog_diagram("hexagon_link"), "Z", cap=3).groups == {-4: Z(2)}
 
 
 # --------------------------------------------------------------------------

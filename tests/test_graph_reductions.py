@@ -8,16 +8,24 @@ graph the route still builds is irreducible.
 """
 
 import random
+import time
 
 import pytest
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph, torus_graph
 from exkh import extreme
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_lando, lando_cohomology
-from exkh.families import catalog_diagram
+from exkh.families import catalog_diagram, thick_family
 from exkh.lando import Graph, build_lando, fold_graph, independence_number
-from exkh.simplicial import AbelianGroup, cohomology_of, independence_complex, over_ring
+from exkh.simplicial import (
+    AbelianGroup,
+    cohomology_of,
+    homology,
+    independence_complex,
+    over_ring,
+    shift_torsion,
+)
 
 Z = AbelianGroup
 RINGS = ("Z", "Q", "F2", "F3")
@@ -125,10 +133,18 @@ def test_paths_match_kozlov():
 
 
 def test_cycles_match_kozlov():
-    for n in range(3, 19):
+    for n in range(3, 61):
         k, r = divmod(n, 3)
         want = {0: {k - 1: Z(2)}, 1: {k - 1: Z(1)}, 2: {k: Z(1)}}[r]
         assert nonzero(lando_cohomology(cycle_graph(n))) == want, n
+
+
+def test_c60_takes_under_a_second():
+    # its X has about 10^12 faces; the splitting reduces two components
+    start = time.perf_counter()
+    h = lando_cohomology(cycle_graph(60))
+    assert time.perf_counter() - start < 1
+    assert nonzero(h) == {19: Z(2)}
 
 
 def test_every_built_graph_is_irreducible(monkeypatch, corpus12):
@@ -142,11 +158,107 @@ def test_every_built_graph_is_irreducible(monkeypatch, corpus12):
     monkeypatch.setattr(extreme, "independence_complex", recording)
     for g in oracle_graphs():
         lando_cohomology(g)
-    for g in (cycle_graph(6), *map(path_graph, (5, 8, 30, 60))):
+    for g in map(path_graph, (5, 8, 30, 60)):
         lando_cohomology(g)
     for d in [catalog_diagram("hexagon_link"), *corpus12]:
         extreme_via_lando(d, "Z")
-    assert cycle_graph(6) in built
+    # C_4 x C_5 splits at no vertex, so it is still built whole
+    lando_cohomology(torus_graph(4, 5))
+    assert torus_graph(4, 5) in built
+    # no cycle is: each one splits down to edges
+    for n in range(6, 61):
+        built.clear()
+        lando_cohomology(cycle_graph(n))
+        assert built and max(len(g.vertices) for g in built) == 2, n
+
+
+# --------------------------------------------------------------------------
+# vertex splitting against the whole complex
+# --------------------------------------------------------------------------
+
+
+def sparse_graphs(rng: random.Random, count: int) -> list[Graph]:
+    """Graphs on 8-16 vertices, each vertex joined to two or three others
+    drawn at random (repeats and loops dropped)."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(8, 16)
+        edges = {
+            tuple(sorted((u, v)))
+            for u in range(n)
+            for v in rng.choices(range(n), k=rng.choice((2, 3)))
+            if u != v
+        }
+        out.append(Graph.build(range(n), sorted(edges)))
+    return out
+
+
+def test_split_route_equals_whole_complex(monkeypatch):
+    rng = random.Random(3)
+    graphs = [random_graph(rng, max_vertices=12) for _ in range(100)]
+    graphs += sparse_graphs(rng, 99) + [torus_graph(4, 5)]
+    splits, built = [], []
+    split_sum = extreme._split_sum
+
+    def recording_split(a, b):
+        h = split_sum(a, b)
+        splits.append(h is not None)
+        return h
+
+    def recording_build(g, cap=extreme.DEFAULT_FACE_CAP):
+        built.append(len(g.vertices))
+        return independence_complex(g, cap)
+
+    monkeypatch.setattr(extreme, "_split_sum", recording_split)
+    monkeypatch.setattr(extreme, "independence_complex", recording_build)
+    for g in graphs:
+        want = homology(independence_complex(g))
+        got = lando_cohomology(g)
+        assert nonzero(shift_torsion(got, -1)) == nonzero(want), g
+        for ring in RINGS[1:]:
+            want_r = nonzero(over_ring(shift_torsion(want, 1), ring))
+            assert nonzero(over_ring(got, ring)) == want_r, (g, ring)
+    # splits, failed splits and whole builds of pieces past an edge all ran
+    assert sum(splits) > 100 and not all(splits)
+    assert max(built) > 2
+
+
+def test_equal_components_are_reduced_once(monkeypatch):
+    splits = []
+    split_sum = extreme._split_sum
+
+    def recording(a, b):
+        splits.append((a, b))
+        return split_sum(a, b)
+
+    monkeypatch.setattr(extreme, "_split_sum", recording)
+    g1, g3 = (build_lando(thick_family(n)) for n in (1, 3))
+    lando_cohomology(g1)
+    one = len(splits)
+    splits.clear()
+    h = lando_cohomology(g3)
+    # three copies of one component, the last two read back from the memo
+    assert len(fold_graph(g3).connected_components()) == 3
+    assert one and len(splits) == one
+    lo = min(h)
+    assert nonzero(h) == {lo + k: Z(r) for k, r in enumerate((1, 3, 3, 1))}
+
+
+def test_torsion_in_the_cone_part_is_not_split_off(monkeypatch):
+    # With a stand-in for the X of an edge (two points) that gives it
+    # Z/2 in degree 0, C_6 split at vertex 0 has b = H~(X(P_3)) = Z/2 in
+    # degree 0 and a = H~(X(P_5)), the join of two such, Z/2 in degrees 1
+    # and 2.  No degree holds both, but 0 -> a_1 -> H~_1 -> b_0 -> 0 need
+    # not split, so C_6 must be built whole.
+    built = []
+
+    def stand_in(x):
+        built.append(len(x.ground))
+        return {0: Z(0, (2,))} if len(x.ground) == 2 else homology(x)
+
+    monkeypatch.setattr(extreme, "homology", stand_in)
+    assert nonzero(lando_cohomology(cycle_graph(6))) == {1: Z(2)}
+    assert built == [2, 6]
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,9 @@ them: a complex from given faces (``from_maximal``, through the package's
 one enumerator, admitting a vertex while the grown face lies in a given
 face), the join of two complexes (``join``, the faces of
 ``faces_by_product``) and the small graphs ``path_graph``, ``cycle_graph``,
-``torus_graph`` and ``two_hexagons_shared_vertex``.  The package builds every complex from
-a graph or another complex; its one join table is the independence
-complex of a disjoint union of graphs.
+``torus_graph`` and ``two_hexagons_shared_vertex``.  The package builds
+every complex from a graph or another complex; its one join table is the
+independence complex of a disjoint union of graphs.
 
 The reference model of the enhanced-state complex lives here too:
 ``EnhancedState`` objects, their gradings, every enhanced state by brute

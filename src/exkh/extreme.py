@@ -39,7 +39,8 @@ split by connected component, each with its own thinner colour class as
 V_k: Y of a disjoint union is the join of the Y_k, and |V| is the sum of
 the |V_k|.  Both geometric routes fold their components' homologies in one
 helper; a chordless diagram has no components, and both answer it with
-the empty join.  Neither 'brute' nor 'dual' deletes dominated vertices or
+the empty join.  Both read the graph through its one adjacency form, the
+neighbour masks ``Graph.nbrs``.  Neither 'brute' nor 'dual' deletes dominated vertices or
 splits at a vertex, so both stay independent checks of the reductions.
 
 The j_max row comes through the mirror D' of the diagram.  By Khovanov's
@@ -61,15 +62,7 @@ from typing import Iterable
 from .diagram import Diagram
 from .errors import CapExceeded, EmptyPartW
 from .khovanov import DEFAULT_CROSSING_CAP, _check_planar, j_bounds, khovanov_complex
-from .lando import (
-    Graph,
-    _bits,
-    _components,
-    _fold_masks,
-    _neighbour_masks,
-    build_lando,
-    fold_graph,
-)
+from .lando import Graph, _bits, _components, _fold_masks, _sides, _squeeze, build_lando
 from .simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -156,14 +149,14 @@ def _split_sum(
 def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, AbelianGroup]:
     """Reduced cohomology over Z of the independence complex X of a graph.
 
-    The graph is folded first (``fold_graph``): dominated vertices are
-    deleted, and a graph with an isolated vertex gives the zero row, X
-    being a cone, before anything else is set up.  The rest is one
-    recursion on vertex masks.  Each step folds again (``fold_graph``'s
-    loop), splits what is left into connected components, smallest first,
-    and convolves their homologies, X of a disjoint union being the join of
-    their X's.  A graph with no vertices counts as one empty component,
-    whose X is {∅}, the unit of the join.  Each component is looked up by its adjacency relabelled in vertex
+    The recursion runs on the graph's neighbour masks (``Graph.nbrs``); a
+    graph with an isolated vertex gives the zero row, X being a cone,
+    before anything else is set up.  Each step folds (``_fold_masks``:
+    dominated vertices are deleted), splits what is left into connected
+    components, smallest first, and convolves their homologies, X of a
+    disjoint union being the join of their X's.  A graph with no vertices
+    counts as one empty component, whose X is {∅}, the unit of the join.
+    Each component is looked up by its neighbour masks relabelled in vertex
     order, so equal components are reduced once per call.  A component of
     three or more vertices is split at a vertex v of highest degree, else
     at one of lowest (Adamaszek): X is X(G - v) with a cone over X(G - N[v])
@@ -175,10 +168,9 @@ def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, Abelian
     distinct components the recursion reduces.  The dual and brute routes neither
     fold nor split.
     """
-    core = fold_graph(g)
-    if core is None:
+    nbrs = g.nbrs
+    if 0 in nbrs:
         return {}
-    nbrs = _neighbour_masks(core)
     memo: dict[tuple[int, ...], dict[int, AbelianGroup]] = {}
     budget = [cap]
 
@@ -192,8 +184,7 @@ def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, Abelian
 
     def component(comp: int) -> dict[int, AbelianGroup]:
         live = _bits(comp)
-        local = {v: 1 << k for k, v in enumerate(live)}
-        key = tuple(sum(local[u] for u in _bits(nbrs[v] & comp)) for v in live)
+        key = _squeeze(map(nbrs.__getitem__, live), comp)
         if key in memo:
             return memo[key]
         budget[0] -= 1
@@ -209,12 +200,12 @@ def lando_cohomology(g: Graph, cap: int = DEFAULT_FACE_CAP) -> dict[int, Abelian
             if h is not None:
                 break
         else:
-            x = independence_complex(core.subgraph(core.vertices[v] for v in live), cap)
+            x = independence_complex(g.subgraph(g.vertices[v] for v in live), cap)
             h = {k: grp for k, grp in homology(x).items() if not grp.is_trivial}
         memo[key] = h
         return h
 
-    return shift_torsion(joined((1 << len(nbrs)) - 1), 1)
+    return shift_torsion(reduced((1 << len(nbrs)) - 1), 1)
 
 
 def _j_min_row(
@@ -256,14 +247,14 @@ def _dual_parts(g: Graph) -> list[tuple[Graph, list]]:
     route before anything is enumerated.  A graph with no vertices has no
     parts, and Y_D is then the empty join.
     """
-    coloring = g.two_coloring()
-    if coloring is None:
+    sides = _sides(g.nbrs)
+    if sides is None:
         raise EmptyPartW("the Lando graph is not bipartite")
     parts = []
-    for comp in g.connected_components():
-        side0 = [v for v in comp if coloring[v] == 0]
-        side1 = [v for v in comp if coloring[v] == 1]
-        parts.append((g.subgraph(comp), side0 if len(side0) <= len(side1) else side1))
+    for side0, side1 in sides:
+        comp = g.subgraph(g.vertices[k] for k in _bits(side0 | side1))
+        side = side0 if side0.bit_count() <= side1.bit_count() else side1
+        parts.append((comp, [g.vertices[k] for k in _bits(side)]))
     return sorted(parts, key=lambda part: len(part[0].vertices))
 
 

@@ -22,6 +22,12 @@ Graphs compare by equality: the same vertex tuple and the same edge set.
 Lando graph vertices are crossing indices in crossing order, so two
 diagrams numbered alike have equal Lando graphs exactly when the same
 chords are admissible and interleave alike.
+
+A graph holds its adjacency in one form, ``Graph.nbrs``: each vertex's
+neighbours as a bitmask over vertex positions, made once per graph.  The
+lando and dual routes, ``independence_number``, the 2-colouring and the
+independence complexes all read that form, and take their connected
+components from one finder, ``_components``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .diagram import Diagram
 from .errors import CapExceeded
@@ -59,13 +65,16 @@ class Graph:
         )
 
     @cached_property
-    def adjacency(self) -> dict[Vertex, frozenset]:
-        adj = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+    def nbrs(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask over vertex positions (bit
+        k is ``vertices[k]``), made once per graph; every graph query of
+        the package reads this form."""
+        pos = {v: k for k, v in enumerate(self.vertices)}
+        out = [0] * len(self.vertices)
+        for u, v in self.edges:
+            out[pos[u]] |= 1 << pos[v]
+            out[pos[v]] |= 1 << pos[u]
+        return tuple(out)
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
         keep_set = set(keep)
@@ -74,47 +83,17 @@ class Graph:
             frozenset(e for e in self.edges if e <= keep_set),
         )
 
-    def connected_components(self) -> tuple[tuple[Vertex, ...], ...]:
-        adj = self.adjacency
-        seen: set = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            stack, comp = [v], []
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp, key=self.vertices.index)))
-        return tuple(comps)
-
     def two_coloring(self) -> dict[Vertex, int] | None:
         """A proper 2-coloring by 0/1, or None when none exists.
 
         Vertices of each connected component are colored so that color 0 is
         the side containing the component's first vertex.
         """
-        adj = self.adjacency
-        color: dict[Vertex, int] = {}
-        for v in self.vertices:
-            if v in color:
-                continue
-            color[v] = 0
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        return color
+        sides = _sides(self.nbrs)
+        if sides is None:
+            return None
+        ones = sum(side1 for _, side1 in sides)
+        return {v: ones >> k & 1 for k, v in enumerate(self.vertices)}
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -165,69 +144,30 @@ def build_lando(d: Diagram) -> Graph:
 def independence_number(g: Graph, cap: int = 1 << 22) -> int:
     """Alternating count of independent sets, by branch and reduce.
 
-    Recursion: pick a vertex v of maximal degree in a connected component
-    and use I(G) = I(G - v) - I(G - N[v]); components multiply and any
-    isolated vertex kills the product.  ``cap`` bounds the number of
-    recursion nodes.
+    Recursion on the neighbour masks: pick a vertex v of maximal degree in
+    each connected component (``_components``) and use
+    I(G) = I(G - v) - I(G - N[v]); components multiply and any isolated
+    vertex kills the product.  Nothing is folded.  ``cap`` bounds the
+    number of recursion nodes.
     """
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
+    nbrs = g.nbrs
     budget = [cap]
 
-    def count(vertices: frozenset) -> int:
+    def count(alive: int) -> int:
         if budget[0] <= 0:
             raise CapExceeded("independence recursion", cap)
         budget[0] -= 1
-        if not vertices:
-            return 1
-        # Split off the connected component of some vertex.
-        start = next(iter(vertices))
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in vertices and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        rest = vertices - comp
-        v = max(comp, key=lambda u: len(adj[u] & comp))
-        if not (adj[v] & comp):
-            return 0  # isolated vertex: (1 - 1) factor
-        closed = (adj[v] & comp) | {v}
-        value = count(frozenset(comp - {v})) - count(frozenset(comp - closed))
-        if value == 0 or not rest:
-            return value
-        return value * count(rest)
+        value = 1
+        for comp in _components(nbrs, alive):
+            if not comp & comp - 1:
+                return 0  # isolated vertex: (1 - 1) factor
+            v = max(_bits(comp), key=lambda u: (nbrs[u] & comp).bit_count())
+            value *= count(comp ^ 1 << v) - count(comp & ~nbrs[v] & ~(1 << v))
+            if not value:
+                return 0
+        return value
 
-    return count(frozenset(g.vertices))
-
-
-def fold_graph(g: Graph) -> Graph | None:
-    """g with dominated vertices deleted, or None when X(g) is a cone.
-
-    Engstrom's fold lemma: when N(u) is a subset of N(v) for some u != v,
-    the independence complexes of g and g - v are homotopy equivalent.  An
-    isolated vertex is the apex of a cone, so X(g) is then acyclic and None
-    is returned.  Deletions repeat, in vertex order, until no vertex is
-    dominated (``_fold_masks``); I(g) is unchanged, and 0 when None is
-    returned.  Deletions can disconnect the graph, so callers split the
-    result again.
-    """
-    if not all(g.adjacency.values()):
-        return None
-    nbrs = _neighbour_masks(g)
-    alive = _fold_masks(nbrs, (1 << len(nbrs)) - 1)
-    if alive is None:
-        return None
-    if alive == (1 << len(nbrs)) - 1:
-        return g
-    return g.subgraph(v for k, v in enumerate(g.vertices) if alive >> k & 1)
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Each vertex's neighbours as a mask over vertex positions."""
-    bit = dict(zip(g.vertices, map((1).__lshift__, range(len(g.vertices)))))
-    return [sum(map(bit.__getitem__, ns)) for ns in g.adjacency.values()]
+    return count((1 << len(nbrs)) - 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -240,7 +180,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _components(nbrs: list[int], alive: int) -> list[int]:
+def _components(nbrs: Sequence[int], alive: int) -> list[int]:
     """The connected components of the graph induced on ``alive``, as
     vertex masks, in the order of their lowest vertex."""
     comps = []
@@ -257,7 +197,7 @@ def _components(nbrs: list[int], alive: int) -> list[int]:
     return comps
 
 
-def _fold_masks(nbrs: list[int], alive: int) -> int | None:
+def _fold_masks(nbrs: Sequence[int], alive: int) -> int | None:
     """The fold of the graph induced on ``alive``, as a vertex mask.
 
     Vertex k's neighbours are the mask ``nbrs[k]``, read inside ``alive``.
@@ -289,26 +229,49 @@ def _fold_masks(nbrs: list[int], alive: int) -> int | None:
     return alive
 
 
+def _sides(nbrs: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Each connected component's two colour classes, as vertex masks, the
+    class of its lowest vertex first; None when some component has an odd
+    cycle.
+
+    The classes are the even and the odd layers of a breadth-first sweep
+    from the lowest vertex; an edge inside a layer closes an odd cycle.
+    """
+    sides = []
+    for comp in _components(nbrs, (1 << len(nbrs)) - 1):
+        side = [0, 0]
+        frontier, parity = comp & -comp, 0
+        while frontier:
+            side[parity] |= frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= nbrs[v]
+            if reach & side[parity]:
+                return None
+            frontier, parity = reach & ~side[1 - parity], 1 - parity
+        sides.append((side[0], side[1]))
+    return sides
+
+
+def _squeeze(masks: Iterable[int], keep: int) -> tuple[int, ...]:
+    """Each mask's bits inside ``keep``, renumbered in order along the set
+    bits of ``keep``: neighbour masks over the subgraph induced on it."""
+    local = {v: 1 << k for k, v in enumerate(_bits(keep))}
+    return tuple(sum(map(local.__getitem__, _bits(m & keep))) for m in masks)
+
+
 def is_complete_bipartite(g: Graph) -> tuple[int, int] | None:
     """Return (r, s) when g is a complete bipartite graph K_{r,s}, r,s >= 1.
 
     Equivalently: the complement of g has exactly two connected components,
     each of them a clique in the complement (i.e. independent in g).
     """
-    if not g.vertices:
+    sides = _sides(g.nbrs)
+    # g must be one connected component, for the coloring to be forced, with
+    # both sides nonempty, and every cross pair must be an edge
+    if sides is None or len(sides) != 1 or not all(sides[0]):
         return None
-    coloring = g.two_coloring()
-    if coloring is None:
+    (side0, side1), nbrs = sides[0], g.nbrs
+    if any(nbrs[k] != side1 for k in _bits(side0)) or any(nbrs[k] != side0 for k in _bits(side1)):
         return None
-    # All vertices must be in one connected component for the coloring to be
-    # forced, and every cross pair must be an edge.
-    side0 = [v for v in g.vertices if coloring[v] == 0]
-    side1 = [v for v in g.vertices if coloring[v] == 1]
-    if not side0 or not side1:
-        return None
-    for u in side0:
-        for v in side1:
-            if frozenset((u, v)) not in g.edges:
-                return None
-    return (len(side0), len(side1))
-
+    return (side0.bit_count(), side1.bit_count())

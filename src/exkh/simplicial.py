@@ -23,7 +23,9 @@ size, in order, by later vertices of the ground order while a
 per-construction test admits them, so each size comes out in
 lexicographic order, and past the face cap it raises CapExceeded naming
 its stage.  Each test reads only the face and the vertex, against masks
-fixed before the enumeration starts.  The same pass checks that every
+fixed before the enumeration starts; a graph's are its own neighbour
+masks (``Graph.nbrs``), renumbered along the chosen side V for the
+Jonsson complexes.  The same pass checks that every
 facet of a face was built and finds the maximal faces, those that are a
 facet of no larger face.  No complex is built from a list of faces: a
 join of independence complexes is the independence complex of the
@@ -75,7 +77,7 @@ from math import gcd
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, EmptyPartW, NotAComplex, NotBipartition
-from .lando import Graph
+from .lando import Graph, _bits, _squeeze
 
 DEFAULT_FACE_CAP = 1 << 22
 
@@ -634,14 +636,6 @@ def cohomology_of(x: SimplicialComplex) -> dict[int, AbelianGroup]:
 # --------------------------------------------------------------------------
 
 
-def _mask(pos: dict, vertices: Iterable) -> int:
-    """The bitmask of some vertices, given each vertex's bit position."""
-    try:
-        return sum(1 << pos[v] for v in set(vertices))
-    except KeyError:
-        raise ValueError(f"face {sorted(vertices, key=repr)} not inside ground") from None
-
-
 def _ground(vertices: Iterable) -> tuple:
     """The vertices as a ground tuple; a repeated vertex raises ValueError."""
     ground = tuple(vertices)
@@ -724,8 +718,7 @@ def _closed_family(
 
 def independence_complex(g: Graph, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """The complex of independent vertex sets of a graph."""
-    pos = {v: k for k, v in enumerate(g.vertices)}
-    adj = [_mask(pos, g.adjacency[v]) for v in g.vertices]
+    adj = g.nbrs
     return _closed_family(
         g.vertices, lambda f, k: not adj[k] & f, cap, "independent set enumeration"
     )
@@ -777,8 +770,9 @@ def join_homology(
     return out
 
 
-def _bipartition(g: Graph, part_v: Iterable) -> tuple[tuple, tuple]:
-    """The chosen side V and the other side W, each in graph order.
+def _bipartition(g: Graph, part_v: Iterable) -> tuple[int, int]:
+    """The chosen side V and the other side W, as masks over the graph's
+    vertex positions.
 
     Raises NotBipartition unless every edge crosses between V and W, and
     EmptyPartW when W is empty.
@@ -786,16 +780,16 @@ def _bipartition(g: Graph, part_v: Iterable) -> tuple[tuple, tuple]:
     v_set = set(part_v)
     if not v_set <= set(g.vertices):
         raise NotBipartition("chosen part contains unknown vertices")
-    for e in g.edges:
-        a, b = tuple(e)
-        if (a in v_set) == (b in v_set):
-            raise NotBipartition(
-                f"edge {sorted(e, key=repr)} does not cross the partition"
-            )
-    w_side = tuple(w for w in g.vertices if w not in v_set)
-    if not w_side:
+    v_mask = sum(1 << k for k, v in enumerate(g.vertices) if v in v_set)
+    w_mask = (1 << len(g.vertices)) - 1 ^ v_mask
+    for k, m in enumerate(g.nbrs):
+        inside = m & (v_mask if v_mask >> k & 1 else w_mask)
+        if inside:
+            e = (g.vertices[k], g.vertices[_bits(inside)[0]])
+            raise NotBipartition(f"edge {sorted(e, key=repr)} does not cross the partition")
+    if not w_mask:
         raise EmptyPartW("the complementary part of the bipartition is empty")
-    return tuple(v for v in g.vertices if v in v_set), w_side
+    return v_mask, w_mask
 
 
 def jonsson_complex(
@@ -807,13 +801,13 @@ def jonsson_complex(
     neighbourhood of at least one vertex of the other side.  Its suspension
     is homotopy equivalent to the independence complex of the graph.
     """
-    v_side, w_side = _bipartition(g, part_v)
-    pos = {v: k for k, v in enumerate(v_side)}
-    hoods = [_mask(pos, g.adjacency[w]) for w in w_side]
+    v_mask, w_mask = _bipartition(g, part_v)
+    # N(w) for w in W, renumbered along V
+    hoods = _squeeze(map(g.nbrs.__getitem__, _bits(w_mask)), v_mask)
     # f + {v} is a face when the neighbourhood of some w of the other side
     # misses both
     return _closed_family(
-        v_side,
+        _vertices(g.vertices, v_mask),
         lambda f, k: any(not h & (f | 1 << k) for h in hoods),
         cap,
         "Jonsson face enumeration",
@@ -830,14 +824,15 @@ def jonsson_dual(
     W.  This is Y_D for a Lando graph.  It is void when some N(w) is empty,
     and otherwise grows without ever listing a Jonsson face.
     """
-    v_side, w_side = _bipartition(g, part_v)
-    adj = g.adjacency
-    if any(not adj[w] for w in w_side):
+    v_mask, w_mask = _bipartition(g, part_v)
+    nbrs, v_side = g.nbrs, _vertices(g.vertices, v_mask)
+    w_side = _bits(w_mask)
+    if not all(nbrs[w] for w in w_side):
         return SimplicialComplex.void(v_side)
-    # f + {v} is a face unless it swallows N(w) for some w next to v
-    pos = {v: k for k, v in enumerate(v_side)}
-    hood = {w: _mask(pos, adj[w]) for w in w_side}
-    rest = [[hood[w] ^ 1 << k for w in adj[v]] for k, v in enumerate(v_side)]
+    # f + {v} is a face unless it swallows N(w) for some w next to v; N(w)
+    # is renumbered along V
+    hood = dict(zip(w_side, _squeeze(map(nbrs.__getitem__, w_side), v_mask)))
+    rest = [[hood[w] ^ 1 << k for w in _bits(nbrs[v])] for k, v in enumerate(_bits(v_mask))]
 
     def admits(f: int, k: int) -> bool:
         for r in rest[k]:

@@ -15,7 +15,12 @@ face), the join of two complexes (``join``, the faces of
 ``faces_by_product``) and the small graphs ``path_graph``, ``cycle_graph``,
 ``torus_graph`` and ``two_hexagons_shared_vertex``.  The package builds
 every complex from a graph or another complex; its one join table is the
-independence complex of a disjoint union of graphs.
+independence complex of a disjoint union of graphs.  The graph views
+that only the tests ask for are thin helpers here over the package's one
+adjacency form, the neighbour masks ``Graph.nbrs``: each vertex's
+neighbour set (``adjacency``), the connected components
+(``connected_components``, through ``lando._components``) and the folded
+graph (``fold_graph``, through ``lando._fold_masks``).
 
 The reference model of the enhanced-state complex lives here too:
 ``EnhancedState`` objects, their gradings, every enhanced state by brute
@@ -56,7 +61,7 @@ from exkh.extreme import _dual_parts, extreme_via_lando
 from exkh.families import CatalogEntry, from_chord_diagram, random_diagrams
 from exkh.khovanov import DEFAULT_CROSSING_CAP, _grown_family, j_bounds, khovanov_complex
 from exkh import simplicial
-from exkh.lando import Graph, build_lando, is_complete_bipartite
+from exkh.lando import Graph, _bits, _components, _fold_masks, build_lando, is_complete_bipartite
 from exkh.simplicial import (
     DEFAULT_FACE_CAP,
     AbelianGroup,
@@ -76,12 +81,20 @@ from exkh.simplicial import (
 # --------------------------------------------------------------------------
 
 
+def _mask(pos: dict, vertices) -> int:
+    """The bitmask of some vertices, given each vertex's bit position."""
+    try:
+        return sum(1 << pos[v] for v in set(vertices))
+    except KeyError:
+        raise ValueError(f"face {sorted(vertices, key=repr)} not inside ground") from None
+
+
 def from_maximal(ground, faces, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """Every subset of the given faces, enumerated under ``cap``: a face
     grows by a vertex while the two lie inside one given face."""
     ground = tuple(ground)
     pos = {v: k for k, v in enumerate(ground)}
-    given = {simplicial._mask(pos, f) for f in faces}
+    given = {_mask(pos, f) for f in faces}
     if not given:
         return SimplicialComplex.void(ground)
 
@@ -110,6 +123,36 @@ def join(
     ``faces_by_product``, enumerated by ``from_maximal``."""
     ground = [(0, v) for v in x.ground] + [(1, w) for w in y.ground]
     return from_maximal(ground, faces_by_product(x, y), cap)
+
+
+def adjacency(g: Graph) -> dict:
+    """Each vertex's neighbours as a frozenset, read off ``g.nbrs``."""
+    return {v: frozenset(g.vertices[k] for k in _bits(m)) for v, m in zip(g.vertices, g.nbrs)}
+
+
+def connected_components(g: Graph) -> tuple[tuple, ...]:
+    """The vertex tuples of the connected components, in the order of their
+    first vertex, each in vertex order (``lando._components``)."""
+    comps = _components(g.nbrs, (1 << len(g.vertices)) - 1)
+    return tuple(tuple(g.vertices[k] for k in _bits(c)) for c in comps)
+
+
+def fold_graph(g: Graph) -> Graph | None:
+    """g with dominated vertices deleted, or None when X(g) is a cone.
+
+    Engstrom's fold lemma: when N(u) is a subset of N(v) for some u != v,
+    the independence complexes of g and g - v are homotopy equivalent.  An
+    isolated vertex is the apex of a cone, so X(g) is then acyclic and None
+    is returned.  Deletions repeat, in vertex order, until no vertex is
+    dominated (``_fold_masks``); I(g) is unchanged, and 0 when None is
+    returned.  Deletions can disconnect the graph, so callers split the
+    result again.  The lando route folds the masks themselves and never
+    asks for the folded graph.
+    """
+    alive = _fold_masks(g.nbrs, (1 << len(g.vertices)) - 1)
+    if alive is None:
+        return None
+    return g.subgraph(v for k, v in enumerate(g.vertices) if alive >> k & 1)
 
 
 def path_graph(n: int) -> Graph:
@@ -408,7 +451,7 @@ def bipartite_from_complex(x: SimplicialComplex) -> Graph:
 
 
 def degree(g: Graph, v) -> int:
-    return len(g.adjacency[v])
+    return len(adjacency(g)[v])
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict | None:
@@ -420,9 +463,10 @@ def find_isomorphism(g: Graph, h: Graph) -> dict | None:
         return None
 
     def signature(graph: Graph) -> dict:
-        deg = {v: degree(graph, v) for v in graph.vertices}
+        adj = adjacency(graph)
+        deg = {v: len(adj[v]) for v in graph.vertices}
         return {
-            v: (deg[v], tuple(sorted(deg[w] for w in graph.adjacency[v])))
+            v: (deg[v], tuple(sorted(deg[w] for w in adj[v])))
             for v in graph.vertices
         }
 
@@ -430,7 +474,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict | None:
     if sorted(sig_g.values()) != sorted(sig_h.values()):
         return None
     order = sorted(g.vertices, key=lambda v: sig_g[v], reverse=True)
-    adj_g, adj_h = g.adjacency, h.adjacency
+    adj_g, adj_h = adjacency(g), adjacency(h)
 
     mapping: dict = {}
     used: set = set()

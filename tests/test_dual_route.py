@@ -11,7 +11,7 @@ import random
 from math import comb
 
 import pytest
-from conftest import y_complex
+from conftest import adjacency, connected_components, y_complex
 
 from exkh import extreme, simplicial
 from exkh.diagram import Diagram
@@ -51,7 +51,7 @@ def oracle_graphs() -> list[tuple[Graph, list]]:
     for _ in range(20):
         r, s = rng.randrange(1, 6), rng.randrange(1, 6)
         g, part_v = bipartite(rng, r, s, 0.6)
-        adj = g.adjacency
+        adj = adjacency(g)
         # an isolated vertex on either side: N(w) empty voids Y
         out.append((Graph.build((*g.vertices, "vx"), g.edges), part_v + ["vx"]))
         out.append((Graph.build((*g.vertices, "wx"), g.edges), part_v))
@@ -91,7 +91,7 @@ def test_direct_dual_matches_dual_of_jonsson():
         assert got.ground == want.ground, (g, part_v)
         assert got.maximal == want.maximal, (g, part_v)
         assert got.faces() == want.faces(), (g, part_v)
-        adj = g.adjacency
+        adj = adjacency(g)
         kinds["void"] += got.is_void
         kinds["empty V"] += not part_v
         kinds["V vertex isolated"] += any(not adj[v] for v in part_v)
@@ -129,7 +129,7 @@ def test_components_fold_to_the_whole_y(corpus12):
             for ring in RINGS:
                 assert extreme_via_dual(d, ring).groups == extreme_via_lando(d, ring).groups
             continue
-        split += len(build_lando(d).connected_components()) > 1
+        split += len(connected_components(build_lando(d))) > 1
         for ring in RINGS:
             assert extreme_via_dual(d, ring).groups == whole_y_row(d, ring), (
                 d.to_pd(), ring,
@@ -149,7 +149,7 @@ def test_dual_route_builds_no_jonsson_complex_and_no_fold(monkeypatch, corpus12)
     for name in ("jonsson_complex", "alexander_dual"):
         monkeypatch.setattr(simplicial, name, recording(name))
         monkeypatch.setattr(extreme, name, recording(name), raising=False)
-    monkeypatch.setattr(extreme, "fold_graph", recording("fold_graph"))
+    monkeypatch.setattr(extreme, "_fold_masks", recording("_fold_masks"))
     built = []
 
     def recording_dual(g, part_v, cap=simplicial.DEFAULT_FACE_CAP):
@@ -218,7 +218,7 @@ def test_isolated_vertex_gives_the_zero_row_and_still_checks_the_ring(corpus12):
     cones = [
         d for d in corpus12
         if len(build_lando(d).vertices) >= 3
-        and any(not ns for ns in build_lando(d).adjacency.values())
+        and any(not ns for ns in adjacency(build_lando(d)).values())
     ]
     assert cones
     for d in cones:

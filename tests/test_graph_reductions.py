@@ -15,12 +15,20 @@ import time
 
 import pytest
 
-from conftest import cycle_graph, path_graph, random_graph, torus_graph
+from conftest import (
+    adjacency,
+    connected_components,
+    cycle_graph,
+    fold_graph,
+    path_graph,
+    random_graph,
+    torus_graph,
+)
 from exkh import extreme
 from exkh.errors import CapExceeded
 from exkh.extreme import extreme_via_lando, lando_cohomology
 from exkh.families import catalog_diagram, thick_family
-from exkh.lando import Graph, build_lando, fold_graph, independence_number
+from exkh.lando import Graph, build_lando, independence_number
 from exkh.simplicial import (
     AbelianGroup,
     cohomology_of,
@@ -50,7 +58,7 @@ def planted_graphs(rng: random.Random) -> list[Graph]:
     out = []
     while len(out) < 40:
         g = random_graph(rng, max_vertices=8)
-        adj = g.adjacency
+        adj = adjacency(g)
         hosts = [u for u in g.vertices if adj[u]]
         if not hosts:
             continue
@@ -68,7 +76,7 @@ def oracle_graphs() -> list[Graph]:
 
 
 def is_irreducible(g: Graph) -> bool:
-    adj = g.adjacency
+    adj = adjacency(g)
     return all(adj[v] for v in g.vertices) and not any(
         u != v and adj[u] <= adj[v] for u in g.vertices for v in g.vertices
     )
@@ -118,7 +126,7 @@ def test_dominated_vertex_is_deleted():
     # N(0) = {1} lies inside N(2) = {1, 3}: 2 goes, and 0-1, 3-4 stay
     core = fold_graph(path_graph(5))
     assert core == Graph.build([0, 1, 3, 4], [(0, 1), (3, 4)])
-    assert len(core.connected_components()) == 2
+    assert len(connected_components(core)) == 2
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +250,7 @@ def test_equal_components_are_reduced_once(monkeypatch):
     splits.clear()
     h = lando_cohomology(g3)
     # three copies of one component, the last two read back from the memo
-    assert len(fold_graph(g3).connected_components()) == 3
+    assert len(connected_components(fold_graph(g3))) == 3
     assert one and len(splits) == one
     lo = min(h)
     assert nonzero(h) == {lo + k: Z(r) for k, r in enumerate((1, 3, 3, 1))}

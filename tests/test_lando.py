@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import (
+    adjacency,
     complete_bipartite_graph,
+    connected_components,
     cycle_graph,
     degree,
     find_isomorphism,
@@ -27,7 +29,7 @@ HOPF = "X(4,2,1,3) X(2,4,3,1)"
 def test_graph_build_and_adjacency():
     g = Graph.build([1, 2, 3], [(1, 2), (2, 3)])
     assert degree(g, 2) == 2
-    assert g.adjacency[1] == frozenset({2})
+    assert adjacency(g)[1] == frozenset({2})
     with pytest.raises(ValueError):
         Graph.build([1, 1], [])
     with pytest.raises(ValueError):
@@ -53,6 +55,18 @@ def test_two_coloring_on_cycles():
     for e in path_graph(5).edges:
         u, v = tuple(e)
         assert colors[u] != colors[v]
+    # a bipartite component followed by an odd cycle
+    assert Graph.build(range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]).two_coloring() is None
+    # P_3, C_4 and an isolated vertex, interleaved in the vertex order
+    g = Graph.build(
+        (4, 1, 7, 0, 3, 2, 6, 5), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]
+    )
+    colors = g.two_coloring()
+    assert set(colors) == set(g.vertices)
+    for u, v in g.edges:
+        assert colors[u] != colors[v]
+    # color 0 on each component's first vertex
+    assert colors[4] == colors[1] == colors[7] == 0
 
 
 def test_lando_graph_of_hopf_is_empty():
@@ -146,12 +160,24 @@ def test_lando_graphs_are_bipartite_on_corpus(corpus12):
 
 def test_independence_number_matches_enumeration():
     rng = random.Random(7)
-    for _ in range(40):
-        g = random_graph(rng)
+    graphs = [random_graph(rng) for _ in range(150)]
+    for _ in range(50):
+        # two random graphs side by side, and now and then an isolated vertex
+        g, h = random_graph(rng, 5), random_graph(rng, 5)
+        n = len(g.vertices)
+        lone = [n + len(h.vertices)] if rng.random() < 0.3 else []
+        graphs.append(Graph.build(
+            [*g.vertices, *(n + v for v in h.vertices), *lone],
+            [*map(tuple, g.edges), *((n + u, n + v) for u, v in h.edges)],
+        ))
+    assert len(graphs) == 200
+    assert sum(len(connected_components(g)) > 1 for g in graphs) >= 50
+    assert sum(any(not ns for ns in adjacency(g).values()) for g in graphs) >= 50
+    for g in graphs:
         expected = sum(
             (-1) ** len(s) for s in independent_sets_by_enumeration(g)
         )
-        assert independence_number(g) == expected
+        assert independence_number(g) == expected, g
 
 
 def test_independence_number_identities():
@@ -163,7 +189,7 @@ def test_independence_number_identities():
             continue
         v = g.vertices[0]
         minus_v = g.subgraph(set(g.vertices) - {v})
-        minus_nv = g.subgraph(set(g.vertices) - {v} - g.adjacency[v])
+        minus_nv = g.subgraph(set(g.vertices) - {v} - adjacency(g)[v])
         assert independence_number(g) == independence_number(
             minus_v
         ) - independence_number(minus_nv)
@@ -196,6 +222,8 @@ def test_is_complete_bipartite():
     assert is_complete_bipartite(Graph.build([1, 2], [])) is None
     assert is_complete_bipartite(Graph.build([], [])) is None
     assert is_complete_bipartite(cycle_graph(4)) == (2, 2)
+    k23 = complete_bipartite_graph(2, 3)
+    assert is_complete_bipartite(Graph.build((*k23.vertices, "x"), k23.edges)) is None
 
 
 def test_isomorphism_positive_and_negative():

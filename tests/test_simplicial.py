@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    adjacency,
     bipartite_from_complex,
     bipartite_part,
     check_complex,
@@ -412,7 +413,7 @@ def test_jonsson_builders_match_subset_enumeration():
     checked = {"Jonsson": 0, "void Y": 0}
     while checked["Jonsson"] < 200:
         g, part_v = bipartite_part(random_graph(rng))
-        hoods = [g.adjacency[w] for w in g.vertices if w not in part_v]
+        hoods = [adjacency(g)[w] for w in g.vertices if w not in part_v]
         if not hoods:
             continue  # no side W
         checked["Jonsson"] += 1
